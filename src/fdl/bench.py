@@ -174,10 +174,11 @@ def run_case(case: BenchCase, mechanism: str, configs,
 
 
 def run_suite(cases, mechanisms, configs=None, limit_ms=DEFAULT_TIMEOUT_MS,
-              repeats: int = 1, expansion_budget=None) -> list:
+              repeats: int = 1, expansion_budget=None, progress=None) -> list:
     """Run every (case, mechanism) cell; with repeats > 1 a median row
     (repeat='median', by wall time) is appended per cell, and charts plot
-    only the medians."""
+    only the medians. progress, when given, is called with each run's
+    record as soon as it is made."""
     configs = configs if configs is not None else load_solver_configs()
     records = []
     for case in cases:
@@ -188,6 +189,8 @@ def run_suite(cases, mechanisms, configs=None, limit_ms=DEFAULT_TIMEOUT_MS,
                                expansion_budget)
                 cell.append(rec)
                 records.append(rec)
+                if progress is not None:
+                    progress(rec)
             if repeats > 1:
                 mid = sorted(cell, key=lambda x: x['wall_ms'])[(len(cell) - 1) // 2]
                 med = dict(mid)

@@ -169,24 +169,15 @@ def _cmd_bench(args) -> int:
         avail = {n: c for n, c in configs.items() if c.available()}
         mechs = benchmod.mechanism_labels(avail)
     cases = benchmod.make_cases(args.families, args.patterns, args.size)
-    records = []
-    for case in cases:
-        for mech in mechs:
-            for r in range(1, args.repeats + 1):
-                rec = benchmod.run_case(case, mech, configs, args.timeout_ms,
-                                        r, args.expansion_budget)
-                records.append(rec)
-                print('%s %s N=%d %s: %s %s %.1fms'
-                      % (rec['family'], rec['pattern'], rec['N'],
-                         rec['mechanism'], rec['outcome'], rec['verdict'],
-                         rec['wall_ms']), file=sys.stderr)
-            if args.repeats > 1:
-                cell = records[-args.repeats:]
-                mid = sorted(cell, key=lambda x: x['wall_ms'])[
-                    (len(cell) - 1) // 2]
-                med = dict(mid)
-                med['repeat'] = 'median'
-                records.append(med)
+
+    def progress(rec):
+        print('%s %s N=%d %s: %s %s %.1fms'
+              % (rec['family'], rec['pattern'], rec['N'], rec['mechanism'],
+                 rec['outcome'], rec['verdict'], rec['wall_ms']),
+              file=sys.stderr)
+
+    records = benchmod.run_suite(cases, mechs, configs, args.timeout_ms,
+                                 args.repeats, args.expansion_budget, progress)
     paths = benchmod.emit_report(records, args.out, args.timeout_ms)
     for p in paths:
         print(p)

@@ -341,12 +341,27 @@ def free_vars(node, bound=None) -> set:
     return out
 
 
-def has_choose(node) -> bool:
-    return any(isinstance(n, Choose) for n in walk(node))
+def has_choose(node, nondet=frozenset()) -> bool:
+    """True when node contains a choose or applies a function in nondet."""
+    return any(isinstance(n, Choose) or (isinstance(n, Apply) and n.func in nondet)
+               for n in walk(node))
 
 
 def applies_in(node) -> list:
     return [n for n in walk(node) if isinstance(n, Apply)]
+
+
+def nondeterministic_funcs(funcs: dict) -> frozenset:
+    """Names of the functions whose applications can take more than one
+    value: every contract, and every definition whose body contains a choose
+    or applies a function already in the set (computed as a fixpoint)."""
+    out = {name for name, fd in funcs.items() if fd.is_contract()}
+    while True:
+        more = {name for name, fd in funcs.items()
+                if name not in out and has_choose(fd.body, out)}
+        if not more:
+            return frozenset(out)
+        out |= more
 
 
 def subst(node, mapping: dict):

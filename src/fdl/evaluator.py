@@ -17,7 +17,8 @@ from typing import Optional
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, EvalError, Exists,
                    FalseF, FdlError, Forall, Formula, Iff, Implies, Ite, Lit,
-                   Mul, Not, Or, QUANTIFIERS, TrueF, Var, walk)
+                   Mul, Not, Or, QUANTIFIERS, TrueF, Var, has_choose,
+                   nondeterministic_funcs)
 
 MODES = ('deterministic', 'nondeterministic')
 
@@ -73,36 +74,16 @@ class Evaluator:
         self.funcs = funcs or {}
         self.st = stats if stats is not None else EvalStats()
         self.mode = mode
+        self._nondet = nondeterministic_funcs(self.funcs)
         self._det_memo = {}
-        self._func_det = {}
 
     # -- determinism analysis (choose-free subtrees take the fast path) ------
 
-    def _func_is_det(self, name, seen=()):
-        if name in self._func_det:
-            return self._func_det[name]
-        fd = self.funcs.get(name)
-        if fd is None or fd.is_contract() or name in seen:
-            self._func_det[name] = False
-            return False
-        det = self._node_is_det(fd.body, seen + (name,))
-        self._func_det[name] = det
-        return det
-
-    def _node_is_det(self, node, seen=()):
+    def _node_is_det(self, node):
         key = id(node)
-        if not seen and key in self._det_memo:
-            return self._det_memo[key]
-        det = True
-        for n in walk(node):
-            if isinstance(n, Choose):
-                det = False
-                break
-            if isinstance(n, Apply) and not self._func_is_det(n.func, seen):
-                det = False
-                break
-        if not seen:
-            self._det_memo[key] = det
+        det = self._det_memo.get(key)
+        if det is None:
+            det = self._det_memo[key] = not has_choose(node, self._nondet)
         return det
 
     # -- deterministic evaluation --------------------------------------------

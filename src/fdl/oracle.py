@@ -78,19 +78,19 @@ def _truths(f, env, funcs) -> set:
         right = _truths(f.rhs, env, funcs)
         return {a == b for a in left for b in right}
     if isinstance(f, (Forall, Exists)):
-        domain = list(enumerate_domain(f.ty))
+        # stop at the first element whose body cannot give `not want`; only
+        # a run through the whole carrier makes `not want` possible
         want = isinstance(f, Exists)
-
-        def at(i):
-            if i == len(domain):
-                return {not want}
-            here = _truths(f.body, {**env, f.var: domain[i]}, funcs)
-            out = {want} if want in here else set()
-            if (not want) in here:
-                out |= at(i + 1)
-            return out
-
-        return at(0)
+        out = set()
+        for v in enumerate_domain(f.ty):
+            here = _truths(f.body, {**env, f.var: v}, funcs)
+            if want in here:
+                out.add(want)
+            if (not want) not in here:
+                break
+        else:
+            out.add(not want)
+        return out
     raise AssertionError('unhandled formula %r' % f)
 
 

@@ -509,23 +509,3 @@ def print_formula(f: Formula, prec=0) -> str:
         return '(%s)' % s if prec > 0 else s
     raise AssertionError('unhandled formula %r' % f)
 
-
-def print_model(m: Model) -> str:
-    lines = []
-    for name, default in m.params.items():
-        if default is None:
-            lines.append('val %s: nat;' % name)
-        else:
-            lines.append('val %s: nat = %d;' % (name, default))
-    for name, ty in m.types.items():
-        lines.append('type %s = %s;' % (name, print_type(ty)))
-    for fd in m.funcs.values():
-        params = ', '.join('%s: %s' % (p, print_type(t)) for p, t in fd.params)
-        head = 'fun %s(%s): %s' % (fd.name, params, print_type(fd.result))
-        if fd.body is not None:
-            lines.append('%s = %s;' % (head, print_term(fd.body)))
-        else:
-            lines.append('%s ensures %s;' % (head, print_formula(fd.ensures)))
-    for name, f in m.theorems.items():
-        lines.append('theorem %s <=> %s;' % (name, print_formula(f)))
-    return '\n'.join(lines) + '\n'

@@ -18,8 +18,13 @@ Each choose occurrence becomes a fresh uninterpreted function _ch<n> over
 the binders in scope, constrained by an axiom that its value satisfies the
 choose condition; a contract function becomes a single uninterpreted
 function constrained by its ensures clause. Defined functions emit as
-define-fun unless inlining is requested (definitions that contain choices
-are always inlined, since a macro cannot carry nondeterminism).
+define-fun unless inlining is requested. A definition that can take several
+values (one whose body contains a choose, or applies a contract or another
+such definition; see core.nondeterministic_funcs) is always inlined, since a
+macro cannot carry nondeterminism. By default it is inlined after its
+arguments are axiomatized, so an argument with a choice has one value in
+all uses of its parameter; with inline_definitions or eliminate_choices the
+goal is inlined first and such an argument is copied.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +32,8 @@ from dataclasses import dataclass, field
 from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, Term,
-                   TrueF, Var, free_vars, rename_apart, subst, walk)
-from .parser import print_formula
+                   TrueF, Var, _rebuild, free_vars, nondeterministic_funcs,
+                   rename_apart, subst, walk)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -69,9 +74,6 @@ class SmtScript:
     asserts: dict  # tag -> [expr]
     stats: TranslateStats
 
-    def count(self, tag) -> int:
-        return len(self.asserts[tag])
-
 
 # ---------------------------------------------------------------------------
 # encoding helpers
@@ -85,10 +87,6 @@ def sort_width(ty: FiniteType) -> int:
 def predicate_trivial(ty: FiniteType) -> bool:
     """True when every bit pattern of the sort is a carrier element."""
     return ty.size() == 2 ** sort_width(ty)
-
-
-def encode_value(v, ty: FiniteType) -> str:
-    return bv_lit(v, sort_width(ty))
 
 
 def bv_lit(v, width: int) -> str:
@@ -199,9 +197,9 @@ def estimate_costs(goal: Formula):
 # source-level transforms
 
 
-def inline_definitions(node, funcs, _renames=True):
-    """Replace applications of defined functions by their bodies."""
-    funcs = funcs or {}
+def inline_definitions(node, funcs):
+    """Replace applications of the defined functions in funcs by their
+    bodies. An argument is copied into every use of its parameter."""
     if isinstance(node, Apply):
         args = [inline_definitions(a, funcs) for a in node.args]
         fd = funcs.get(node.func)
@@ -210,18 +208,18 @@ def inline_definitions(node, funcs, _renames=True):
         used = set()
         for a in args:
             used |= free_vars(a)
-        body = rename_apart(fd.body, used)
-        body = subst(body, {p: a for (p, _), a in zip(fd.params, args)})
-        return inline_definitions(body, funcs)
+        return inline_definitions(instantiate(fd, args, used), funcs)
     if isinstance(node, BINDERS):
         return type(node)(node.var, node.ty,
                           inline_definitions(node.body, funcs), pos=node.pos)
-    return _rebuild_children(node, lambda c: inline_definitions(c, funcs))
+    return _rebuild(node, lambda c: inline_definitions(c, funcs))
 
 
-def _rebuild_children(node, fn):
-    from .core import _rebuild
-    return _rebuild(node, fn)
+def instantiate(fd, args, used):
+    """The body of the defined function fd with args for its parameters,
+    its binders first renamed apart from the names in used."""
+    body = rename_apart(fd.body, used)
+    return subst(body, {p: a for (p, _), a in zip(fd.params, args)})
 
 
 def eliminate_choices(goal: Formula, funcs) -> Formula:
@@ -281,7 +279,7 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
         if node is target:
             return repl
         if isinstance(node, (Term, Formula)):
-            return _rebuild_children(node, lambda c: replace(c, target, repl))
+            return _rebuild(node, lambda c: replace(c, target, repl))
         return node
 
     def go(f, ok):
@@ -344,7 +342,11 @@ class Translator:
         self.stats = TranslateStats()
         self.tmap = {}  # binder name -> FiniteType
         self._used_names = set(self.funcs)
-        self._inline_forced = {}
+        nondet = nondeterministic_funcs(self.funcs)
+        # definitions that are inlined instead of emitted as define-fun
+        self._inlined = {n: fd for n, fd in self.funcs.items()
+                         if fd.body is not None and (
+                             self.opts.inline_definitions or n in nondet)}
 
     # -- fresh symbols -------------------------------------------------------
 
@@ -366,26 +368,6 @@ class Translator:
                 self._used_names.add(n.func)
 
     # -- choice axiomatization -------------------------------------------------
-
-    def _needs_inline(self, name, seen=()):
-        if name in self._inline_forced:
-            return self._inline_forced[name]
-        fd = self.funcs.get(name)
-        if fd is None:
-            return False
-        if fd.is_contract() or name in seen:
-            return True
-        forced = False
-        for n in walk(fd.body):
-            if isinstance(n, Choose):
-                forced = True
-                break
-            if isinstance(n, Apply) and n.func in self.funcs \
-                    and self._needs_inline(n.func, seen + (name,)):
-                forced = True
-                break
-        self._inline_forced[name] = forced
-        return forced
 
     def axiomatize(self, f: Formula, queue: list) -> Formula:
         """Replace choose terms by fresh constrained functions, register
@@ -428,7 +410,7 @@ class Translator:
                                                fd.result)
                         ens = fd.ensures
                         if self.opts.inline_definitions:
-                            ens = inline_definitions(ens, self.funcs)
+                            ens = inline_definitions(ens, self._inlined)
                         params = list(fd.params)
                         ens = subst(ens, {'result': Apply(
                             t.func, [Var(p) for p, _ in params])})
@@ -436,13 +418,12 @@ class Translator:
                                       'choose-axiom'))
                         self._queue_constraint(t.func, params, fd.result,
                                                queue)
-                    return Apply(t.func, args, pos=t.pos)
-                if fd is not None and self._needs_inline(t.func):
+                if t.func in self._inlined:
+                    # the arguments are axiomatized already: a choice in one
+                    # has one value in all uses of its parameter
                     used = set(a for a, _ in scope) | self._used_names
-                    body = rename_apart(fd.body, used)
+                    body = instantiate(fd, args, used)
                     self.note_names(body)
-                    body = subst(body,
-                                 {p: a for (p, _), a in zip(fd.params, args)})
                     return go_t(body, scope)
                 return Apply(t.func, args, pos=t.pos)
             if isinstance(t, Ite):
@@ -685,14 +666,11 @@ class Translator:
             self.note_names(fd.body if fd.body is not None else fd.ensures)
 
         f = goal
-        if self.opts.inline_definitions:
-            f = inline_definitions(f, self.funcs)
+        if self.opts.inline_definitions or self.opts.eliminate_choices:
+            # the eliminator has to see the choices in definition bodies;
+            # otherwise axiomatize inlines, after the arguments
+            f = inline_definitions(f, self._inlined)
         if self.opts.eliminate_choices:
-            # expose choices hidden in definition bodies to the eliminator
-            choicey = {n: fd for n, fd in self.funcs.items()
-                       if fd.body is not None and self._needs_inline(n)}
-            if choicey:
-                f = inline_definitions(f, choicey)
             f = eliminate_choices(f, self.funcs)
         neg = rename_apart(negate_goal(f))
         self.note_names(neg)

@@ -157,6 +157,15 @@ def test_run_suite_appends_median_rows():
     assert med['wall_ms'] == walls[1]
 
 
+def test_run_suite_reports_each_run_to_progress():
+    seen = []
+    records = run_suite([BenchCase('cycle4-valid', 'e4a0', 1)], ['RISCAL'],
+                        configs={}, repeats=2, progress=seen.append)
+    # every run, as it is made; the median row is not a run
+    assert seen == records[:2]
+    assert [r['repeat'] for r in seen] == [1, 2]
+
+
 def test_run_suite_single_repeat_has_no_median():
     records = run_suite([BenchCase('cycle4-valid', 'e4a0', 1)], ['RISCAL'],
                         configs={})

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fdl.core import (
-    BOOL, Add, AddConst, And, Atom, Choose, Exists, FiniteType, Forall,
+    BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FiniteType, Forall,
     FuncDecl, Ite, Lit, Model, Mul, Not, TypeError_, TypeExpr, Var,
-    enumerate_domain, eval_bound, free_vars, has_choose, nat, rename_apart,
-    resolve_model, subst, typecheck_formula, typecheck_model, walk,
+    enumerate_domain, eval_bound, free_vars, has_choose, nat,
+    nondeterministic_funcs, rename_apart, resolve_model, subst,
+    typecheck_formula, typecheck_model, walk,
 )
 from fdl.evaluator import check_validity
 
@@ -76,6 +77,34 @@ def test_has_choose_sees_nested_terms():
     t = Add(Lit(1), Choose('c', nat(2), _lt(Var('c'), Lit(2))))
     assert has_choose(Atom('=', t, Lit(1)))
     assert not has_choose(_lt(Lit(0), Lit(1)))
+    # an application counts only when its function is named as one that
+    # can take several values
+    applied = Atom('=', Apply('h', [Lit(0)]), Lit(1))
+    assert has_choose(applied, {'h'})
+    assert not has_choose(applied) and not has_choose(applied, {'g'})
+
+
+def test_nondeterministic_funcs_follow_applications():
+    d = nat(2)
+    funcs = {
+        'h': FuncDecl('h', [('p', d)], d,
+                      ensures=Atom('<=', Var('result'), Var('p'))),
+        'pick': FuncDecl('pick', [('x', d)], d,
+                         body=Choose('y', d, Atom('<=', Var('y'), Var('x')))),
+        # nondeterministic only through the contract it applies
+        'viaH': FuncDecl('viaH', [('x', d)], d, body=Apply('h', [Var('x')])),
+        'inc': FuncDecl('inc', [('x', d)], nat(3),
+                        body=AddConst(Var('x'), 1)),
+    }
+    assert nondeterministic_funcs(funcs) == {'h', 'pick', 'viaH'}
+    # the application of a pure definition keeps its caller pure, and the
+    # set grows through chains of definitions
+    funcs['twice'] = FuncDecl('twice', [('x', d)], nat(4),
+                              body=Add(Apply('inc', [Var('x')]), Lit(1)))
+    funcs['outer'] = FuncDecl('outer', [('x', d)], d,
+                              body=Apply('viaH', [Var('x')]))
+    assert nondeterministic_funcs(funcs) == {'h', 'pick', 'viaH', 'outer'}
+    assert nondeterministic_funcs({}) == frozenset()
 
 
 def test_subst_respects_binders():

@@ -18,6 +18,16 @@ def test_simple_verdicts():
     assert oracle_check(Exists('x', nat(3), _lt(Var('x'), Lit(0)))) == 'invalid'
 
 
+def test_quantifier_over_a_large_carrier_needs_no_deep_recursion():
+    # one Python frame per carrier element used to exceed the recursion limit
+    goal = Forall('x', nat(5000), Atom('<=', Var('x'), Lit(5000)))
+    assert oracle_check(goal) == 'valid'
+    assert oracle_check(Exists('x', nat(5000), Atom('=', Var('x'), Lit(5000)))) \
+        == 'valid'
+    assert oracle_check(Forall('x', nat(5000), _lt(Var('x'), Lit(5000)))) \
+        == 'invalid'
+
+
 def test_choice_makes_verdict_demonic():
     # both 0 and 1 are admissible, so '= 0' can come out false
     goal = Atom('=', Choose('y', nat(1), TrueF()), Lit(0))

@@ -304,6 +304,65 @@ def test_axiomatized_contract_emits_type_constraints():
     assert len(_tagged(text, 'type-constraint')) == 3
 
 
+# -- which definitions become macros -------------------------------------------------
+
+
+FOUR_KINDS_SRC = """
+type D = nat[2];
+fun h(p: D): D ensures result <= p;
+fun pick(x: D): D = choose y: D with y <= x;
+fun viaH(x: D): D = h(x);
+fun inc(x: D): nat[3] = x + 1;
+theorem t <=> forall x: D. pick(x) + viaH(x) <= inc(x) + inc(h(x));
+"""
+
+
+def _defines(text):
+    return [ln.split()[1] for ln in text.splitlines()
+            if ln.startswith('(define-fun')]
+
+
+@pytest.mark.parametrize('mode', MODES)
+def test_only_pure_definitions_become_define_fun(mode):
+    m = resolve_model(parse_model(FOUR_KINDS_SRC))
+    goal = m.theorems['t']
+    for eliminate in (False, True):
+        opts = dict(mode=mode, eliminate_choices=eliminate)
+        text = _emit(goal, m.funcs, **opts)
+        assert _defines(text) == ['inc']
+        names = [ln.split()[1] for ln in _decls(text)]
+        assert 'pick' not in names and 'viaH' not in names
+        if not eliminate:
+            # both applications of h share one declared function
+            assert names.count('h') == 1
+        assert _defines(_emit(goal, m.funcs, inline_definitions=True,
+                              **opts)) == []
+
+
+DUPLICATED_ARGUMENT_SRC = """
+type D = nat[2];
+fun twice(x: D): nat[4] = x + (choose w: D with w = x);
+fun k(z: D): nat[4] = twice(choose c: D with c <= z);
+theorem even <=> !(twice(choose c: D with c <= 1) = 1);
+theorem bounded <=> forall x: D. twice(choose c: D with c <= x) <= 2 * x;
+theorem odd <=> exists x: D. twice(choose c: D with c <= 1) = 1;
+theorem nested <=> !(k(1) = 1);
+"""
+
+
+@pytest.mark.parametrize('name', ['even', 'bounded', 'odd', 'nested'])
+def test_argument_with_a_choice_is_passed_by_value(name):
+    # twice(a) evaluates a once, so its value is a + a, never 0 + 1; in
+    # nested, the argument with the choice appears only in k's body
+    m = resolve_model(parse_model(DUPLICATED_ARGUMENT_SRC))
+    goal = m.theorems[name]
+    want = oracle_check(goal, m.funcs)
+    for mode in MODES:
+        answer = check_script(_emit(goal, m.funcs, mode=mode))
+        got = 'valid' if answer == 'unsat' else 'invalid'
+        assert got == want, mode
+
+
 # -- script shape --------------------------------------------------------------------
 
 
