@@ -10,11 +10,13 @@ the assertions in order, so only function points the assertions actually
 touch are ever enumerated. The search is exhaustive; 'unknown' is reported
 only when the node budget runs out.
 
-Also usable as a command line solver (fdl-refsolve FILE, or
-python -m fdl.refsolver FILE, which is how the solver bridge drives it).
+Also usable as a command line solver: fdl-refsolve [--budget N] FILE, or
+this file run by path. The solver bridge runs it by path as
+`python -I -S .../refsolver.py FILE`, so this module must stay standalone
+(no imports from fdl, no relative imports) and cheap to start: it imports
+only sys, and parses its command line by hand instead of with argparse.
 """
 
-import argparse
 import sys
 
 DEFAULT_BUDGET = 2_000_000
@@ -368,22 +370,72 @@ def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
     return Solver(Script.parse(text), budget).check()
 
 
+_USAGE = 'usage: fdl-refsolve [-h] [--budget BUDGET] file\n'
+
+_HELP = _USAGE + """
+reference solver for the emitted SMT-LIB fragment
+
+positional arguments:
+  file
+
+options:
+  -h, --help       show this help message and exit
+  --budget BUDGET  search node budget before giving up with unknown
+"""
+
+
+def _usage_error(message):
+    sys.stderr.write('%sfdl-refsolve: error: %s\n' % (_USAGE, message))
+    sys.exit(2)
+
+
+def _parse_args(argv) -> tuple:
+    """(file, budget) from the command line, read as argparse read it:
+    -h/--help prints the help and exits 0; a missing or extra argument or a
+    bad budget prints the usage to stderr and exits 2."""
+    path, budget, extra = None, DEFAULT_BUDGET, []
+    args = list(argv)
+    while args:
+        a = args.pop(0)
+        if a in ('-h', '--help'):
+            sys.stdout.write(_HELP)
+            sys.exit(0)
+        elif a == '--budget' or a.startswith('--budget='):
+            if a == '--budget':
+                if not args:
+                    _usage_error('argument --budget: expected one argument')
+                value = args.pop(0)
+            else:
+                value = a[len('--budget='):]
+            try:
+                budget = int(value)
+            except ValueError:
+                _usage_error('argument --budget: invalid int value: %r'
+                             % value)
+        elif path is None and not a.startswith('-'):
+            path = a
+        else:
+            extra.append(a)
+    if path is None:
+        _usage_error('the following arguments are required: file')
+    if extra:
+        _usage_error('unrecognized arguments: %s' % ' '.join(extra))
+    return path, budget
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog='fdl-refsolve',
-        description='reference solver for the emitted SMT-LIB fragment')
-    ap.add_argument('file')
-    ap.add_argument('--budget', type=int, default=DEFAULT_BUDGET,
-                    help='search node budget before giving up with unknown')
-    args = ap.parse_args(argv)
+    path, budget = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.file) as fh:
+        with open(path) as fh:
             text = fh.read()
-        print(check_script(text, args.budget))
+        print(check_script(text, budget))
         return 0
     except (RefsolverError, OSError) as e:
-        print('error: %s' % e, file=sys.stderr)
-        return 1
+        reason = str(e)
+    except Exception as e:  # an internal failure, e.g. RecursionError in _dfs
+        reason = '%s: %s' % (type(e).__name__, e)
+    print('error: %s' % reason, file=sys.stderr)
+    return 1
 
 
 if __name__ == '__main__':

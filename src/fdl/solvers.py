@@ -8,13 +8,16 @@ script path), either from the built-in table below or from an INI file
     command = z3 -smt2 {file}
     quantifiers = true
 
-The built-in refsolve backend runs `python -m fdl.refsolver` under the
-current interpreter, so it needs no install and always runs the same fdl as
-its caller; a [refsolve] section in the INI file replaces that command. Other
-backends are looked up on PATH, and one whose executable is not there
-reports 'unavailable' instead of failing. Solvers run in their own session;
-on timeout the whole process group is killed, so children of wrapper scripts
-die too.
+The built-in refsolve backend runs this package's refsolver.py by path
+under the current interpreter, as `python -I -S .../refsolver.py {file}`, so
+it needs no install, always runs the same refsolve as its caller and does
+not depend on the child's import path. `-I -S` skip the environment, the
+user and site directories and the .pth files; refsolver.py imports only
+sys, so its start-up is about that of a bare interpreter. A [refsolve]
+section in the INI file replaces that command. Other backends are looked up
+on PATH, and one whose executable is not there reports 'unavailable' instead
+of failing. Solvers run in their own session; on timeout the whole process
+group is killed, so children of wrapper scripts die too.
 """
 
 import configparser
@@ -29,12 +32,14 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from . import refsolver
 from .evaluator import Verdict
 from .translate import SmtOptions, TranslateError, emit_smtlib, translate
 
 DEFAULT_TIMEOUT_MS = 60_000
 
-_REFSOLVE_COMMAND = [sys.executable, '-m', 'fdl.refsolver', '{file}']
+_REFSOLVE_COMMAND = [sys.executable, '-I', '-S',
+                     os.path.abspath(refsolver.__file__), '{file}']
 
 _BUILTIN = """
 [refsolve]

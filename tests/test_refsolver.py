@@ -1,10 +1,13 @@
 """Reference solver: parsing, blocked-cell search, budget, CLI entry."""
 
+import argparse
+import os
 import subprocess
 import sys
 
 import pytest
 
+from fdl import refsolver
 from fdl.refsolver import (
     RefsolverError, Script, Solver, check_script, parse_sexprs, tokenize,
 )
@@ -155,3 +158,92 @@ def test_cli_reports_missing_file():
                          capture_output=True, text=True)
     assert out.returncode == 1
     assert 'error' in out.stderr
+
+
+def test_cli_reports_an_internal_failure_without_traceback(
+        tmp_path, monkeypatch, capsys):
+    p = tmp_path / 'probe.smt2'
+    p.write_text(_script('true'))
+
+    def crash(text, budget):
+        raise RecursionError('maximum recursion depth exceeded')
+
+    monkeypatch.setattr(refsolver, 'check_script', crash)
+    assert refsolver.main([str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == \
+        'error: RecursionError: maximum recursion depth exceeded\n'
+
+
+def test_cli_runs_standalone_without_argparse():
+    """The solver bridge runs refsolver.py by path with -I -S: the file may
+    import nothing from fdl, and must not pay for argparse."""
+    path = os.path.abspath(refsolver.__file__)
+    out = subprocess.run([sys.executable, '-I', '-S', path, '--help'],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith('usage: fdl-refsolve')
+    probe = ('import runpy, sys\n'
+             'runpy.run_path(%r)\n'
+             'print(sorted(m for m in sys.modules if m == "argparse"'
+             ' or m.split(".")[0] == "fdl"))\n' % path)
+    out = subprocess.run([sys.executable, '-I', '-S', '-c', probe],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == '[]'
+
+
+def _argparse_reference():
+    """The command line fdl-refsolve had when it was built with argparse."""
+    ap = argparse.ArgumentParser(
+        prog='fdl-refsolve',
+        description='reference solver for the emitted SMT-LIB fragment')
+    ap.add_argument('file')
+    ap.add_argument('--budget', type=int, default=refsolver.DEFAULT_BUDGET,
+                    help='search node budget before giving up with unknown')
+    return ap
+
+
+@pytest.mark.parametrize('argv', [
+    ['FILE'],
+    ['--budget', '0', 'FILE'],
+    ['FILE', '--budget', '0'],
+    ['--budget=0', 'FILE'],
+    ['-h'],
+    ['--help'],
+    ['FILE', '--help'],
+    [],
+    ['--budget', '5'],
+    ['FILE', 'extra'],
+    ['--budget', 'many', 'FILE'],
+    ['--budget=', 'FILE'],
+    ['FILE', '--budget'],
+    ['--bogus', 'FILE'],
+], ids=lambda argv: ' '.join(argv) or 'no-arguments')
+def test_cli_arguments_match_argparse(argv, tmp_path, capsys):
+    # with budget 0 the search gives up before its first node
+    p = tmp_path / 'probe.smt2'
+    text = _script('(= c #b1)', decls=['(declare-fun c () (_ BitVec 1))'])
+    p.write_text(text)
+    argv = [str(p) if a == 'FILE' else a for a in argv]
+    try:
+        ns = _argparse_reference().parse_args(argv)
+        want_code, want_out = 0, check_script(text, ns.budget) + '\n'
+    except SystemExit as e:
+        want_code, want_out = e.code, None
+    ref = capsys.readouterr()
+    try:
+        code = refsolver.main(argv)
+    except SystemExit as e:
+        code = e.code
+    got = capsys.readouterr()
+    assert code == want_code
+    if want_out is not None:
+        assert got.out == want_out
+    elif want_code == 0:
+        assert got.out == ref.out and got.out.startswith('usage: fdl-refsolve')
+    else:
+        assert got.out == ''
+        assert got.err.startswith('usage: fdl-refsolve')
+        assert got.err.splitlines()[1] == ref.err.splitlines()[1]

@@ -1,10 +1,13 @@
 """Backend bridge: config loading, subprocess runs, kills, verdict mapping."""
 
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+from fdl import refsolver
 from fdl.core import Atom, Forall, Lit, Var, nat
 from fdl.solvers import (
     SolverConfig, SolverOutcome, decide, load_solver_configs, run_solver,
@@ -46,10 +49,27 @@ def test_config_overlay_from_environment(tmp_path, monkeypatch):
 
 def test_builtin_refsolve_runs_under_this_interpreter(tmp_path):
     cfg = load_solver_configs()['refsolve']
-    assert cfg.command == [sys.executable, '-m', 'fdl.refsolver', '{file}']
+    assert cfg.command == [sys.executable, '-I', '-S',
+                           os.path.abspath(refsolver.__file__), '{file}']
     ini = tmp_path / 'solvers.ini'
     ini.write_text('[refsolve]\ncommand = my-refsolve {file}\n')
     assert load_solver_configs(str(ini))['refsolve'].command[0] == 'my-refsolve'
+
+
+def test_builtin_refsolve_ignores_the_child_import_path(tmp_path):
+    """A caller that finds fdl through its own sys.path, not PYTHONPATH,
+    still gets answers from the built-in refsolve."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(refsolver.__file__)))
+    code = ('import sys; sys.path.insert(0, %r)\n'
+            'from fdl.solvers import load_solver_configs, run_solver\n'
+            'out = run_solver(load_solver_configs()["refsolve"], %r)\n'
+            'print(out.answer, out.detail)\n' % (src, TRIVIAL))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ('PYTHONPATH', 'FDL_SOLVERS_CONFIG')}
+    out = subprocess.run([sys.executable, '-c', code], cwd=str(tmp_path),
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[0] == 'sat', out.stdout
 
 
 def test_availability_checks_path():
