@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 valid, 1 invalid, 2 undecided or evaluation failure,
-3 parse/type diagnostics or usage errors.
+Exit codes: 0 valid, 1 invalid, 2 undecided, evaluation failure or an
+internal error, 3 parse/type diagnostics or usage errors.
 """
 
 import argparse
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except CliError as e:
         print('error: %s' % e, file=sys.stderr)
         return e.code
+    except Exception as e:  # an internal failure, never a traceback
+        print('error: %s: %s' % (type(e).__name__, e), file=sys.stderr)
+        return 2
 
 
 if __name__ == '__main__':

@@ -9,16 +9,29 @@ In 'deterministic' mode every choose takes the first admissible value.
 
 A contract application f(a) behaves exactly like
 choose result: R with ensures[params := a].
+
+Each goal is compiled once into closures (Feeley & Lapalme, "Using
+Closures for Code Generation", 1987). `Evaluator.compile` dispatches on the
+node type and returns (det, fn): when det is true, fn(env) returns the
+node's value, otherwise fn(env) returns an iterator over its values; env
+maps variable names to values. Determinism is decided while compiling: in
+'nondeterministic' mode a choose or a contract application is
+nondeterministic, and so is every node with a nondeterministic child,
+applications of definitions with a nondeterministic body included. Choose
+and contract applications share one candidate loop, which also checks the
+deadline. A nondeterministic quantifier keeps its body streams on an
+explicit stack, so no loop recurses once per carrier element.
 """
 
+import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, EvalError, Exists,
                    FalseF, FdlError, Forall, Formula, Iff, Implies, Ite, Lit,
-                   Mul, Not, Or, QUANTIFIERS, TrueF, Var, has_choose,
-                   nondeterministic_funcs)
+                   Mul, Not, Or, QUANTIFIERS, TrueF, Var)
 
 MODES = ('deterministic', 'nondeterministic')
 
@@ -63,220 +76,6 @@ def _show(v):
     return str(v)
 
 
-_REL = {'=': lambda a, b: a == b,
-        '<': lambda a, b: a < b,
-        '<=': lambda a, b: a <= b}
-
-
-class Evaluator:
-    def __init__(self, funcs=None, stats=None, mode='nondeterministic'):
-        assert mode in MODES
-        self.funcs = funcs or {}
-        self.st = stats if stats is not None else EvalStats()
-        self.mode = mode
-        self._nondet = nondeterministic_funcs(self.funcs)
-        self._det_memo = {}
-
-    # -- determinism analysis (choose-free subtrees take the fast path) ------
-
-    def _node_is_det(self, node):
-        key = id(node)
-        det = self._det_memo.get(key)
-        if det is None:
-            det = self._det_memo[key] = not has_choose(node, self._nondet)
-        return det
-
-    # -- deterministic evaluation --------------------------------------------
-
-    def eval_term(self, t, env):
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Lit):
-            return t.value
-        if isinstance(t, Add):
-            return self.eval_term(t.lhs, env) + self.eval_term(t.rhs, env)
-        if isinstance(t, AddConst):
-            return self.eval_term(t.lhs, env) + t.const
-        if isinstance(t, Mul):
-            return self.eval_term(t.lhs, env) * self.eval_term(t.rhs, env)
-        if isinstance(t, Ite):
-            if self.eval_formula(t.cond, env):
-                return self.eval_term(t.then, env)
-            return self.eval_term(t.els, env)
-        if isinstance(t, Choose):
-            old = env.get(t.var, _MISSING)
-            for i in range(t.ty.size()):
-                env[t.var] = t.ty.value_at(i)
-                if self.eval_formula(t.body, env):
-                    _restore(env, t.var, old)
-                    self.st.choose_yields += 1
-                    return t.ty.value_at(i)
-            _restore(env, t.var, old)
-            raise EvalError('no admissible choice')
-        if isinstance(t, Apply):
-            fd = self.funcs[t.func]
-            args = [self.eval_term(a, env) for a in t.args]
-            inner = {p: v for (p, _), v in zip(fd.params, args)}
-            if fd.body is not None:
-                return self.eval_term(fd.body, inner)
-            rty = fd.result
-            for i in range(rty.size()):
-                inner['result'] = rty.value_at(i)
-                if self.eval_formula(fd.ensures, inner):
-                    self.st.choose_yields += 1
-                    return rty.value_at(i)
-            raise EvalError('no admissible choice')
-        raise AssertionError('unhandled term %r' % t)
-
-    def eval_formula(self, f, env):
-        if isinstance(f, Atom):
-            return _REL[f.rel](self.eval_term(f.lhs, env),
-                               self.eval_term(f.rhs, env))
-        if isinstance(f, And):
-            return self.eval_formula(f.lhs, env) and self.eval_formula(f.rhs, env)
-        if isinstance(f, Or):
-            return self.eval_formula(f.lhs, env) or self.eval_formula(f.rhs, env)
-        if isinstance(f, Not):
-            return not self.eval_formula(f.body, env)
-        if isinstance(f, Implies):
-            return (not self.eval_formula(f.lhs, env)
-                    or self.eval_formula(f.rhs, env))
-        if isinstance(f, Iff):
-            return self.eval_formula(f.lhs, env) == self.eval_formula(f.rhs, env)
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, QUANTIFIERS):
-            body = f.body
-            count = not isinstance(body, QUANTIFIERS)
-            want = isinstance(f, Exists)
-            old = env.get(f.var, _MISSING)
-            result = not want
-            for i in range(f.ty.size()):
-                env[f.var] = f.ty.value_at(i)
-                if count:
-                    self.st.body_evals += 1
-                    self.st.tick()
-                if self.eval_formula(body, env) == want:
-                    result = want
-                    break
-            _restore(env, f.var, old)
-            return result
-        raise AssertionError('unhandled formula %r' % f)
-
-    # -- nondeterministic evaluation (streams of values) ----------------------
-
-    def stream_term(self, t, env):
-        if self._node_is_det(t):
-            yield self.eval_term(t, env)
-            return
-        if isinstance(t, (Add, AddConst, Mul)):
-            for a in self.stream_term(t.lhs, env):
-                if isinstance(t, AddConst):
-                    yield a + t.const
-                    continue
-                for b in self.stream_term(t.rhs, env):
-                    yield a + b if isinstance(t, Add) else a * b
-            return
-        if isinstance(t, Ite):
-            for c in self.stream_formula(t.cond, env):
-                branch = t.then if c else t.els
-                yield from self.stream_term(branch, env)
-            return
-        if isinstance(t, Choose):
-            old = env.get(t.var, _MISSING)
-            for i in range(t.ty.size()):
-                env[t.var] = t.ty.value_at(i)
-                ok = self._some_true(t.body, env)
-                _restore(env, t.var, old)
-                if ok:
-                    self.st.choose_yields += 1
-                    yield t.ty.value_at(i)
-            return
-        if isinstance(t, Apply):
-            fd = self.funcs[t.func]
-            yield from self._stream_apply(fd, t.args, 0, [], env)
-            return
-        raise AssertionError('unhandled nondeterministic term %r' % t)
-
-    def _stream_apply(self, fd, args, i, vals, env):
-        if i < len(args):
-            for v in self.stream_term(args[i], env):
-                yield from self._stream_apply(fd, args, i + 1, vals + [v], env)
-            return
-        inner = {p: v for (p, _), v in zip(fd.params, vals)}
-        if fd.body is not None:
-            yield from self.stream_term(fd.body, inner)
-            return
-        rty = fd.result
-        for k in range(rty.size()):
-            inner['result'] = rty.value_at(k)
-            if self._some_true(fd.ensures, inner):
-                self.st.choose_yields += 1
-                yield rty.value_at(k)
-
-    def _some_true(self, f, env):
-        if self._node_is_det(f):
-            return self.eval_formula(f, env)
-        for tv in self.stream_formula(f, env):
-            if tv:
-                return True
-        return False
-
-    def stream_formula(self, f, env):
-        if self._node_is_det(f):
-            yield self.eval_formula(f, env)
-            return
-        if isinstance(f, Atom):
-            rel = _REL[f.rel]
-            for a in self.stream_term(f.lhs, env):
-                for b in self.stream_term(f.rhs, env):
-                    yield rel(a, b)
-            return
-        if isinstance(f, Not):
-            for tv in self.stream_formula(f.body, env):
-                yield not tv
-            return
-        if isinstance(f, (And, Or, Implies)):
-            # the left value that short-circuits, and the result it forces
-            stop, forced = {And: (False, False), Or: (True, True),
-                            Implies: (False, True)}[type(f)]
-            for lv in self.stream_formula(f.lhs, env):
-                if lv == stop:
-                    yield forced
-                else:
-                    yield from self.stream_formula(f.rhs, env)
-            return
-        if isinstance(f, Iff):
-            for lv in self.stream_formula(f.lhs, env):
-                for rv in self.stream_formula(f.rhs, env):
-                    yield lv == rv
-            return
-        if isinstance(f, QUANTIFIERS):
-            yield from self._stream_quant(f, 0, env)
-            return
-        raise AssertionError('unhandled nondeterministic formula %r' % f)
-
-    def _stream_quant(self, f, i, env):
-        want = isinstance(f, Exists)
-        if i == f.ty.size():
-            yield not want
-            return
-        body = f.body
-        old = env.get(f.var, _MISSING)
-        env[f.var] = f.ty.value_at(i)
-        if not isinstance(body, QUANTIFIERS):
-            self.st.body_evals += 1
-            self.st.tick()
-        for tv in self.stream_formula(body, env):
-            if tv == want:
-                yield want
-            else:
-                yield from self._stream_quant(f, i + 1, env)
-        _restore(env, f.var, old)
-
-
 _MISSING = object()
 
 
@@ -285,6 +84,228 @@ def _restore(env, name, old):
         del env[name]
     else:
         env[name] = old
+
+
+def _carrier(ty):
+    return [ty.value_at(i) for i in range(ty.size())]
+
+
+def _stream(det, fn):
+    """fn as a stream: a deterministic fn gives its one value."""
+    if not det:
+        return fn
+
+    def one(env):
+        yield fn(env)
+    return one
+
+
+def _arg_tuples(args, env, vals=()):
+    """Every tuple of values of the compiled args, the last varying fastest;
+    a later argument's stream is restarted for each earlier value."""
+    if len(vals) == len(args):
+        yield vals
+        return
+    det, fn = args[len(vals)]
+    for v in (fn(env),) if det else fn(env):
+        yield from _arg_tuples(args, env, vals + (v,))
+
+
+class Evaluator:
+    def __init__(self, funcs=None, stats=None, mode='nondeterministic'):
+        assert mode in MODES
+        self.funcs = funcs or {}
+        self.st = stats if stats is not None else EvalStats()
+        self.nondet = mode == 'nondeterministic'
+        self._bodies = {}  # function name -> compiled body or candidate loop
+
+    def compile(self, node):
+        """(det, fn) for node, as the module docstring describes."""
+        return _COMPILE[type(node)](self, node)
+
+    def _map(self, op, child):
+        det, fn = self.compile(child)
+        if det:
+            return True, lambda env: op(fn(env))
+
+        def values(env):
+            for a in fn(env):
+                yield op(a)
+        return False, values
+
+    def _pair(self, op, lhs, rhs):
+        (ldet, lfn), (rdet, rfn) = self.compile(lhs), self.compile(rhs)
+        if ldet and rdet:
+            return True, lambda env: op(lfn(env), rfn(env))
+        lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
+
+        def values(env):
+            for a in lfn(env):
+                for b in rfn(env):
+                    yield op(a, b)
+        return False, values
+
+    def _connective(self, stop, forced, f):
+        # a left value equal to stop decides the result: forced
+        (ldet, lfn), (rdet, rfn) = self.compile(f.lhs), self.compile(f.rhs)
+        if ldet and rdet:
+            return True, lambda env: forced if lfn(env) == stop else rfn(env)
+        lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
+
+        def values(env):
+            for a in lfn(env):
+                if a == stop:
+                    yield forced
+                else:
+                    yield from rfn(env)
+        return False, values
+
+    def _ite(self, t):
+        (cdet, cond), (tdet, then), (edet, els) = map(
+            self.compile, (t.cond, t.then, t.els))
+        if cdet and tdet and edet:
+            return True, lambda env: then(env) if cond(env) else els(env)
+        cond, then, els = (_stream(cdet, cond), _stream(tdet, then),
+                           _stream(edet, els))
+
+        def values(env):
+            for c in cond(env):
+                yield from (then if c else els)(env)
+        return False, values
+
+    def _choices(self, var, ty, body):
+        """The candidate loop of a choose and of a contract application: the
+        carrier values that make body (compiled, with var bound to the value)
+        true, or in 'deterministic' mode the first of them."""
+        det, test = body
+        vals, st = _carrier(ty), self.st
+        if not self.nondet:
+            def first(env):
+                old = env.get(var, _MISSING)
+                for v in vals:
+                    st.tick()
+                    env[var] = v
+                    if test(env):
+                        _restore(env, var, old)
+                        st.choose_yields += 1
+                        return v
+                _restore(env, var, old)
+                raise EvalError('no admissible choice')
+            return True, first
+        if not det:
+            test = lambda env, stream=test: any(stream(env))
+
+        def values(env):
+            old = env.get(var, _MISSING)
+            for v in vals:
+                st.tick()
+                env[var] = v
+                ok = test(env)
+                _restore(env, var, old)
+                if ok:
+                    st.choose_yields += 1
+                    yield v
+        return False, values
+
+    def _apply(self, t):
+        fd = self.funcs[t.func]
+        if t.func not in self._bodies:
+            self._bodies[t.func] = (
+                self.compile(fd.body) if fd.body is not None else
+                self._choices('result', fd.result, self.compile(fd.ensures)))
+        bdet, body = self._bodies[t.func]
+        params = [p for p, _ in fd.params]
+        args = [self.compile(a) for a in t.args]
+        fns = [fn for _, fn in args]
+        if all(det for det, _ in args):
+            if bdet:
+                return True, lambda env: body(
+                    dict(zip(params, [fn(env) for fn in fns])))
+            tuples = lambda env: ([fn(env) for fn in fns],)
+        else:
+            tuples = lambda env: _arg_tuples(args, env)
+        body = _stream(bdet, body)
+
+        def values(env):
+            for vals in tuples(env):
+                yield from body(dict(zip(params, vals)))
+        return False, values
+
+    def _quantifier(self, f):
+        var, vals, want = f.var, _carrier(f.ty), isinstance(f, Exists)
+        count = not isinstance(f.body, QUANTIFIERS)
+        det, body = self.compile(f.body)
+        st = self.st
+        if det:
+            def holds(env):
+                old = env.get(var, _MISSING)
+                result = not want
+                for v in vals:
+                    env[var] = v
+                    if count:
+                        st.body_evals += 1
+                        st.tick()
+                    if body(env) == want:
+                        result = want
+                        break
+                _restore(env, var, old)
+                return result
+            return True, holds
+
+        def values(env):
+            # streams[k] streams the body at vals[k]. A body value other than
+            # want enters the next element; past the last one the quantifier
+            # yields not want. An exhausted stream backtracks one element.
+            old = env.get(var, _MISSING)
+            streams = []
+            while True:
+                k = len(streams)
+                if k < len(vals):
+                    env[var] = vals[k]
+                    if count:
+                        st.body_evals += 1
+                        st.tick()
+                    streams.append(body(env))
+                else:
+                    yield not want
+                while streams:
+                    tv = next(streams[-1], _MISSING)
+                    if tv is _MISSING:
+                        streams.pop()
+                        if streams:
+                            env[var] = vals[len(streams) - 1]
+                    elif tv == want:
+                        yield want
+                    else:
+                        break
+                else:
+                    _restore(env, var, old)
+                    return
+        return False, values
+
+
+_REL = {'=': operator.eq, '<': operator.lt, '<=': operator.le}
+
+_COMPILE = {
+    Var: lambda ev, t: (True, operator.itemgetter(t.name)),
+    Lit: lambda ev, t: (True, lambda env, value=t.value: value),
+    TrueF: lambda ev, f: (True, lambda env: True),
+    FalseF: lambda ev, f: (True, lambda env: False),
+    Add: lambda ev, t: ev._pair(operator.add, t.lhs, t.rhs),
+    Mul: lambda ev, t: ev._pair(operator.mul, t.lhs, t.rhs),
+    AddConst: lambda ev, t: ev._map(lambda a, c=t.const: a + c, t.lhs),
+    Ite: Evaluator._ite,
+    Choose: lambda ev, t: ev._choices(t.var, t.ty, ev.compile(t.body)),
+    Apply: Evaluator._apply,
+    Atom: lambda ev, f: ev._pair(_REL[f.rel], f.lhs, f.rhs),
+    Not: lambda ev, f: ev._map(operator.not_, f.body),
+    And: lambda ev, f: ev._connective(False, False, f),
+    Or: lambda ev, f: ev._connective(True, True, f),
+    Implies: lambda ev, f: ev._connective(False, True, f),
+    Iff: lambda ev, f: ev._pair(operator.eq, f.lhs, f.rhs),
+    Forall: Evaluator._quantifier,
+    Exists: Evaluator._quantifier,
+}
 
 
 def check_validity(goal: Formula, funcs=None, mode='nondeterministic',
@@ -298,52 +319,28 @@ def check_validity(goal: Formula, funcs=None, mode='nondeterministic',
     st = EvalStats()
     if limit_ms is not None:
         st.deadline = time.monotonic() + limit_ms / 1000.0
-    ev = Evaluator(funcs, st, mode)
-
-    block = []
+    names, carriers = [], []
     matrix = goal
     while isinstance(matrix, Forall):
-        block.append((matrix.var, matrix.ty))
+        names.append(matrix.var)
+        carriers.append(_carrier(matrix.ty))
         matrix = matrix.body
-    count_leaf = not isinstance(matrix, QUANTIFIERS)
-
-    env = {}
-    assignment = {}
-
-    def leaf():
-        # returns a Verdict or None to keep going
-        if count_leaf and block:
-            st.body_evals += 1
-            st.tick()
-        if ev.mode == 'deterministic' or ev._node_is_det(matrix):
-            ok = ev.eval_formula(matrix, env)
-            if not ok:
-                return Verdict('invalid', witness=dict(assignment))
-            return None
-        saw_any = False
-        for tv in ev.stream_formula(matrix, env):
-            saw_any = True
-            if not tv:
-                return Verdict('invalid', witness=dict(assignment))
-        if not saw_any:
-            return Verdict('error', reason='no admissible choice')
-        return None
-
-    def sweep(i):
-        if i == len(block):
-            return leaf()
-        name, ty = block[i]
-        for k in range(ty.size()):
-            env[name] = assignment[name] = ty.value_at(k)
-            v = sweep(i + 1)
-            if v is not None:
-                return v
-        env.pop(name, None)
-        assignment.pop(name, None)
-        return None
-
+    count = bool(names) and not isinstance(matrix, QUANTIFIERS)
+    det, holds = Evaluator(funcs, st, mode).compile(matrix)
     try:
-        v = sweep(0)
+        for point in itertools.product(*carriers):
+            env = dict(zip(names, point))
+            if count:
+                st.body_evals += 1
+                st.tick()
+            empty = True
+            for tv in (holds(env),) if det else holds(env):
+                empty = False
+                if not tv:
+                    witness = dict(zip(names, point))
+                    return Verdict('invalid', witness=witness), st
+            if empty:
+                return Verdict('error', reason='no admissible choice'), st
     except EvalError as e:
         return Verdict('error', reason=str(e)), st
-    return (v if v is not None else Verdict('valid')), st
+    return Verdict('valid'), st

@@ -31,6 +31,18 @@ theorem pickBounded <=> forall x: D. pick(x) <= x;
 theorem pickEqual <=> forall x: D. pick(x) = x;
 """
 
+# choices in the arguments of definitions, including one that only appears
+# inside another definition's body (nested)
+DUPLICATED_ARGUMENT_SRC = """
+type D = nat[2];
+fun twice(x: D): nat[4] = x + (choose w: D with w = x);
+fun k(z: D): nat[4] = twice(choose c: D with c <= z);
+theorem even <=> !(twice(choose c: D with c <= 1) = 1);
+theorem bounded <=> forall x: D. twice(choose c: D with c <= x) <= 2 * x;
+theorem odd <=> exists x: D. twice(choose c: D with c <= 1) = 1;
+theorem nested <=> !(k(1) = 1);
+"""
+
 
 @pytest.fixture
 def fake_solver(tmp_path):

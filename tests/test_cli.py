@@ -58,6 +58,30 @@ def test_check_eval_error_exits_two(choose_model, tmp_path, capsys):
     assert 'no admissible choice' in capsys.readouterr().out
 
 
+def test_internal_failure_exits_two_without_traceback(cycle4, capsys,
+                                                     monkeypatch):
+    def fail(*args, **kwargs):
+        raise RecursionError('maximum recursion depth exceeded')
+
+    monkeypatch.setattr('fdl.cli.check_validity', fail)
+    assert main(['check', cycle4]) == 2
+    err = capsys.readouterr().err
+    assert err == 'error: RecursionError: maximum recursion depth exceeded\n'
+
+
+def test_check_timeout_in_a_deep_choice_search(tmp_path, capsys):
+    # each x keeps one more choice stream open below the universal, so a
+    # quantifier that recursed once per element would overflow the stack
+    p = tmp_path / 'probe.fdl'
+    p.write_text('type D = nat[3000];\n'
+                 'fun pick(p: D): D = choose y: D with y <= p;\n'
+                 'theorem t <=> exists z: D. forall x: D. pick(x) <= x + z;\n')
+    assert main(['check', str(p), '--timeout-ms', '300']) == 2
+    out = capsys.readouterr()
+    assert out.out == 'undecided\n'
+    assert out.err == ''
+
+
 def test_check_solver_mechanism(cycle4, capsys):
     assert main(['check', cycle4, '--mechanism', 'refsolve']) == 0
     assert 'valid' in capsys.readouterr().out

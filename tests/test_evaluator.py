@@ -1,16 +1,24 @@
 """Lazy evaluation: short-circuiting, choices, witnesses, counters, deadlines."""
 
+import itertools
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdl.core import (
-    Add, And, Atom, Choose, Exists, FalseF, Forall, FuncDecl, Iff, Implies,
-    Ite, Lit, Mul, Not, Or, TrueF, Var, nat, resolve_model,
+    Add, AddConst, And, Atom, Choose, Exists, FalseF, Forall, FuncDecl, Iff,
+    Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, nat, resolve_model,
 )
-from fdl.evaluator import EvalTimeout, Evaluator, EvalStats, Verdict, check_validity
+from fdl.bench import make_cases
+from fdl.evaluator import MODES, EvalTimeout, check_validity
+from fdl.oracle import oracle_check
 from fdl.parser import parse_model
 
-from conftest import CHOOSE_SRC
+from conftest import CHOOSE_SRC, DUPLICATED_ARGUMENT_SRC
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _lt(a, b):
@@ -25,22 +33,36 @@ def _status(goal, funcs=None, mode='nondeterministic'):
 # -- ground semantics -------------------------------------------------------------
 
 
+def _both_modes(goal, funcs=None):
+    """The status of goal in both modes, checked to agree."""
+    statuses = {_status(goal, funcs, mode) for mode in MODES}
+    assert len(statuses) == 1, statuses
+    return statuses.pop()
+
+
+def _verdict_of(truth):
+    return 'valid' if truth else 'invalid'
+
+
 def test_connective_truth_tables():
-    ev = Evaluator()
-    t, f = TrueF(), FalseF()
-    assert ev.eval_formula(And(t, f), {}) is False
-    assert ev.eval_formula(Or(f, t), {}) is True
-    assert ev.eval_formula(Implies(f, f), {}) is True
-    assert ev.eval_formula(Iff(f, f), {}) is True
-    assert ev.eval_formula(Not(f), {}) is True
+    const = {False: FalseF(), True: TrueF()}
+    for a, b in itertools.product((False, True), repeat=2):
+        lhs, rhs = const[a], const[b]
+        assert _both_modes(lhs) == _verdict_of(a)
+        assert _both_modes(Not(lhs)) == _verdict_of(not a)
+        assert _both_modes(And(lhs, rhs)) == _verdict_of(a and b)
+        assert _both_modes(Or(lhs, rhs)) == _verdict_of(a or b)
+        assert _both_modes(Implies(lhs, rhs)) == _verdict_of(not a or b)
+        assert _both_modes(Iff(lhs, rhs)) == _verdict_of(a == b)
 
 
 def test_arithmetic_is_total_over_widened_bounds():
-    ev = Evaluator()
     t = Add(Mul(Lit(3), Lit(3)), Lit(3))
-    assert ev.eval_term(t, {}) == 12
+    assert _both_modes(Atom('=', t, Lit(12))) == 'valid'
+    assert _both_modes(Atom('=', t, Lit(11))) == 'invalid'
     ite = Ite(_lt(Lit(1), Lit(0)), Lit(0), Lit(7))
-    assert ev.eval_term(ite, {}) == 7
+    assert _both_modes(Atom('=', ite, Lit(7))) == 'valid'
+    assert _both_modes(Atom('=', AddConst(ite, 9), Lit(16))) == 'valid'
 
 
 def test_quantifiers_over_small_domains():
@@ -52,10 +74,9 @@ def test_quantifiers_over_small_domains():
 
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_atom_relations_match_python(a, b):
-    ev = Evaluator()
-    assert ev.eval_formula(_lt(Lit(a), Lit(b)), {}) == (a < b)
-    assert ev.eval_formula(Atom('<=', Lit(a), Lit(b)), {}) == (a <= b)
-    assert ev.eval_formula(Atom('=', Lit(a), Lit(b)), {}) == (a == b)
+    assert _both_modes(_lt(Lit(a), Lit(b))) == _verdict_of(a < b)
+    assert _both_modes(Atom('<=', Lit(a), Lit(b))) == _verdict_of(a <= b)
+    assert _both_modes(Atom('=', Lit(a), Lit(b))) == _verdict_of(a == b)
 
 
 # -- short-circuiting and counters --------------------------------------------------
@@ -184,6 +205,38 @@ def test_no_deadline_finishes_large_sweep():
     assert stats.body_evals == 256
 
 
+PICK_SRC = """
+type D = nat[%d];
+fun pick(p: D): D = choose y: D with y <= p;
+theorem t <=> %s;
+"""
+
+
+def _pick_goal(bound, theorem):
+    m = resolve_model(parse_model(PICK_SRC % (bound, theorem)))
+    return m.theorems['t'], m.funcs
+
+
+def test_deadline_is_checked_in_choice_loops():
+    # one body per x, but x + 1 candidates in each choice loop
+    goal, funcs = _pick_goal(1500, 'forall x: D. pick(x) <= x')
+    with pytest.raises(EvalTimeout):
+        check_validity(goal, funcs, limit_ms=200)
+
+
+# -- no recursion that grows with a carrier -------------------------------------------
+
+
+def test_nondeterministic_quantifier_needs_no_deep_recursion():
+    m = resolve_model(parse_model(
+        'theorem t <=> exists z: nat[1]. forall x: nat[5000]. '
+        '(choose y: nat[1] with y = 0) <= x + 1;'))
+    for mode in MODES:
+        v, stats = check_validity(m.theorems['t'], mode=mode)
+        assert v.status == 'valid', mode
+        assert stats.body_evals == stats.choose_yields == 5001, mode
+
+
 # -- differential against the brute-force oracle -------------------------------------
 
 
@@ -194,3 +247,43 @@ def test_matches_oracle_on_random_goals():
         goal = random_goal(seed)
         v, _ = check_validity(goal)
         assert v.status == oracle_check(goal), 'seed %d' % seed
+
+
+# -- recorded results ----------------------------------------------------------------
+
+# (status, witness, reason, body_evals, choose_yields) of every goal below in
+# both modes, as recorded from the evaluator before it compiled goals to
+# closures (one interpreter for deterministic and one for nondeterministic
+# evaluation). A row may change only with the semantics it pins.
+GOLDEN = ROOT / 'tests' / 'evaluator_golden.json'
+
+
+def _golden_goals():
+    for n in (1, 2):
+        for case in make_cases(n=n):
+            goal, funcs = case.build()
+            yield 'grid/%s/%s/N=%d' % (case.family, case.pattern, n), goal, funcs
+    for path in sorted((ROOT / 'models').glob('*.fdl')):
+        m = resolve_model(parse_model(path.read_text()), {'N': 2})
+        for name, goal in m.theorems.items():
+            yield 'models/%s/%s/N=2' % (path.name, name), goal, m.funcs
+    m = resolve_model(parse_model(DUPLICATED_ARGUMENT_SRC))
+    for name, goal in m.theorems.items():
+        yield 'argument/%s' % name, goal, m.funcs
+
+
+def _golden_row(goal, funcs, mode):
+    v, stats = check_validity(goal, funcs, mode)
+    witness = None if v.witness is None else [list(kv) for kv in v.witness.items()]
+    return [v.status, witness, v.reason, stats.body_evals, stats.choose_yields]
+
+
+def test_results_match_the_recorded_table():
+    table = json.loads(GOLDEN.read_text())
+    got = {}
+    for key, goal, funcs in _golden_goals():
+        for mode in MODES:
+            got['%s %s' % (key, mode)] = _golden_row(goal, funcs, mode)
+        assert got[key + ' nondeterministic'][0] == oracle_check(goal, funcs), key
+    assert len(got) == 2 * (128 + 8 + 4)
+    assert got == table

@@ -16,7 +16,7 @@ from fdl.translate import (
     to_nnf, translate,
 )
 
-from conftest import CHOOSE_SRC, CONTRACT_SRC
+from conftest import CHOOSE_SRC, CONTRACT_SRC, DUPLICATED_ARGUMENT_SRC
 
 
 def _lt(a, b):
@@ -337,17 +337,6 @@ def test_only_pure_definitions_become_define_fun(mode):
             assert names.count('h') == 1
         assert _defines(_emit(goal, m.funcs, inline_definitions=True,
                               **opts)) == []
-
-
-DUPLICATED_ARGUMENT_SRC = """
-type D = nat[2];
-fun twice(x: D): nat[4] = x + (choose w: D with w = x);
-fun k(z: D): nat[4] = twice(choose c: D with c <= z);
-theorem even <=> !(twice(choose c: D with c <= 1) = 1);
-theorem bounded <=> forall x: D. twice(choose c: D with c <= x) <= 2 * x;
-theorem odd <=> exists x: D. twice(choose c: D with c <= 1) = 1;
-theorem nested <=> !(k(1) = 1);
-"""
 
 
 @pytest.mark.parametrize('name', ['even', 'bounded', 'odd', 'nested'])
