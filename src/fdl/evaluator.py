@@ -20,10 +20,10 @@ nondeterministic, and so is every node with a nondeterministic child,
 applications of definitions with a nondeterministic body included. Choose
 and contract applications share one candidate loop, which also checks the
 deadline. A nondeterministic quantifier keeps its body streams on an
-explicit stack, so no loop recurses once per carrier element.
+explicit stack, so no loop recurses once per carrier element. Carriers stay
+lazy ranges, so no loop needs memory that grows with a carrier's size.
 """
 
-import itertools
 import operator
 import time
 from dataclasses import dataclass, field
@@ -87,7 +87,8 @@ def _restore(env, name, old):
 
 
 def _carrier(ty):
-    return [ty.value_at(i) for i in range(ty.size())]
+    """The carrier as a lazy sequence: O(1) memory whatever its size."""
+    return (False, True) if ty.kind == 'bool' else range(ty.size())
 
 
 def _stream(det, fn):
@@ -100,15 +101,17 @@ def _stream(det, fn):
     return one
 
 
-def _arg_tuples(args, env, vals=()):
+def _tuples(args, env, vals=()):
     """Every tuple of values of the compiled args, the last varying fastest;
-    a later argument's stream is restarted for each earlier value."""
-    if len(vals) == len(args):
-        yield vals
-        return
-    det, fn = args[len(vals)]
-    for v in (fn(env),) if det else fn(env):
-        yield from _arg_tuples(args, env, vals + (v,))
+    a later argument's stream is restarted for each earlier value, so
+    nothing is copied (itertools.product copies each input first)."""
+    for det, fn in args[len(vals):]:
+        if not det:
+            for v in fn(env):
+                yield from _tuples(args, env, vals + (v,))
+            return
+        vals += (fn(env),)  # one value: no generator to resume
+    yield vals
 
 
 class Evaluator:
@@ -216,23 +219,20 @@ class Evaluator:
         bdet, body = self._bodies[t.func]
         params = [p for p, _ in fd.params]
         args = [self.compile(a) for a in t.args]
-        fns = [fn for _, fn in args]
-        if all(det for det, _ in args):
-            if bdet:
-                return True, lambda env: body(
-                    dict(zip(params, [fn(env) for fn in fns])))
-            tuples = lambda env: ([fn(env) for fn in fns],)
-        else:
-            tuples = lambda env: _arg_tuples(args, env)
+        if bdet and all(det for det, _ in args):
+            fns = [fn for _, fn in args]
+            return True, lambda env: body(
+                dict(zip(params, [fn(env) for fn in fns])))
         body = _stream(bdet, body)
 
         def values(env):
-            for vals in tuples(env):
+            for vals in _tuples(args, env):
                 yield from body(dict(zip(params, vals)))
         return False, values
 
     def _quantifier(self, f):
         var, vals, want = f.var, _carrier(f.ty), isinstance(f, Exists)
+        size = f.ty.size()  # len(vals) overflows past sys.maxsize
         count = not isinstance(f.body, QUANTIFIERS)
         det, body = self.compile(f.body)
         st = self.st
@@ -260,7 +260,7 @@ class Evaluator:
             streams = []
             while True:
                 k = len(streams)
-                if k < len(vals):
+                if k < size:
                     env[var] = vals[k]
                     if count:
                         st.body_evals += 1
@@ -323,12 +323,13 @@ def check_validity(goal: Formula, funcs=None, mode='nondeterministic',
     matrix = goal
     while isinstance(matrix, Forall):
         names.append(matrix.var)
-        carriers.append(_carrier(matrix.ty))
+        # a carrier is the stream of a nondeterministic node
+        carriers.append((False, lambda env, vals=_carrier(matrix.ty): vals))
         matrix = matrix.body
     count = bool(names) and not isinstance(matrix, QUANTIFIERS)
     det, holds = Evaluator(funcs, st, mode).compile(matrix)
     try:
-        for point in itertools.product(*carriers):
+        for point in _tuples(carriers, None):
             env = dict(zip(names, point))
             if count:
                 st.body_evals += 1

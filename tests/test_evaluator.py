@@ -205,6 +205,28 @@ def test_no_deadline_finishes_large_sweep():
     assert stats.body_evals == 256
 
 
+def test_deadline_bounds_a_goal_over_huge_carriers():
+    # the carriers stay lazy: nothing of size 2^28 is built before the sweep
+    m = resolve_model(parse_model(
+        pathlib.Path('models/cycle4.fdl').read_text()), {'N': 28})
+    for mode in MODES:
+        with pytest.raises(EvalTimeout):
+            check_validity(m.theorems['noCycle'], m.funcs, mode, limit_ms=50)
+
+
+@pytest.mark.parametrize('bound', ['2^30 - 1', '2^70'])
+def test_exists_over_a_huge_carrier_stops_at_its_first_element(bound):
+    m = resolve_model(parse_model(
+        'theorem det <=> exists x: nat[%s]. x = 0;\n'
+        'theorem nondet <=> exists x: nat[%s]. '
+        'x = (choose y: nat[1] with y = 0);' % (bound, bound)))
+    for name, goal in m.theorems.items():
+        for mode in MODES:
+            v, stats = check_validity(goal, mode=mode)
+            assert v.status == 'valid', (name, mode)
+            assert stats.body_evals == 1, (name, mode)
+
+
 PICK_SRC = """
 type D = nat[%d];
 fun pick(p: D): D = choose y: D with y <= p;
