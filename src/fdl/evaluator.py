@@ -14,14 +14,17 @@ Each goal is compiled once into closures (Feeley & Lapalme, "Using
 Closures for Code Generation", 1987). `Evaluator.compile` dispatches on the
 node type and returns (det, fn): when det is true, fn(env) returns the
 node's value, otherwise fn(env) returns an iterator over its values; env
-maps variable names to values. Determinism is decided while compiling: in
-'nondeterministic' mode a choose or a contract application is
-nondeterministic, and so is every node with a nondeterministic child,
-applications of definitions with a nondeterministic body included. Choose
-and contract applications share one candidate loop, which also checks the
-deadline. A nondeterministic quantifier keeps its body streams on an
-explicit stack, so no loop recurses once per carrier element. Carriers stay
-lazy ranges, so no loop needs memory that grows with a carrier's size.
+is a frame, a list with one slot per binder, and each function application
+gets a frame of its own. A binder writes its slot before it evaluates or
+resumes its body, so a stream that is abandoned leaves no stale value.
+Determinism is decided while compiling: in 'nondeterministic' mode a choose
+or a contract application is nondeterministic, and so is every node with a
+nondeterministic child, applications of definitions with a
+nondeterministic body included. Choose and contract applications share one
+candidate loop, which also checks the deadline. A nondeterministic
+quantifier keeps its body streams on an explicit stack, so no loop recurses
+once per carrier element. Carriers stay lazy ranges, so no loop needs
+memory that grows with a carrier's size.
 """
 
 import operator
@@ -79,13 +82,6 @@ def _show(v):
 _MISSING = object()
 
 
-def _restore(env, name, old):
-    if old is _MISSING:
-        del env[name]
-    else:
-        env[name] = old
-
-
 def _carrier(ty):
     """The carrier as a lazy sequence: O(1) memory whatever its size."""
     return (False, True) if ty.kind == 'bool' else range(ty.size())
@@ -120,11 +116,20 @@ class Evaluator:
         self.funcs = funcs or {}
         self.st = stats if stats is not None else EvalStats()
         self.nondet = mode == 'nondeterministic'
-        self._bodies = {}  # function name -> compiled body or candidate loop
+        self._bodies = {}  # function name -> (compiled body, frame padding)
+        self.scope, self.size = {}, 0  # name -> slot; slots in the frame
 
     def compile(self, node):
         """(det, fn) for node, as the module docstring describes."""
         return _COMPILE[type(node)](self, node)
+
+    def _bind(self, var, body):
+        """A new slot for var and body compiled with var in it."""
+        slot, outer = self.size, self.scope
+        self.size, self.scope = slot + 1, {**outer, var: slot}
+        compiled = self.compile(body)
+        self.scope = outer
+        return slot, compiled
 
     def _map(self, op, child):
         det, fn = self.compile(child)
@@ -178,34 +183,28 @@ class Evaluator:
 
     def _choices(self, var, ty, body):
         """The candidate loop of a choose and of a contract application: the
-        carrier values that make body (compiled, with var bound to the value)
-        true, or in 'deterministic' mode the first of them."""
-        det, test = body
+        carrier values that make body (with var bound to the value) true, or
+        in 'deterministic' mode the first of them."""
+        slot, (det, test) = self._bind(var, body)
         vals, st = _carrier(ty), self.st
         if not self.nondet:
             def first(env):
-                old = env.get(var, _MISSING)
                 for v in vals:
                     st.tick()
-                    env[var] = v
+                    env[slot] = v
                     if test(env):
-                        _restore(env, var, old)
                         st.choose_yields += 1
                         return v
-                _restore(env, var, old)
                 raise EvalError('no admissible choice')
             return True, first
         if not det:
             test = lambda env, stream=test: any(stream(env))
 
         def values(env):
-            old = env.get(var, _MISSING)
             for v in vals:
                 st.tick()
-                env[var] = v
-                ok = test(env)
-                _restore(env, var, old)
-                if ok:
+                env[slot] = v
+                if test(env):
                     st.choose_yields += 1
                     yield v
         return False, values
@@ -213,55 +212,52 @@ class Evaluator:
     def _apply(self, t):
         fd = self.funcs[t.func]
         if t.func not in self._bodies:
-            self._bodies[t.func] = (
-                self.compile(fd.body) if fd.body is not None else
-                self._choices('result', fd.result, self.compile(fd.ensures)))
-        bdet, body = self._bodies[t.func]
-        params = [p for p, _ in fd.params]
+            outer = self.scope, self.size
+            self.scope = {p: i for i, (p, _) in enumerate(fd.params)}
+            self.size = len(fd.params)
+            body = (self.compile(fd.body) if fd.body is not None else
+                    self._choices('result', fd.result, fd.ensures))
+            self._bodies[t.func] = body, [None] * (self.size - len(fd.params))
+            self.scope, self.size = outer
+        (bdet, body), pad = self._bodies[t.func]
         args = [self.compile(a) for a in t.args]
         if bdet and all(det for det, _ in args):
             fns = [fn for _, fn in args]
-            return True, lambda env: body(
-                dict(zip(params, [fn(env) for fn in fns])))
+            return True, lambda env: body([fn(env) for fn in fns] + pad)
         body = _stream(bdet, body)
 
         def values(env):
             for vals in _tuples(args, env):
-                yield from body(dict(zip(params, vals)))
+                yield from body(list(vals) + pad)
         return False, values
 
     def _quantifier(self, f):
-        var, vals, want = f.var, _carrier(f.ty), isinstance(f, Exists)
+        vals, want = _carrier(f.ty), isinstance(f, Exists)
         size = f.ty.size()  # len(vals) overflows past sys.maxsize
         count = not isinstance(f.body, QUANTIFIERS)
-        det, body = self.compile(f.body)
+        slot, (det, body) = self._bind(f.var, f.body)
         st = self.st
         if det:
             def holds(env):
-                old = env.get(var, _MISSING)
-                result = not want
                 for v in vals:
-                    env[var] = v
+                    env[slot] = v
                     if count:
                         st.body_evals += 1
                         st.tick()
                     if body(env) == want:
-                        result = want
-                        break
-                _restore(env, var, old)
-                return result
+                        return want
+                return not want
             return True, holds
 
         def values(env):
             # streams[k] streams the body at vals[k]. A body value other than
             # want enters the next element; past the last one the quantifier
             # yields not want. An exhausted stream backtracks one element.
-            old = env.get(var, _MISSING)
             streams = []
             while True:
                 k = len(streams)
                 if k < size:
-                    env[var] = vals[k]
+                    env[slot] = vals[k]
                     if count:
                         st.body_evals += 1
                         st.tick()
@@ -269,17 +265,15 @@ class Evaluator:
                 else:
                     yield not want
                 while streams:
+                    env[slot] = vals[len(streams) - 1]
                     tv = next(streams[-1], _MISSING)
                     if tv is _MISSING:
                         streams.pop()
-                        if streams:
-                            env[var] = vals[len(streams) - 1]
                     elif tv == want:
                         yield want
                     else:
                         break
                 else:
-                    _restore(env, var, old)
                     return
         return False, values
 
@@ -287,7 +281,7 @@ class Evaluator:
 _REL = {'=': operator.eq, '<': operator.lt, '<=': operator.le}
 
 _COMPILE = {
-    Var: lambda ev, t: (True, operator.itemgetter(t.name)),
+    Var: lambda ev, t: (True, operator.itemgetter(ev.scope[t.name])),
     Lit: lambda ev, t: (True, lambda env, value=t.value: value),
     TrueF: lambda ev, f: (True, lambda env: True),
     FalseF: lambda ev, f: (True, lambda env: False),
@@ -295,7 +289,7 @@ _COMPILE = {
     Mul: lambda ev, t: ev._pair(operator.mul, t.lhs, t.rhs),
     AddConst: lambda ev, t: ev._map(lambda a, c=t.const: a + c, t.lhs),
     Ite: Evaluator._ite,
-    Choose: lambda ev, t: ev._choices(t.var, t.ty, ev.compile(t.body)),
+    Choose: lambda ev, t: ev._choices(t.var, t.ty, t.body),
     Apply: Evaluator._apply,
     Atom: lambda ev, f: ev._pair(_REL[f.rel], f.lhs, f.rhs),
     Not: lambda ev, f: ev._map(operator.not_, f.body),
@@ -327,10 +321,13 @@ def check_validity(goal: Formula, funcs=None, mode='nondeterministic',
         carriers.append((False, lambda env, vals=_carrier(matrix.ty): vals))
         matrix = matrix.body
     count = bool(names) and not isinstance(matrix, QUANTIFIERS)
-    det, holds = Evaluator(funcs, st, mode).compile(matrix)
+    ev = Evaluator(funcs, st, mode)
+    ev.scope, ev.size = {name: i for i, name in enumerate(names)}, len(names)
+    det, holds = ev.compile(matrix)
+    env = [None] * ev.size
     try:
         for point in _tuples(carriers, None):
-            env = dict(zip(names, point))
+            env[:len(names)] = point
             if count:
                 st.body_evals += 1
                 st.tick()

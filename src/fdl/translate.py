@@ -21,10 +21,9 @@ function constrained by its ensures clause. Defined functions emit as
 define-fun unless inlining is requested. A definition that can take several
 values (one whose body contains a choose, or applies a contract or another
 such definition; see core.nondeterministic_funcs) is always inlined, since a
-macro cannot carry nondeterminism. By default it is inlined after its
-arguments are axiomatized, so an argument with a choice has one value in
-all uses of its parameter; with inline_definitions or eliminate_choices the
-goal is inlined first and such an argument is copied.
+macro cannot carry nondeterminism. Under every option a definition is
+inlined after its arguments are translated, so an argument with a choice
+has one value in all uses of its parameter.
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +31,8 @@ from dataclasses import dataclass, field
 from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, Term,
-                   TrueF, Var, _rebuild, free_vars, nondeterministic_funcs,
-                   rename_apart, subst, walk)
+                   TrueF, Var, _rebuild, free_vars, has_choose,
+                   nondeterministic_funcs, rename_apart, subst, walk)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -197,24 +196,6 @@ def estimate_costs(goal: Formula):
 # source-level transforms
 
 
-def inline_definitions(node, funcs):
-    """Replace applications of the defined functions in funcs by their
-    bodies. An argument is copied into every use of its parameter."""
-    if isinstance(node, Apply):
-        args = [inline_definitions(a, funcs) for a in node.args]
-        fd = funcs.get(node.func)
-        if fd is None or fd.body is None:
-            return Apply(node.func, args, pos=node.pos)
-        used = set()
-        for a in args:
-            used |= free_vars(a)
-        return inline_definitions(instantiate(fd, args, used), funcs)
-    if isinstance(node, BINDERS):
-        return type(node)(node.var, node.ty,
-                          inline_definitions(node.body, funcs), pos=node.pos)
-    return _rebuild(node, lambda c: inline_definitions(c, funcs))
-
-
 def instantiate(fd, args, used):
     """The body of the defined function fd with args for its parameters,
     its binders first renamed apart from the names in used."""
@@ -231,11 +212,13 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
         forall y: R. (cond[y] => A[y])
 
     where cond is the choose condition (or the contract's ensures clause
-    with its parameters instantiated). Only occurrences in positive
-    position and not under an existential or another choice are eligible;
-    the rest are left for axiomatization.
+    with its parameters instantiated). An eligible application of a
+    definition that can take several values is replaced by its body first.
+    Only occurrences in positive position and not under an existential or
+    another choice are eligible; the rest are left for axiomatization.
     """
     funcs = funcs or {}
+    nondet = nondeterministic_funcs(funcs)
     used = set()
     for n in walk(goal):
         if isinstance(n, Var):
@@ -255,17 +238,19 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
 
     def eligible_occurrence(t):
         # first choice-like node in a term tree; conditions of term
-        # conditionals have mixed polarity and choose bodies are opaque
+        # conditionals have mixed polarity and choose bodies are opaque. An
+        # application is a hit only once its arguments hold no choice, so
+        # an argument is never copied into the uses of its parameter.
         if isinstance(t, Choose):
             return t
         if isinstance(t, Apply):
-            fd = funcs.get(t.func)
-            if fd is not None and fd.is_contract():
-                return t
             for a in t.args:
                 hit = eligible_occurrence(a)
                 if hit is not None:
                     return hit
+            if t.func in nondet and not any(has_choose(a, nondet)
+                                            for a in t.args):
+                return t
             return None
         if isinstance(t, (Add, Mul)):
             return eligible_occurrence(t.lhs) or eligible_occurrence(t.rhs)
@@ -289,6 +274,12 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
             hit = eligible_occurrence(f.lhs) or eligible_occurrence(f.rhs)
             if hit is None:
                 return f
+            if isinstance(hit, Apply) and funcs[hit.func].body is not None:
+                # a definition that can take several values: its body, with
+                # the choices in it, takes the application's place
+                body = instantiate(funcs[hit.func], hit.args, used)
+                used.update(n.var for n in walk(body) if isinstance(n, BINDERS))
+                return go(replace(f, hit, body), ok)
             y = fresh()
             if isinstance(hit, Choose):
                 rty = hit.ty
@@ -408,11 +399,8 @@ class Translator:
                     if t.func not in self.symtab:
                         self.symtab[t.func] = ([ty for _, ty in fd.params],
                                                fd.result)
-                        ens = fd.ensures
-                        if self.opts.inline_definitions:
-                            ens = inline_definitions(ens, self._inlined)
                         params = list(fd.params)
-                        ens = subst(ens, {'result': Apply(
+                        ens = subst(fd.ensures, {'result': Apply(
                             t.func, [Var(p) for p, _ in params])})
                         queue.append((self._close(params, ens),
                                       'choose-axiom'))
@@ -666,10 +654,6 @@ class Translator:
             self.note_names(fd.body if fd.body is not None else fd.ensures)
 
         f = goal
-        if self.opts.inline_definitions or self.opts.eliminate_choices:
-            # the eliminator has to see the choices in definition bodies;
-            # otherwise axiomatize inlines, after the arguments
-            f = inline_definitions(f, self._inlined)
         if self.opts.eliminate_choices:
             f = eliminate_choices(f, self.funcs)
         neg = rename_apart(negate_goal(f))

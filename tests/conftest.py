@@ -1,10 +1,17 @@
-"""Shared fixtures: throwaway shell-script backends and model sources."""
+"""Shared fixtures: throwaway shell-script backends, model sources and the
+goals of the recorded result tables."""
 
+import pathlib
 import stat
 
 import pytest
 
+from fdl.bench import make_cases
+from fdl.core import resolve_model
+from fdl.parser import parse_model
 from fdl.solvers import SolverConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 CYCLE4_SRC = """
@@ -42,6 +49,19 @@ theorem bounded <=> forall x: D. twice(choose c: D with c <= x) <= 2 * x;
 theorem odd <=> exists x: D. twice(choose c: D with c <= 1) = 1;
 theorem nested <=> !(k(1) = 1);
 """
+
+
+def recorded_goals():
+    """(key, goal, funcs) for the 64 grid cells at N=1 and N=2 and every
+    models/*.fdl theorem at N=2."""
+    for n in (1, 2):
+        for case in make_cases(n=n):
+            goal, funcs = case.build()
+            yield 'grid/%s/%s/N=%d' % (case.family, case.pattern, n), goal, funcs
+    for path in sorted((ROOT / 'models').glob('*.fdl')):
+        m = resolve_model(parse_model(path.read_text()), {'N': 2})
+        for name, goal in m.theorems.items():
+            yield 'models/%s/%s/N=2' % (path.name, name), goal, m.funcs
 
 
 @pytest.fixture
