@@ -1,20 +1,28 @@
 """Reference decision procedure for the SMT-LIB fragment the translator
 emits: QF_UFBV / UFBV scripts built from bit-vector literals, bvadd, bvmul,
-bvult, bvule, =, zero_extend, the boolean connectives, ite, define-fun
-macros, uninterpreted functions and (in UFBV) forall/exists binders.
+bvult, bvule, =, zero_extend, extract, the boolean connectives, ite,
+define-fun macros, uninterpreted functions and (in UFBV) forall/exists.
+
+A script is read flat: comments dropped, parentheses padded, the text split
+on whitespace and the forms built on an explicit stack. `Solver.check`
+compiles each assertion once, bottom-up, into a folded s-expression and a
+closure (Feeley & Lapalme, "Using Closures for Code Generation", 1987).
+Outside binders a node whose value needs no cell is folded to a literal.
 
 Satisfiability is decided by backtracking over "cells": a cell is the value
 of an uninterpreted function at one concrete argument tuple (constants are
-cells with the empty tuple). Cells are discovered lazily while evaluating
-the assertions in order, so only function points the assertions actually
-touch are ever enumerated. The search is exhaustive; 'unknown' is reported
-only when the node budget runs out.
+cells with the empty tuple). A unit of the search, a folded conjunct of the
+assertions, raises _Blocked when it reads an unassigned cell, and the
+search branches on that cell, so only function points the assertions
+actually touch are ever enumerated. Branch cells sit on an explicit trail.
+The search is exhaustive; 'unknown' is reported only when the node budget
+runs out.
 
 Also usable as a command line solver: fdl-refsolve [--budget N] FILE, or
-this file run by path. The solver bridge runs it by path as
-`python -I -S .../refsolver.py FILE`, so this module must stay standalone
-(no imports from fdl, no relative imports) and cheap to start: it imports
-only sys, and parses its command line by hand instead of with argparse.
+this file run by path. The solver bridge imports it in a child started as
+`python -I -S -c ...`, so this module must stay standalone (no imports from
+fdl, no relative imports) and cheap to start: it imports only sys, and
+parses its command line by hand instead of with argparse.
 """
 
 import sys
@@ -27,64 +35,31 @@ class RefsolverError(Exception):
 
 
 class _Blocked(Exception):
-    """Evaluation hit an unassigned cell; the search branches on it."""
-
-    def __init__(self, cell, width):
-        self.cell = cell
-        self.width = width
-
-
-# ---------------------------------------------------------------------------
-# s-expressions
+    """Evaluation hit an unassigned cell; args are the cell and its width."""
 
 
 def tokenize(text: str) -> list:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in ' \t\r\n':
-            i += 1
-        elif c == ';':
-            while i < n and text[i] != '\n':
-                i += 1
-        elif c in '()':
-            toks.append(c)
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();':
-                j += 1
-            toks.append(text[i:j])
-            i = j
-    return toks
+    if ';' in text:
+        text = '\n'.join(line.partition(';')[0] for line in text.split('\n'))
+    return text.replace('(', ' ( ').replace(')', ' ) ').split()
 
 
 def parse_sexprs(text: str) -> list:
-    toks = tokenize(text)
-    pos = [0]
-
-    def parse():
-        t = toks[pos[0]]
-        pos[0] += 1
-        if t == '(':
-            out = []
-            while True:
-                if pos[0] >= len(toks):
-                    raise RefsolverError('unbalanced parenthesis')
-                if toks[pos[0]] == ')':
-                    break
-                out.append(parse())
-            pos[0] += 1
-            return out
-        if t == ')':
-            raise RefsolverError('unbalanced parenthesis')
-        return t
-
-    forms = []
-    while pos[0] < len(toks):
-        forms.append(parse())
-    return forms
+    top, stack = [], []
+    for tok in tokenize(text):
+        if tok == '(':
+            stack.append(top)
+            top = []
+        elif tok == ')':
+            if not stack:
+                raise RefsolverError('unbalanced parenthesis')
+            form, top = top, stack.pop()
+            top.append(form)
+        else:
+            top.append(tok)
+    if stack:
+        raise RefsolverError('unbalanced parenthesis')
+    return top
 
 
 def _sort_width(sort) -> int:
@@ -94,8 +69,20 @@ def _sort_width(sort) -> int:
     raise RefsolverError('unsupported sort %r' % (sort,))
 
 
-# ---------------------------------------------------------------------------
-# the solver
+def _literal(tok):
+    """(value, width) of a literal token, width None for a boolean."""
+    if tok == 'true' or tok == 'false':
+        return tok == 'true', None
+    if tok[:2] == '#b':
+        return int(tok[2:], 2), len(tok) - 2
+    if tok[:2] == '#x':
+        return int(tok[2:], 16), 4 * (len(tok) - 2)
+    return None
+
+
+def _names(kids) -> set:
+    """The declared function names in the sexprs of the nodes kids."""
+    return set().union(*[kid[3] for kid in kids if kid[3]])
 
 
 class Script:
@@ -115,18 +102,15 @@ class Script:
             if head == 'set-logic':
                 s.logic = form[1]
             elif head == 'declare-fun':
-                name, args, res = form[1], form[2], form[3]
-                s.decls[name] = ([_sort_width(a) for a in args],
-                                 _sort_width(res))
+                s.decls[form[1]] = ([_sort_width(a) for a in form[2]],
+                                    _sort_width(form[3]))
             elif head == 'define-fun':
-                name, params, res, body = form[1], form[2], form[3], form[4]
-                s.defs[name] = ([(p[0], _sort_width(p[1])) for p in params],
-                                _sort_width(res), body)
+                s.defs[form[1]] = ([(p[0], _sort_width(p[1]))
+                                    for p in form[2]],
+                                   _sort_width(form[3]), form[4])
             elif head == 'assert':
                 s.asserts.append(form[1])
-            elif head in ('check-sat', 'exit'):
-                pass
-            else:
+            elif head not in ('check-sat', 'exit'):
                 raise RefsolverError('unsupported command %r' % head)
         return s
 
@@ -137,232 +121,248 @@ class Solver:
         self.cells = {}  # (name, argvals) -> value
         self.budget = budget
         self.nodes = 0
-        self.units = []
-        self.reads = set()  # cells consulted by the evaluation in flight
+        self.units = []  # folded conjuncts of the assertions, in search order
+        self._reads = set()  # cells consulted by the evaluation in flight
+        self._bodies = {}  # define-fun name -> (closure, width, frame padding)
+        self._literals = {}  # token or (value, width) -> literal node or None
+        self._scope, self._size = {}, 0  # name -> (slot, width); frame size
 
-    # -- evaluation; bit-vector values are (int, width), booleans are bool --
-
-    def eval(self, e, env):
+    def compile(self, e):
+        """The node (sexpr, fn, width, names) of expression e: e folded,
+        its closure over the frame of its binders, its bit width (None for
+        a boolean) and the declared function names in sexpr (None when
+        sexpr is a literal). A conjunction's fn has its nodes as `parts`."""
         if isinstance(e, str):
-            if e == 'true':
-                return True
-            if e == 'false':
-                return False
-            if e.startswith('#b'):
-                return int(e[2:], 2), len(e) - 2
-            if e.startswith('#x'):
-                return int(e[2:], 16), (len(e) - 2) * 4
-            if e in env:
-                return env[e]
-            return self.apply(e, ())
+            if e not in self._literals:
+                lit = _literal(e)
+                self._literals[e] = lit and self._lit(*lit)
+            if self._literals[e]:
+                return self._literals[e]
+            if e in self._scope:
+                slot, width = self._scope[e]
+                return e, lambda env: env[slot], width, set()
+            return self._apply(e, [], e)
         head = e[0]
-        if isinstance(head, list):  # ((_ zero_extend k) x), ((_ extract i j) x)
-            if head[0] == '_' and head[1] == 'zero_extend':
-                v, w = self.eval(e[1], env)
-                return v, w + int(head[2])
-            if head[0] == '_' and head[1] == 'extract':
-                v, _ = self.eval(e[1], env)
-                hi, lo = int(head[2]), int(head[3])
-                return (v >> lo) & ((1 << (hi - lo + 1)) - 1), hi - lo + 1
+        op = tuple(head[:2]) if isinstance(head, list) else head
+        if op in _OPERATORS:
+            kids = list(map(self.compile, e[1:]))
+            fn, width = _OPERATORS[op](kids[0][2], head,
+                                       *[kid[1] for kid in kids])
+            return self._fold([head] + [k[0] for k in kids], kids, fn, width)
+        if isinstance(head, list):
             raise RefsolverError('unsupported operator %r' % (head,))
-        if head == 'not':
-            return not self.eval(e[1], env)
-        if head == 'and':
-            for x in e[1:]:
-                if not self.eval(x, env):
-                    return False
-            return True
-        if head == 'or':
-            for x in e[1:]:
-                if self.eval(x, env):
-                    return True
-            return False
-        if head == '=>':
-            for x in e[1:-1]:
-                if not self.eval(x, env):
-                    return True
-            return self.eval(e[-1], env)
-        if head == '=':
-            a = self.eval(e[1], env)
-            b = self.eval(e[2], env)
-            if isinstance(a, bool):
-                return a == b
-            return a[0] == b[0]
-        if head == 'bvult':
-            return self.eval(e[1], env)[0] < self.eval(e[2], env)[0]
-        if head == 'bvule':
-            return self.eval(e[1], env)[0] <= self.eval(e[2], env)[0]
-        if head == 'bvadd':
-            a, w = self.eval(e[1], env)
-            b, _ = self.eval(e[2], env)
-            return (a + b) % (1 << w), w
-        if head == 'bvmul':
-            a, w = self.eval(e[1], env)
-            b, _ = self.eval(e[2], env)
-            return (a * b) % (1 << w), w
-        if head == 'ite':
-            if self.eval(e[1], env):
-                return self.eval(e[2], env)
-            return self.eval(e[3], env)
-        if head in ('forall', 'exists'):
-            binders = [(p[0], _sort_width(p[1])) for p in e[1]]
-            want = head == 'exists'
-            return self._quant(binders, 0, e[2], dict(env), want)
-        return self.apply(head, tuple(self.eval(x, env) for x in e[1:]))
+        if head in _COMPILE:
+            return _COMPILE[head](self, e)
+        return self._apply(head, e[1:], None)
 
-    def _quant(self, binders, i, body, env, want):
-        if i == len(binders):
-            return self.eval(body, env)
-        name, w = binders[i]
-        for v in range(1 << w):
-            env[name] = (v, w)
-            if self._quant(binders, i + 1, body, env, want) == want:
-                return want
-        return not want
+    def _lit(self, value, width):
+        key = value, width
+        if key not in self._literals:
+            text = ('true' if value else 'false') if width is None \
+                else '#b' + format(value, '0%db' % width)
+            self._literals[key] = text, lambda env: value, width, None
+        return self._literals[key]
 
-    def apply(self, name, args):
+    def _fold(self, sexpr, kids, fn, width):
+        """The node of an operator or define-fun application, a literal
+        outside binders when its arguments are and it reads no cell."""
+        if not self._scope and all(kid[3] is None for kid in kids):
+            try:
+                return self._lit(fn(None), width)
+            except _Blocked:
+                pass
+        return sexpr, fn, width, _names(kids)
+
+    def _apply(self, name, args, leaf):
+        """name applied to args; leaf is the bare name of a constant."""
+        kids = list(map(self.compile, args))
+        fns = [kid[1] for kid in kids]
+        sexpr = leaf or [name] + [kid[0] for kid in kids]
         if name in self.s.defs:
-            params, _, body = self.s.defs[name]
-            inner = {p: a for (p, _), a in zip(params, args)}
-            return self.eval(body, inner)
+            if name not in self._bodies:  # its own frame: params, binders
+                params, _, body = self.s.defs[name]
+                outer = self._scope, self._size
+                self._scope = {p: (i, w) for i, (p, w) in enumerate(params)}
+                self._size = len(params)
+                _, fn, width, _ = self.compile(body)
+                pad = [0] * (self._size - len(params))
+                self._bodies[name] = fn, width, pad
+                self._scope, self._size = outer
+            body, width, pad = self._bodies[name]
+            return self._fold(sexpr, kids,
+                              lambda env: body([f(env) for f in fns] + pad),
+                              width)
         if name not in self.s.decls:
             raise RefsolverError('unknown symbol %r' % name)
-        widths, result_w = self.s.decls[name]
-        key = (name, tuple(v for v, _ in args))
-        if key in self.cells:
-            self.reads.add(key)
-            return self.cells[key], result_w
-        raise _Blocked(key, result_w)
+        width, cells, reads = self.s.decls[name][1], self.cells, self._reads
 
-    # -- preprocessing -----------------------------------------------------
+        def fn(env):
+            key = name, (tuple([f(env) for f in fns]) if fns else ())
+            value = cells.get(key)
+            if value is None:
+                raise _Blocked(key, width)
+            reads.add(key)
+            return value
+        return sexpr, fn, width, _names(kids) | {name}
 
-    def _const(self, e):
-        """Value of a cell-free expression as a literal token, else None."""
-        try:
-            v = self.eval(e, {})
-        except _Blocked:
-            return None
-        if isinstance(v, bool):
-            return 'true' if v else 'false'
-        n, w = v
-        return '#b' + format(n & ((1 << w) - 1), '0%db' % w)
+    def _junction(self, e):
+        """and/or: outside binders a literal argument decides or is dropped."""
+        fold, stop = not self._scope, e[0] == 'or'  # stop decides the node
+        kids = []
+        for x in e[1:]:
+            kid = self.compile(x)
+            if not fold or kid[3] is not None:
+                kids.append(kid)
+            elif kid[1](None) == stop:
+                return self._lit(stop, None)
+        if fold and len(kids) < 2:
+            return kids[0] if kids else self._lit(not stop, None)
+        fns = [kid[1] for kid in kids]
 
-    def _fold(self, e):
-        """Collapse cell-free subtrees to literals and simplify connectives.
-
-        Never folds under binders: quantified expressions are either fully
-        evaluated (cell-free) or kept intact, so every symbol this pass
-        touches is global.
-        """
-        if isinstance(e, str):
-            if e in self.s.decls:
-                return e
-            c = self._const(e)
-            return e if c is None else c
-        head = e[0]
-        if head in ('forall', 'exists'):
-            c = self._const(e)
-            return e if c is None else c
-        if head == 'not':
-            x = self._fold(e[1])
-            if x == 'true':
-                return 'false'
-            if x == 'false':
-                return 'true'
-            return ['not', x]
-        if head in ('and', 'or'):
-            stop = 'false' if head == 'and' else 'true'
-            skip = 'true' if head == 'and' else 'false'
-            parts = []
-            for x in e[1:]:
-                fx = self._fold(x)
-                if fx == stop:
+        def fn(env):
+            for f in fns:
+                if f(env) == stop:
                     return stop
-                if fx != skip:
-                    parts.append(fx)
-            if not parts:
-                return skip
-            if len(parts) == 1:
-                return parts[0]
-            return [head] + parts
-        if head == 'ite':
-            cond = self._fold(e[1])
-            if cond == 'true':
-                return self._fold(e[2])
-            if cond == 'false':
-                return self._fold(e[3])
-            e = ['ite', cond, self._fold(e[2]), self._fold(e[3])]
-        else:
-            e = [head] + [self._fold(x) for x in e[1:]]
-        c = self._const(e)
-        return e if c is None else c
+            return not stop
+        if fold and not stop:
+            fn.parts = kids
+        return [e[0]] + [kid[0] for kid in kids], fn, None, _names(kids)
 
-    def _cells_of(self, e, out):
-        if isinstance(e, str):
-            if e in self.s.decls:
-                out.add(e)
-        else:
-            for x in e:
-                self._cells_of(x, out)
-        return out
+    def _implies(self, e):
+        kids = list(map(self.compile, e[1:]))
+        *first, last = [kid[1] for kid in kids]
 
-    # -- search ----------------------------------------------------------------
+        def fn(env):
+            for f in first:
+                if not f(env):
+                    return True
+            return last(env)
+        if not self._scope:
+            for j, kid in enumerate(kids):
+                if kid[3] is not None:  # evaluation would block on a cell
+                    break
+                if j < len(kids) - 1 and not kid[1](None):
+                    return self._lit(True, None)
+            else:
+                return kids[-1]
+        return ['=>'] + [kid[0] for kid in kids], fn, None, _names(kids)
+
+    def _ite(self, e):
+        cond = self.compile(e[1])
+        if cond[3] is None and not self._scope:
+            return self.compile(e[2] if cond[1](None) else e[3])
+        kids = [cond, self.compile(e[2]), self.compile(e[3])]
+        c, a, b = [kid[1] for kid in kids]
+        return (['ite'] + [kid[0] for kid in kids],
+                lambda env: a(env) if c(env) else b(env), kids[1][2],
+                _names(kids))
+
+    def _quantifier(self, e):
+        """Folded outside binders when its closure reads no cell."""
+        want, outer = e[0] == 'exists', self._scope
+        slots = [(self._size + j, _sort_width(p[1]))
+                 for j, p in enumerate(e[1])]
+        self._scope = {**outer, **{p[0]: sw for p, sw in zip(e[1], slots)}}
+        self._size += len(slots)
+        _, fn, _, names = self.compile(e[2])
+        self._scope = outer
+        for slot, width in reversed(slots):  # the first binder outermost
+            fn = _loop(slot, range(1 << width), fn, want)
+        if not outer:
+            try:
+                return self._lit(fn([0] * self._size), None)
+            except _Blocked:
+                pass
+        return e, fn, None, names or set()
 
     def check(self) -> str:
         units = []
         for a in self.s.asserts:
-            stack = [self._fold(a)]
+            stack = [self.compile(a)]
             while stack:
-                x = stack.pop()
-                if isinstance(x, list) and x[0] == 'and':
-                    stack.extend(x[1:])
-                elif x != 'true':
-                    units.append(x)
-        # few-cell units first: cheap constraints prune the cell search early
-        units.sort(key=lambda u: len(self._cells_of(u, set())))
-        self.units = units
-        try:
-            return 'sat' if self._dfs(0) is True else 'unsat'
-        except _Budget:
-            return 'unknown'
+                node = stack.pop()
+                if hasattr(node[1], 'parts'):
+                    stack.extend(node[1].parts)
+                elif node[0] != 'true':
+                    units.append(node)
+        # few-name units first: cheap constraints prune the cell search early
+        units.sort(key=lambda u: len(u[3] or ()))
+        self.units = [u[0] for u in units]
+        return self._search([u[1] for u in units])
 
-    def _dfs(self, start: int):
-        """Returns True on sat, else the set of cells the failure depends on.
+    def _search(self, fns) -> str:
+        """The trail holds [cell, width, unit, conflict] per branch cell;
+        the conflict gathers the cells that the failures under it depend
+        on. A unit's verdict is a function of the cells its evaluation
+        read, so a failure that does not depend on the newest branch cell
+        skips that cell's remaining values and passes down the trail
+        unchanged (conflict-directed backjumping)."""
+        cells, reads, env = self.cells, self._reads, [0] * self._size
+        trail, i = [], 0
+        while True:
+            while i < len(fns):
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    return 'unknown'
+                reads.clear()
+                try:
+                    if fns[i](env):
+                        i += 1
+                        continue
+                except _Blocked as b:
+                    cell, width = b.args
+                    trail.append([cell, width, i, set(reads)])
+                    cells[cell] = 0
+                    continue
+                failed = set(reads)
+                break
+            else:
+                return 'sat'
+            while trail:
+                cell, width, i, conflict = trail[-1]
+                if cell in failed:
+                    conflict |= failed
+                    conflict.discard(cell)
+                    if cells[cell] + 1 < 1 << width:
+                        cells[cell] += 1
+                        break
+                    failed = conflict
+                del cells[cell]
+                trail.pop()
+            else:
+                return 'unsat'
 
-        A unit's verdict is a function of the cells its evaluation read, so
-        when no value of a branch cell appears in the subtree's conflict the
-        remaining values are skipped and the conflict passes through
-        unchanged (conflict-directed backjumping).
-        """
-        i = start
-        while i < len(self.units):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _Budget()
-            self.reads = set()
-            try:
-                v = self.eval(self.units[i], {})
-            except _Blocked as b:
-                conflict = self.reads  # these reads selected the branch cell
-                for val in range(1 << b.width):
-                    self.cells[b.cell] = val
-                    sub = self._dfs(i)
-                    if sub is True:
-                        return True
-                    if b.cell not in sub:
-                        del self.cells[b.cell]
-                        return sub
-                    conflict |= sub - {b.cell}
-                del self.cells[b.cell]
-                return conflict
-            if not v:
-                return self.reads
-            i += 1
-        return True
+
+def _loop(slot, values, body, want):
+    def fn(env):
+        for v in values:
+            env[slot] = v
+            if body(env) == want:
+                return want
+        return not want
+    return fn
 
 
-class _Budget(Exception):
-    pass
+# (closure, width) of an operator that evaluates all its arguments, from the
+# width of the first argument, the head and the argument closures
+_OPERATORS = {
+    'not': lambda w, h, a: (lambda env: not a(env), None),
+    '=': lambda w, h, a, b: (lambda env: a(env) == b(env), None),
+    'bvult': lambda w, h, a, b: (lambda env: a(env) < b(env), None),
+    'bvule': lambda w, h, a, b: (lambda env: a(env) <= b(env), None),
+    'bvadd': lambda w, h, a, b: (
+        lambda env, m=(1 << w) - 1: (a(env) + b(env)) & m, w),
+    'bvmul': lambda w, h, a, b: (
+        lambda env, m=(1 << w) - 1: (a(env) * b(env)) & m, w),
+    ('_', 'zero_extend'): lambda w, h, a: (a, w + int(h[2])),
+    ('_', 'extract'): lambda w, h, a: (
+        lambda env, lo=int(h[3]), m=(2 << int(h[2]) - int(h[3])) - 1:
+        (a(env) >> lo) & m, int(h[2]) - int(h[3]) + 1),
+}
+
+_COMPILE = {'and': Solver._junction, 'or': Solver._junction,
+            '=>': Solver._implies, 'ite': Solver._ite,
+            'forall': Solver._quantifier, 'exists': Solver._quantifier}
 
 
 def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
         return 0
     except (RefsolverError, OSError) as e:
         reason = str(e)
-    except Exception as e:  # an internal failure, e.g. RecursionError in _dfs
+    except Exception as e:  # an internal failure, e.g. a RecursionError
         reason = '%s: %s' % (type(e).__name__, e)
     print('error: %s' % reason, file=sys.stderr)
     return 1

@@ -8,13 +8,16 @@ script path), either from the built-in table below or from an INI file
     command = z3 -smt2 {file}
     quantifiers = true
 
-The built-in refsolve backend runs this package's refsolver.py by path
-under the current interpreter, as `python -I -S .../refsolver.py {file}`, so
-it needs no install, always runs the same refsolve as its caller and does
-not depend on the child's import path. `-I -S` skip the environment, the
-user and site directories and the .pth files; refsolver.py imports only
-sys, so its start-up is about that of a bare interpreter. A [refsolve]
-section in the INI file replaces that command. Other backends are looked up
+The built-in refsolve backend runs this package's refsolver.py under the
+current interpreter, as `python -I -S -c <program> {file}`: the program
+imports refsolver from the module's directory and calls its main(), so the
+child needs no install, always runs the same refsolve as its caller and does
+not depend on the child's import path. Importing the module, where running
+the file by path would not, loads its cached bytecode instead of compiling
+the source on every start. `-I -S` skip the environment, the user and site
+directories and the .pth files; refsolver.py imports only sys, so its
+start-up is about that of a bare interpreter. A [refsolve] section in the
+INI file replaces that command. Other backends are looked up
 on PATH, and one whose executable is not there reports 'unavailable' instead
 of failing. Solvers run in their own session; on timeout the whole process
 group is killed, so children of wrapper scripts die too.
@@ -38,8 +41,13 @@ from .translate import SmtOptions, TranslateError, emit_smtlib, translate
 
 DEFAULT_TIMEOUT_MS = 60_000
 
-_REFSOLVE_COMMAND = [sys.executable, '-I', '-S',
-                     os.path.abspath(refsolver.__file__), '{file}']
+# The module's directory leaves sys.path again before main() runs, so this
+# package's modules (parser.py, ...) cannot shadow standard ones.
+_REFSOLVE_PROGRAM = ('import sys; sys.path.insert(0, %r); import refsolver; '
+                     'del sys.path[0]; sys.exit(refsolver.main())'
+                     % os.path.dirname(os.path.abspath(refsolver.__file__)))
+_REFSOLVE_COMMAND = [sys.executable, '-I', '-S', '-c', _REFSOLVE_PROGRAM,
+                     '{file}']
 
 _BUILTIN = """
 [refsolve]
@@ -142,10 +150,13 @@ def run_solver(cfg: SolverConfig, script_text: str,
             if line in ('sat', 'unsat', 'unknown'):
                 return SolverOutcome(line, wall_ms)
         # The last line names the failure: for a Python child it is the
-        # exception, not the 'Traceback' header.
+        # exception, not the 'Traceback' header. Verdict adds its own
+        # 'error: ' prefix, so the one refsolve writes is dropped.
         detail = (stderr or stdout or '').strip().splitlines()
-        return SolverOutcome('error', wall_ms,
-                             detail[-1] if detail else 'no answer')
+        detail = detail[-1] if detail else 'no answer'
+        if detail.startswith('error: '):
+            detail = detail[len('error: '):]
+        return SolverOutcome('error', wall_ms, detail)
     finally:
         try:
             os.unlink(path)

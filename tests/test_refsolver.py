@@ -1,16 +1,21 @@
 """Reference solver: parsing, blocked-cell search, budget, CLI entry."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from conftest import ROOT, recorded_goals
 from fdl import refsolver
+from fdl.core import resolve_model
+from fdl.parser import parse_model
 from fdl.refsolver import (
     RefsolverError, Script, Solver, check_script, parse_sexprs, tokenize,
 )
+from fdl.translate import MODES, SmtOptions, emit_smtlib, translate
 
 
 def _script(*asserts, decls=(), logic='QF_UFBV'):
@@ -43,6 +48,24 @@ def test_script_parse_collects_sections():
 def test_unbalanced_input_is_an_error():
     with pytest.raises(RefsolverError):
         parse_sexprs('(assert (= x')
+    with pytest.raises(RefsolverError):
+        parse_sexprs('(assert true))')
+
+
+def test_comment_after_an_assertion_is_ignored():
+    text = '(set-logic QF_UFBV)\n(assert true) ; (assert false)\n(check-sat)'
+    assert check_script(text) == 'sat'
+
+
+def test_reader_does_not_recurse_on_nesting():
+    depth = 100_000
+    (form,) = parse_sexprs('(assert %strue%s)' % ('(not ' * depth,
+                                                   ')' * depth))
+    e, levels = form[1], 0
+    while isinstance(e, list):
+        assert e[0] == 'not' and len(e) == 2
+        e, levels = e[1], levels + 1
+    assert (e, levels) == ('true', depth)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -139,6 +162,40 @@ def test_irrelevant_cells_are_backjumped():
     s = Solver(Script.parse(_script(*asserts, decls=decls)))
     assert s.check() == 'unsat'
     assert s.nodes < 100
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # one choose axiom per point bounds one `pick` cell; the search assigns
+    # them one after another, one trail frame each, and has 1,500 assigned
+    # when the budget runs out
+    model = resolve_model(parse_model(
+        'type D = nat[5000];\n'
+        'fun pick(p: D): D ensures result <= p;\n'
+        'theorem t <=> forall x: D. pick(x) <= x;\n'))
+    text = emit_smtlib(translate(model.theorems['t'], model.funcs))
+    s = Solver(Script.parse(text), budget=3000)
+    assert s.check() == 'unknown'
+    assert len(s.cells) > sys.getrecursionlimit()
+
+
+# (answer, nodes) of every goal below in all three modes with default
+# options, under a node budget of 500, as recorded before refsolve compiled
+# its units to closures and kept its branch cells on a trail. A row may
+# change only with the search it pins.
+GOLDEN = ROOT / 'tests' / 'refsolve_golden.json'
+GOLDEN_BUDGET = 500
+
+
+def test_answers_and_nodes_match_the_recorded_table():
+    table = json.loads(GOLDEN.read_text())
+    got = {}
+    for key, goal, funcs in recorded_goals():
+        for mode in MODES:
+            text = emit_smtlib(translate(goal, funcs, SmtOptions(mode=mode)))
+            s = Solver(Script.parse(text), GOLDEN_BUDGET)
+            got['%s %s' % (key, mode)] = [s.check(), s.nodes]
+    assert len(got) == 3 * (128 + 8)
+    assert got == table
 
 
 # -- console entry ---------------------------------------------------------------

@@ -49,8 +49,12 @@ def test_config_overlay_from_environment(tmp_path, monkeypatch):
 
 def test_builtin_refsolve_runs_under_this_interpreter(tmp_path):
     cfg = load_solver_configs()['refsolve']
-    assert cfg.command == [sys.executable, '-I', '-S',
-                           os.path.abspath(refsolver.__file__), '{file}']
+    assert cfg.command[:4] == [sys.executable, '-I', '-S', '-c']
+    assert cfg.command[5:] == ['{file}']
+    program = cfg.command[4]
+    here = os.path.dirname(os.path.abspath(refsolver.__file__))
+    assert repr(here) in program
+    assert 'import refsolver' in program and 'refsolver.main()' in program
     ini = tmp_path / 'solvers.ini'
     ini.write_text('[refsolve]\ncommand = my-refsolve {file}\n')
     assert load_solver_configs(str(ini))['refsolve'].command[0] == 'my-refsolve'
@@ -70,6 +74,31 @@ def test_builtin_refsolve_ignores_the_child_import_path(tmp_path):
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[0] == 'sat', out.stdout
+
+
+def test_builtin_refsolve_answers_without_writing_bytecode(tmp_path):
+    """The child imports refsolver; it must answer whether or not a cached
+    bytecode file can be used or written."""
+    script = tmp_path / 'trivial.smt2'
+    script.write_text(TRIVIAL)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE='1')
+    cmd = [a.replace('{file}', str(script))
+           for a in load_solver_configs()['refsolve'].command]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == 'sat'
+
+
+def test_builtin_refsolve_leaves_the_child_import_path_as_it_was():
+    """The child imports refsolver from its directory, which holds modules
+    named like standard ones (parser); the entry is gone before main()."""
+    program = load_solver_configs()['refsolve'].command[4]
+    probe = program.replace('sys.exit(refsolver.main())', 'print(sys.path)')
+    out = subprocess.run([sys.executable, '-I', '-S', '-c', probe],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    here = os.path.dirname(os.path.abspath(refsolver.__file__))
+    assert here not in out.stdout
 
 
 def test_availability_checks_path():
@@ -109,6 +138,17 @@ def test_traceback_reports_the_exception_line(fake_solver):
     out = run_solver(cfg, TRIVIAL)
     assert out.answer == 'error'
     assert out.detail == "ModuleNotFoundError: No module named 'fdl'"
+
+
+def test_error_line_is_not_prefixed_twice(fake_solver, tmp_path):
+    exe = fake_solver('echo "error: boom" >&2\nexit 1').command[0]
+    ini = tmp_path / 'solvers.ini'
+    ini.write_text('[refsolve]\ncommand = %s {file}\n' % exe)
+    goal = Forall('x', nat(3), Atom('<=', Var('x'), Lit(3)))
+    verdict, outcome, _ = decide(goal, {},
+                                 load_solver_configs(str(ini))['refsolve'])
+    assert outcome.detail == 'boom'
+    assert str(verdict) == 'error: boom'
 
 
 def test_silent_exit_is_an_error(fake_solver):
