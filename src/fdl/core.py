@@ -309,17 +309,22 @@ class Diagnostic:
 # generic traversal helpers
 
 
+# fields that hold names, types or constants, never subnodes
+_LEAF_FIELDS = {'pos', 'ty', 'var', 'func', 'name', 'rel', 'value', 'const'}
+# node class -> (its field names, the names of its fields that hold subnodes),
+# computed once so that no visit calls dataclasses.fields
+_LAYOUT = {cls: (tuple(f.name for f in fields(cls)),
+                 tuple(f.name for f in fields(cls) if f.name not in _LEAF_FIELDS))
+           for base in (Term, Formula) for cls in base.__subclasses__()}
+
+
 def _children(node):
-    for f in fields(node):
-        if f.name in ('pos', 'ty', 'var', 'func', 'name', 'rel', 'value', 'const'):
-            continue
-        v = getattr(node, f.name)
-        if isinstance(v, (Term, Formula)):
+    for name in _LAYOUT[type(node)][1]:
+        v = getattr(node, name)
+        if isinstance(v, list):
+            yield from v
+        else:
             yield v
-        elif isinstance(v, list):
-            for x in v:
-                if isinstance(x, (Term, Formula)):
-                    yield x
 
 
 def walk(node):
@@ -379,23 +384,24 @@ def subst(node, mapping: dict):
 
 
 def _rebuild(node, fn):
-    kwargs = {}
+    """node with fn applied to each subnode; node itself when fn changes
+    none of them."""
+    names, kids = _LAYOUT[type(node)]
+    new = {}
     changed = False
-    for f in fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, (Term, Formula)):
+    for name in kids:
+        v = getattr(node, name)
+        if isinstance(v, list):
+            nv = [fn(x) for x in v]
+            changed = changed or any(a is not b for a, b in zip(v, nv))
+        else:
             nv = fn(v)
             changed = changed or nv is not v
-            kwargs[f.name] = nv
-        elif isinstance(v, list):
-            nv = [fn(x) if isinstance(x, (Term, Formula)) else x for x in v]
-            changed = changed or any(a is not b for a, b in zip(v, nv))
-            kwargs[f.name] = nv
-        else:
-            kwargs[f.name] = v
+        new[name] = nv
     if not changed:
         return node
-    return type(node)(**kwargs)
+    return type(node)(*[new[n] if n in new else getattr(node, n)
+                        for n in names])
 
 
 def rename_apart(node, used: Optional[set] = None):

@@ -24,14 +24,25 @@ such definition; see core.nondeterministic_funcs) is always inlined, since a
 macro cannot carry nondeterminism. Under every option a definition is
 inlined after its arguments are translated, so an argument with a choice
 has one value in all uses of its parameter.
+
+The passes: to_nnf carries the polarity, so one function gives the
+negation-normal form of a formula or of its negation. eliminate_choices and
+axiomatize handle the nodes they rewrite and hand every other node to
+core's generic traversal (core._rebuild). Lowering expands a quantifier
+through one loop over its instances (Translator._instances), which counts
+the expansion budget. Each existential's Skolem decision is memoized by node
+identity, and the memo holds the node: a lowered axiom's tree is freed, and
+a later existential at the same address would otherwise share its symbol.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
-                   Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, Term,
-                   TrueF, Var, _rebuild, free_vars, has_choose,
+                   Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, TrueF,
+                   Var, _children, _rebuild, free_vars, has_choose,
                    nondeterministic_funcs, rename_apart, subst, walk)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
@@ -111,56 +122,49 @@ def smt_sym(name: str) -> str:
 # formula normalization
 
 
-def to_nnf(f: Formula) -> Formula:
-    """Push negations to the atoms and remove => and <=>.
+_DUAL = {TrueF: FalseF, FalseF: TrueF, And: Or, Or: And, Forall: Exists,
+         Exists: Forall}
+
+
+def to_nnf(f: Formula, neg=False) -> Formula:
+    """The negation-normal form of f, or of !f when neg: negations pushed to
+    the atoms, => and <=> removed.
 
     Terms are left untouched; formulas inside term conditionals are handled
     structurally by the lowering step instead.
     """
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.lhs), to_nnf(f.rhs), pos=f.pos)
-    if isinstance(f, Or):
-        return Or(to_nnf(f.lhs), to_nnf(f.rhs), pos=f.pos)
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.lhs)), to_nnf(f.rhs), pos=f.pos)
-    if isinstance(f, Iff):
-        return And(Or(to_nnf(Not(f.lhs)), to_nnf(f.rhs)),
-                   Or(to_nnf(f.lhs), to_nnf(Not(f.rhs))), pos=f.pos)
-    if isinstance(f, Forall):
-        return Forall(f.var, f.ty, to_nnf(f.body), pos=f.pos)
-    if isinstance(f, Exists):
-        return Exists(f.var, f.ty, to_nnf(f.body), pos=f.pos)
     if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, TrueF):
-            return FalseF(pos=f.pos)
-        if isinstance(g, FalseF):
-            return TrueF(pos=f.pos)
-        if isinstance(g, Atom):
+        if neg:
+            return to_nnf(f.body)
+        if isinstance(f.body, Atom):
             return f
-        if isinstance(g, Not):
-            return to_nnf(g.body)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.lhs)), to_nnf(Not(g.rhs)), pos=f.pos)
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.lhs)), to_nnf(Not(g.rhs)), pos=f.pos)
-        if isinstance(g, Implies):
-            return And(to_nnf(g.lhs), to_nnf(Not(g.rhs)), pos=f.pos)
-        if isinstance(g, Iff):
-            return Or(And(to_nnf(g.lhs), to_nnf(Not(g.rhs))),
-                      And(to_nnf(Not(g.lhs)), to_nnf(g.rhs)), pos=f.pos)
-        if isinstance(g, Forall):
-            return Exists(g.var, g.ty, to_nnf(Not(g.body)), pos=f.pos)
-        if isinstance(g, Exists):
-            return Forall(g.var, g.ty, to_nnf(Not(g.body)), pos=f.pos)
-    raise AssertionError('unhandled formula %r' % f)
+        out = to_nnf(f.body, True)
+        if not isinstance(f.body, Not):
+            # out is a fresh node; it takes the position of the negation
+            out.pos = f.pos
+        return out
+    if isinstance(f, Atom):
+        return Not(f) if neg else f
+    if isinstance(f, (TrueF, FalseF)):
+        return _DUAL[type(f)]() if neg else f
+    pos = None if neg else f.pos
+    if isinstance(f, Implies):  # !a \/ b
+        return (And if neg else Or)(to_nnf(f.lhs, not neg), to_nnf(f.rhs, neg),
+                                    pos=pos)
+    if isinstance(f, Iff):  # (!a \/ b) /\ (a \/ !b)
+        inner = And if neg else Or
+        return (Or if neg else And)(
+            inner(to_nnf(f.lhs, not neg), to_nnf(f.rhs, neg)),
+            inner(to_nnf(f.lhs, neg), to_nnf(f.rhs, not neg)), pos=pos)
+    kind = _DUAL[type(f)] if neg else type(f)
+    if isinstance(f, QUANTIFIERS):
+        return kind(f.var, f.ty, to_nnf(f.body, neg), pos=pos)
+    return kind(to_nnf(f.lhs, neg), to_nnf(f.rhs, neg), pos=pos)
 
 
 def negate_goal(goal: Formula) -> Formula:
     """The satisfiability-side formula: nnf(!goal)."""
-    return to_nnf(Not(goal))
+    return to_nnf(goal, True)
 
 
 def estimate_costs(goal: Formula):
@@ -182,11 +186,9 @@ def estimate_costs(goal: Formula):
             saw_exists = True
             skolem += mult
             go(f.body, mult)
-        elif isinstance(f, (And, Or)):
-            go(f.lhs, mult)
-            go(f.rhs, mult)
-        elif isinstance(f, Not):
-            go(f.body, mult)
+        elif not isinstance(f, Atom):
+            for c in _children(f):
+                go(c, mult)
 
     go(neg, 1)
     return (skolem if saw_exists else 0), (expansion if saw_forall else 0)
@@ -225,14 +227,10 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
             used.add(n.name)
         elif isinstance(n, BINDERS):
             used.add(n.var)
-    counter = [0]
+    names = ('_el%d' % i for i in itertools.count(1))
 
     def fresh():
-        counter[0] += 1
-        name = '_el%d' % counter[0]
-        while name in used:
-            counter[0] += 1
-            name = '_el%d' % counter[0]
+        name = next(n for n in names if n not in used)
         used.add(name)
         return name
 
@@ -243,29 +241,18 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
         # an argument is never copied into the uses of its parameter.
         if isinstance(t, Choose):
             return t
-        if isinstance(t, Apply):
-            for a in t.args:
-                hit = eligible_occurrence(a)
-                if hit is not None:
-                    return hit
-            if t.func in nondet and not any(has_choose(a, nondet)
-                                            for a in t.args):
-                return t
-            return None
-        if isinstance(t, (Add, Mul)):
-            return eligible_occurrence(t.lhs) or eligible_occurrence(t.rhs)
-        if isinstance(t, AddConst):
-            return eligible_occurrence(t.lhs)
-        if isinstance(t, Ite):
-            return eligible_occurrence(t.then) or eligible_occurrence(t.els)
+        for c in _children(t):
+            hit = None if isinstance(c, Formula) else eligible_occurrence(c)
+            if hit is not None:
+                return hit
+        if (isinstance(t, Apply) and t.func in nondet
+                and not any(has_choose(a, nondet) for a in t.args)):
+            return t
         return None
 
     def replace(node, target, repl):
-        if node is target:
-            return repl
-        if isinstance(node, (Term, Formula)):
-            return _rebuild(node, lambda c: replace(c, target, repl))
-        return node
+        return repl if node is target else _rebuild(
+            node, lambda c: replace(c, target, repl))
 
     def go(f, ok):
         if isinstance(f, Atom):
@@ -292,23 +279,10 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
                 cond = subst(rename_apart(fd.ensures, used), mapping)
             # the stripped atom may hold further occurrences; recurse on it
             return Forall(y, rty, Implies(cond, go(replace(f, hit, Var(y)), ok)))
-        if isinstance(f, (TrueF, FalseF)):
-            return f
-        if isinstance(f, Not):
-            return Not(go(f.body, False), pos=f.pos)
-        if isinstance(f, And):
-            return And(go(f.lhs, ok), go(f.rhs, ok), pos=f.pos)
-        if isinstance(f, Or):
-            return Or(go(f.lhs, ok), go(f.rhs, ok), pos=f.pos)
         if isinstance(f, Implies):
             return Implies(go(f.lhs, False), go(f.rhs, ok), pos=f.pos)
-        if isinstance(f, Iff):
-            return Iff(go(f.lhs, False), go(f.rhs, False), pos=f.pos)
-        if isinstance(f, Forall):
-            return Forall(f.var, f.ty, go(f.body, ok), pos=f.pos)
-        if isinstance(f, Exists):
-            return Exists(f.var, f.ty, go(f.body, False), pos=f.pos)
-        raise AssertionError('unhandled formula %r' % f)
+        ok = ok and not isinstance(f, (Not, Iff, Exists))
+        return _rebuild(f, lambda c: go(c, ok))
 
     return go(goal, True)
 
@@ -328,10 +302,9 @@ class Translator:
         self.asserts = {tag: [] for tag in TAGS}
         self.instances = 0
         self.counters = {'_sk': 0, '_ch': 0}
-        self.sk_memo = {}  # id(exists node) -> ('expand',) | ('skolem', name)
+        self.sk_memo = {}  # id(exists node) -> (node, skolem name or None)
         self.range_done = set()
         self.stats = TranslateStats()
-        self.tmap = {}  # binder name -> FiniteType
         self._used_names = set(self.funcs)
         nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
@@ -364,67 +337,43 @@ class Translator:
         """Replace choose terms by fresh constrained functions, register
         contract functions, and append the new axioms to the queue."""
 
-        def go_f(f, scope):
-            if isinstance(f, QUANTIFIERS):
-                return type(f)(f.var, f.ty,
-                               go_f(f.body, scope + [(f.var, f.ty)]),
-                               pos=f.pos)
-            if isinstance(f, Atom):
-                return Atom(f.rel, go_t(f.lhs, scope), go_t(f.rhs, scope),
-                            pos=f.pos)
-            if isinstance(f, Not):
-                return Not(go_f(f.body, scope), pos=f.pos)
-            if isinstance(f, (And, Or, Implies, Iff)):
-                return type(f)(go_f(f.lhs, scope), go_f(f.rhs, scope),
-                               pos=f.pos)
-            return f
-
-        def go_t(t, scope):
-            if isinstance(t, Choose):
-                fv = free_vars(t)
+        def go(n, scope):
+            if isinstance(n, QUANTIFIERS):
+                return type(n)(n.var, n.ty, go(n.body, scope + [(n.var, n.ty)]),
+                               pos=n.pos)
+            if isinstance(n, Choose):
+                fv = free_vars(n)
                 args = [(a, ty) for a, ty in scope if a in fv and ty.size() > 1]
                 folded = {a: Lit(int(ty.value_at(0)))
                           for a, ty in scope if a in fv and ty.size() == 1}
                 name = self.fresh('_ch')
-                self.symtab[name] = ([ty for _, ty in args], t.ty)
+                self.symtab[name] = ([ty for _, ty in args], n.ty)
                 app = Apply(name, [Var(a) for a, _ in args])
-                body = subst(t.body, dict(folded, **{t.var: app}))
+                body = subst(n.body, dict(folded, **{n.var: app}))
                 queue.append((self._close(args, body), 'choose-axiom'))
-                self._queue_constraint(name, args, t.ty, queue)
+                self._queue_constraint(name, args, n.ty, queue)
                 return Apply(name, [Var(a) for a, _ in args])
-            if isinstance(t, Apply):
-                fd = self.funcs.get(t.func)
-                args = [go_t(a, scope) for a in t.args]
-                if fd is not None and fd.is_contract():
-                    if t.func not in self.symtab:
-                        self.symtab[t.func] = ([ty for _, ty in fd.params],
-                                               fd.result)
-                        params = list(fd.params)
-                        ens = subst(fd.ensures, {'result': Apply(
-                            t.func, [Var(p) for p, _ in params])})
-                        queue.append((self._close(params, ens),
-                                      'choose-axiom'))
-                        self._queue_constraint(t.func, params, fd.result,
-                                               queue)
-                if t.func in self._inlined:
-                    # the arguments are axiomatized already: a choice in one
-                    # has one value in all uses of its parameter
-                    used = set(a for a, _ in scope) | self._used_names
-                    body = instantiate(fd, args, used)
-                    self.note_names(body)
-                    return go_t(body, scope)
-                return Apply(t.func, args, pos=t.pos)
-            if isinstance(t, Ite):
-                return Ite(go_f(t.cond, scope), go_t(t.then, scope),
-                           go_t(t.els, scope), pos=t.pos)
-            if isinstance(t, (Add, Mul)):
-                return type(t)(go_t(t.lhs, scope), go_t(t.rhs, scope),
-                               pos=t.pos)
-            if isinstance(t, AddConst):
-                return AddConst(go_t(t.lhs, scope), t.const, pos=t.pos)
-            return t
+            if not isinstance(n, Apply):
+                return _rebuild(n, lambda c: go(c, scope))
+            fd = self.funcs.get(n.func)
+            args = [go(a, scope) for a in n.args]
+            if fd is not None and fd.is_contract() and n.func not in self.symtab:
+                self.symtab[n.func] = ([ty for _, ty in fd.params], fd.result)
+                params = list(fd.params)
+                ens = subst(fd.ensures, {'result': Apply(
+                    n.func, [Var(p) for p, _ in params])})
+                queue.append((self._close(params, ens), 'choose-axiom'))
+                self._queue_constraint(n.func, params, fd.result, queue)
+            if n.func in self._inlined:
+                # the arguments are axiomatized already: a choice in one has
+                # one value in all uses of its parameter
+                used = set(a for a, _ in scope) | self._used_names
+                body = instantiate(fd, args, used)
+                self.note_names(body)
+                return go(body, scope)
+            return Apply(n.func, args, pos=n.pos)
 
-        return go_f(f, [])
+        return go(f, [])
 
     @staticmethod
     def _close(binders, body) -> Formula:
@@ -448,32 +397,31 @@ class Translator:
                 "expansion budget %d exceeded while expanding quantifier "
                 "over '%s'" % (self.opts.expansion_budget, var))
 
+    def _instances(self, f, env, uvars):
+        """Yield (env, uvars) for each instance of the quantifier f's body.
+        Over more than one element, each instance counts against the
+        expansion budget, and a universal joins uvars: Skolem witnesses
+        below must vary with it, while an expanded existential needs none
+        since only one of its disjuncts has to hold."""
+        size = f.ty.size()
+        if size > 1 and isinstance(f, Forall):
+            uvars = uvars + [f.var]
+        for i in range(size):
+            if size > 1:
+                self._bump(f.var)
+            yield {**env, f.var: ('val', f.ty.value_at(i), f.ty)}, uvars
+
     def top(self, f, env, uvars, tag, split_and=True):
         # each expanded instance stays one assertion, so instance count
         # equals clause count; only source-level conjunctions split
-        if self.opts.mode != 'preserve':
-            if isinstance(f, And) and split_and:
-                self.top(f.lhs, env, uvars, tag, split_and)
-                self.top(f.rhs, env, uvars, tag, split_and)
-                return
-            if isinstance(f, Forall):
-                self.tmap[f.var] = f.ty
-                if f.ty.size() == 1:
-                    env2 = dict(env)
-                    env2[f.var] = ('val', f.ty.value_at(0), f.ty)
-                    self.top(f.body, env2, uvars, tag, False)
-                    return
-                for i in range(f.ty.size()):
-                    self._bump(f.var)
-                    env2 = dict(env)
-                    env2[f.var] = ('val', f.ty.value_at(i), f.ty)
-                    self.top(f.body, env2, uvars + [f.var], tag, False)
-                return
-        elif isinstance(f, And) and split_and:
+        if isinstance(f, And) and split_and:
             self.top(f.lhs, env, uvars, tag, split_and)
             self.top(f.rhs, env, uvars, tag, split_and)
-            return
-        self.asserts[tag].append(self.lower_f(f, env, uvars))
+        elif isinstance(f, Forall) and self.opts.mode != 'preserve':
+            for env2, uv2 in self._instances(f, env, uvars):
+                self.top(f.body, env2, uv2, tag, False)
+        else:
+            self.asserts[tag].append(self.lower_f(f, env, uvars))
 
     def lower_f(self, f, env, uvars, concrete=False):
         """Lower a formula to an SMT expression.
@@ -503,45 +451,31 @@ class Translator:
         raise AssertionError('unhandled formula %r' % f)
 
     def lower_quant(self, f, env, uvars, concrete):
-        self.tmap[f.var] = f.ty
-        size = f.ty.size()
-        if size == 1:
-            env2 = dict(env)
-            env2[f.var] = ('val', f.ty.value_at(0), f.ty)
-            return self.lower_f(f.body, env2, uvars, concrete)
-
-        if self.opts.mode == 'preserve' and not concrete:
+        single = f.ty.size() == 1
+        if self.opts.mode == 'preserve' and not concrete and not single:
             sym = smt_sym(f.var)
             w = sort_width(f.ty)
-            env2 = dict(env)
-            env2[f.var] = ('expr', sym, f.ty)
-            body = self.lower_f(f.body, env2, uvars)
+            body = self.lower_f(f.body, {**env, f.var: ('expr', sym, f.ty)},
+                                uvars)
             if not predicate_trivial(f.ty):
                 guard = ('bvule', sym, bv_lit(f.ty.bound, w))
                 body = ('=>' if isinstance(f, Forall) else 'and', guard, body)
             head = 'forall' if isinstance(f, Forall) else 'exists'
             return (head, ((sym, ('_', 'BitVec', str(w))),), body)
 
-        expand = (isinstance(f, Forall) or concrete
-                  or self.opts.mode == 'expand-all')
-        if not expand:
-            expand = self._skolem_decision(f, uvars)[0] == 'expand'
-        if expand:
-            # Skolem witnesses below must vary with each expanded universal;
-            # expanded existentials need no argument since only one of their
-            # disjuncts has to hold.
-            uv2 = uvars + [f.var] if isinstance(f, Forall) else uvars
-            parts = []
-            for i in range(size):
-                self._bump(f.var)
-                env2 = dict(env)
-                env2[f.var] = ('val', f.ty.value_at(i), f.ty)
-                parts.append(self.lower_f(f.body, env2, uv2, concrete))
-            return (('and',) if isinstance(f, Forall) else ('or',)) + tuple(parts)
+        name = None
+        if not (single or isinstance(f, Forall) or concrete
+                or self.opts.mode == 'expand-all'):
+            name = self._skolem_name(f, env, uvars)
+        if name is None:
+            parts = tuple(self.lower_f(f.body, env2, uv2, concrete)
+                          for env2, uv2 in self._instances(f, env, uvars))
+            if single:
+                return parts[0]
+            return ('and' if isinstance(f, Forall) else 'or',) + parts
 
         # Skolemize: the witness becomes a function of the enclosing
         # expanded universals, applied to their current values.
-        name = self._skolem_decision(f, uvars)[1]
         arg_tys, rty = self.symtab[name]
         vals = tuple(env[u][1] for u in uvars)
         args = [bv_lit(v, sort_width(t)) for v, t in zip(vals, arg_tys)]
@@ -549,32 +483,28 @@ class Translator:
         key = (name, vals)
         if key not in self.range_done:
             self.range_done.add(key)
-            if predicate_trivial(f.ty):
-                rng = 'true'
-            else:
-                rng = ('bvule', app, bv_lit(f.ty.bound, sort_width(f.ty)))
-            self.asserts['skolem-range-axiom'].append(rng)
-        env2 = dict(env)
-        env2[f.var] = ('expr', app, f.ty)
-        return self.lower_f(f.body, env2, uvars)
+            self.asserts['skolem-range-axiom'].append(
+                'true' if predicate_trivial(f.ty)
+                else ('bvule', app, bv_lit(f.ty.bound, sort_width(f.ty))))
+        return self.lower_f(f.body, {**env, f.var: ('expr', app, f.ty)}, uvars)
 
-    def _skolem_decision(self, f, uvars):
-        dec = self.sk_memo.get(id(f))
-        if dec is not None:
-            return dec
-        tuples = 1
-        for u in uvars:
-            tuples *= self.tmap[u].size()
-        nontrivial = 0 if predicate_trivial(f.ty) else tuples
-        if nontrivial > self.opts.heuristic_factor * f.ty.size():
-            dec = ('expand', None)
-        else:
+    def _skolem_name(self, f, env, uvars):
+        """The Skolem symbol of the existential f, or None when expanding it
+        is cheaper; decided once per node. The memo holds the node itself,
+        so no later node can take its id while the translation runs."""
+        hit = self.sk_memo.get(id(f))
+        if hit is not None:
+            return hit[1]
+        tys = [env[u][2] for u in uvars]
+        nontrivial = (0 if predicate_trivial(f.ty)
+                      else math.prod(ty.size() for ty in tys))
+        name = None
+        if not nontrivial > self.opts.heuristic_factor * f.ty.size():
             name = self.fresh('_sk')
-            self.symtab[name] = ([self.tmap[u] for u in uvars], f.ty)
+            self.symtab[name] = (tys, f.ty)
             self.stats.skolem_symbols.append((name, len(uvars)))
-            dec = ('skolem', name)
-        self.sk_memo[id(f)] = dec
-        return dec
+        self.sk_memo[id(f)] = (f, name)
+        return name
 
     # -- terms ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import pathlib
 import re
 
 import pytest
@@ -270,4 +271,4 @@ def test_emit_report_writes_csv_and_one_svg_per_cell(tmp_path):
     assert names == ['bench.csv', 'cycle4-unsat-N1.svg',
                      'cycle4-valid-N1.svg', 'cycle4-valid-N2.svg']
     for p in paths:
-        assert open(p).read()
+        assert pathlib.Path(p).read_text()

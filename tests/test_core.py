@@ -1,11 +1,15 @@
 """Types, bound arithmetic, traversal helpers and typechecking."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from fdl import core
 from fdl.core import (
-    BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FiniteType, Forall,
-    FuncDecl, Ite, Lit, Model, Mul, Not, TypeError_, TypeExpr, Var,
+    BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF, FiniteType,
+    Forall, Formula, FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
+    Term, TrueF, TypeError_, TypeExpr, Var, _children, _rebuild,
     enumerate_domain, eval_bound, free_vars, has_choose, nat,
     nondeterministic_funcs, rename_apart, resolve_model, subst,
     typecheck_formula, typecheck_model, walk,
@@ -71,6 +75,55 @@ def test_walk_and_free_vars():
                                 Not(_lt(Var('z'), Lit(2)))))
     assert free_vars(f) == {'y', 'z'}
     assert sum(1 for n in walk(f) if isinstance(n, Var)) == 3
+
+
+def _one_of_each_node_class():
+    x, one = Var('x'), Lit(1)
+    a = _lt(x, one)
+    return [x, one, Add(x, one), AddConst(x, 2), Mul(x, one),
+            Ite(a, x, one), Choose('y', nat(1), a), Apply('f', [x, one]),
+            TrueF(), FalseF(), a, Not(a), And(a, TrueF()), Or(FalseF(), a),
+            Implies(a, Not(a)), Iff(a, a), Forall('x', nat(1), a),
+            Exists('x', nat(1), a)]
+
+
+def test_children_are_the_fields_that_hold_subnodes():
+    samples = _one_of_each_node_class()
+    node_classes = {c for c in vars(core).values() if isinstance(c, type)
+                    and issubclass(c, (Term, Formula))} - {Term, Formula}
+    assert {type(n) for n in samples} == node_classes
+    for n in samples:
+        want = []
+        for f in dataclasses.fields(n):
+            v = getattr(n, f.name)
+            if isinstance(v, (Term, Formula)):
+                want.append(v)
+            elif isinstance(v, list) and all(
+                    isinstance(x, (Term, Formula)) for x in v):
+                want.extend(v)
+        got = list(_children(n))
+        assert len(got) == len(want), type(n).__name__
+        assert all(g is w for g, w in zip(got, want)), type(n).__name__
+
+
+def test_traversal_calls_no_dataclasses_fields_once_warm(monkeypatch):
+    from fdl.bench import BenchCase
+    from fdl.translate import MODES, SmtOptions, emit_smtlib, translate
+    goal, funcs = BenchCase('contract-f-eq1', 'e2a2', 1).build()
+    options = [SmtOptions(mode=m, eliminate_choices=e) for m in MODES
+               for e in (False, True)]
+    want = [emit_smtlib(translate(goal, funcs, o)) for o in options]
+
+    def no_fields(*args):
+        raise AssertionError('dataclasses.fields called during a traversal')
+
+    monkeypatch.setattr(core, 'fields', no_fields)
+    for n in _one_of_each_node_class():
+        assert list(walk(n))[0] is n
+        assert _rebuild(n, lambda c: c) is n
+    t = Apply('f', [Var('x'), Lit(1)])
+    assert _rebuild(t, lambda c: Lit(0)) == Apply('f', [Lit(0), Lit(0)])
+    assert [emit_smtlib(translate(goal, funcs, o)) for o in options] == want
 
 
 def test_has_choose_sees_nested_terms():

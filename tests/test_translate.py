@@ -13,6 +13,7 @@ from fdl.oracle import oracle_check
 from fdl.parser import parse_model
 from fdl.randgen import random_goal
 from fdl.refsolver import check_script
+from fdl.solvers import decide, load_solver_configs
 from fdl.translate import (
     MODES, SmtOptions, TranslateError, Translator, eliminate_choices,
     emit_smtlib, estimate_costs, negate_goal, predicate_trivial, sort_width,
@@ -374,6 +375,32 @@ def test_argument_with_a_choice_is_passed_by_value(src, name):
             assert got == want, (mode, flags)
 
 
+TWO_WITNESSES_SRC = """
+type D = nat[3];
+theorem t <=> (choose a: D with exists b: D. b = a /\\ b = 0)
+            + (choose a: D with exists b: D. b = a /\\ b = 2) = 0;
+"""
+
+
+def test_each_existential_keeps_its_own_skolem_symbol():
+    # each choice axiom's tree is freed once it is lowered, so the next
+    # axiom's existential may reuse its address; a Skolem decision keyed by
+    # that address alone would give both witnesses one symbol, and the
+    # script would say unsat: a wrong valid
+    m = resolve_model(parse_model(TWO_WITNESSES_SRC))
+    goal = m.theorems['t']
+    texts = [_emit(goal, m.funcs) for _ in range(20)]
+    for text in texts:
+        names = [ln.split()[1] for ln in _decls(text)]
+        assert [n for n in names if n.startswith('_sk')] == ['_sk1', '_sk2']
+    assert len(set(texts)) == 1
+    assert oracle_check(goal, m.funcs) == 'invalid'
+    refsolve = load_solver_configs()['refsolve']
+    for mode in MODES:
+        verdict, _, _ = decide(goal, m.funcs, refsolve, SmtOptions(mode=mode))
+        assert verdict.status == 'invalid', mode
+
+
 NESTED_PICK_SRC = """
 type D = nat[2];
 fun pick(p: D): D = choose y: D with y <= p;
@@ -434,12 +461,16 @@ def test_verdicts_match_oracle_across_modes(mode):
 # -- recorded scripts ----------------------------------------------------------------
 
 # sha256 and length of the emitted SMT-LIB of every goal below in all three
-# modes, with default options and with eliminate_choices and
-# inline_definitions both set, as recorded before the goal-level inline
-# pre-pass was removed. A row may change only with the encoding it pins.
+# modes, with default options, with eliminate_choices and inline_definitions
+# both set, and with each of them alone. The first two columns were recorded
+# before the goal-level inline pre-pass was removed, the last two before the
+# translator's passes moved onto core's generic traversal. A row may change
+# only with the encoding it pins.
 GOLDEN = ROOT / 'tests' / 'translate_golden.json'
 OPTIONS = {'default': {},
-           'flags': {'eliminate_choices': True, 'inline_definitions': True}}
+           'flags': {'eliminate_choices': True, 'inline_definitions': True},
+           'eliminate': {'eliminate_choices': True},
+           'inline': {'inline_definitions': True}}
 
 
 def _golden_table():
@@ -456,5 +487,5 @@ def _golden_table():
 def test_scripts_match_the_recorded_table():
     table = json.loads(GOLDEN.read_text())
     got = _golden_table()
-    assert len(got) == 3 * 2 * (128 + 8)
+    assert len(got) == 3 * 4 * (128 + 8)
     assert got == table
