@@ -156,7 +156,7 @@ def run_case(case: BenchCase, mechanism: str, configs,
     else:
         mode = 'preserve' if cfg.quantifiers else 'expand-all'
     opts = SmtOptions(mode=mode)
-    if expansion_budget:
+    if expansion_budget is not None:
         opts.expansion_budget = expansion_budget
     verdict, outcome, translate_ms = decide(goal, funcs, cfg, opts, limit_ms)
     rec['verdict'] = verdict.status

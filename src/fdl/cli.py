@@ -162,6 +162,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise CliError('--repeats must be at least 1, got %d' % args.repeats)
     configs = load_solver_configs(args.solvers_config)
     if args.mechanisms:
         mechs = args.mechanisms

@@ -28,16 +28,22 @@ has one value in all uses of its parameter.
 The passes: to_nnf carries the polarity, so one function gives the
 negation-normal form of a formula or of its negation. eliminate_choices and
 axiomatize handle the nodes they rewrite and hand every other node to
-core's generic traversal (core._rebuild). Lowering expands a quantifier
-through one loop over its instances (Translator._instances), which counts
-the expansion budget. Each existential's Skolem decision is memoized by node
-identity, and the memo holds the node: a lowered axiom's tree is freed, and
-a later existential at the same address would otherwise share its symbol.
+core's generic traversal (core._rebuild). Lowering compiles each node once
+into closures (Feeley & Lapalme, "Using Closures for Code Generation",
+1987), in the static scope of its binders. Widths, zero-extensions,
+operators and literals, define-fun bodies and each existential's Skolem
+decision are fixed while compiling, in pre-order, so symbols are numbered
+and declared in the order the tree is read. A quantifier's body is compiled
+once; for each ground instance (Translator._instances, which counts the
+expansion budget) the bound variable's literal is written into a frame
+slot, only the tuples that depend on it are built again, and the first use
+of each Skolem application asserts its range.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
@@ -103,14 +109,40 @@ def bv_lit(v, width: int) -> str:
     return '#b' + format(int(v), '0%db' % width)
 
 
-def zx(expr, width: int, target: int):
+def _node(head, *parts):
+    """The compiled expression (head, *parts), each part a compiled
+    (static, v): static when every part is, else a function of the frame."""
+    if len(parts) == 2:
+        (ls, lhs), (rs, rhs) = parts
+        if ls:
+            if rs:
+                return True, (head, lhs, rhs)
+            return False, lambda env: (head, lhs, rhs(env))
+        if rs:
+            return False, lambda env: (head, lhs(env), rhs)
+        return False, lambda env: (head, lhs(env), rhs(env))
+    if len(parts) == 1:
+        static, v = parts[0]
+        if static:
+            return True, (head, v)
+        return False, lambda env: (head, v(env))
+    if all(static for static, _ in parts):
+        return True, (head, *[v for _, v in parts])
+    fns = [(lambda env, v=v: v) if static else v for static, v in parts]
+    return False, lambda env: (head, *[fn(env) for fn in fns])
+
+
+def _widen(term, target: int):
+    """The compiled expression of the compiled term (static, v, type, width)
+    zero-extended to target bits."""
+    static, v, _, width = term
     if width == target:
-        return expr
+        return static, v
     if width > target:
         # only reachable for a product with a zero-bound factor, where the
         # value is 0 and the low bits are exact
-        return (('_', 'extract', str(target - 1), '0'), expr)
-    return (('_', 'zero_extend', str(target - width)), expr)
+        return _node(('_', 'extract', str(target - 1), '0'), (static, v))
+    return _node(('_', 'zero_extend', str(target - width)), (static, v))
 
 
 def smt_sym(name: str) -> str:
@@ -302,8 +334,12 @@ class Translator:
         self.asserts = {tag: [] for tag in TAGS}
         self.instances = 0
         self.counters = {'_sk': 0, '_ch': 0}
-        self.sk_memo = {}  # id(exists node) -> (node, skolem name or None)
-        self.range_done = set()
+        self.range_done = set()  # Skolem applications with a range axiom
+        # compile state: name -> compiled term, the expanded universals as
+        # (frame slot, type), the frame's size, and whether quantifiers
+        # expand regardless of mode (see _lower)
+        self.scope, self.uvars, self.size = {}, [], 0
+        self.concrete = False
         self.stats = TranslateStats()
         self._used_names = set(self.funcs)
         nondet = nondeterministic_funcs(self.funcs)
@@ -388,7 +424,7 @@ class Translator:
         queue.append((self._close(binders, Atom('<=', app, Lit(rty.bound))),
                       'type-constraint'))
 
-    # -- quantifier processing and lowering ------------------------------------
+    # -- lowering, compiled once per node ----------------------------------------
 
     def _bump(self, var):
         self.instances += 1
@@ -397,169 +433,217 @@ class Translator:
                 "expansion budget %d exceeded while expanding quantifier "
                 "over '%s'" % (self.opts.expansion_budget, var))
 
-    def _instances(self, f, env, uvars):
-        """Yield (env, uvars) for each instance of the quantifier f's body.
-        Over more than one element, each instance counts against the
-        expansion budget, and a universal joins uvars: Skolem witnesses
-        below must vary with it, while an expanded existential needs none
-        since only one of its disjuncts has to hold."""
-        size = f.ty.size()
-        if size > 1 and isinstance(f, Forall):
-            uvars = uvars + [f.var]
-        for i in range(size):
-            if size > 1:
-                self._bump(f.var)
-            yield {**env, f.var: ('val', f.ty.value_at(i), f.ty)}, uvars
+    def _instances(self, f, slot, env):
+        """Write each element of the quantifier f's carrier into env[slot],
+        as a literal; each counts against the expansion budget."""
+        spec = '0%db' % sort_width(f.ty)
+        for i in range(f.ty.size()):
+            self._bump(f.var)
+            env[slot] = '#b' + format(i, spec)  # element i encodes as i
+            yield
 
-    def top(self, f, env, uvars, tag, split_and=True):
-        # each expanded instance stays one assertion, so instance count
-        # equals clause count; only source-level conjunctions split
-        if isinstance(f, And) and split_and:
-            self.top(f.lhs, env, uvars, tag, split_and)
-            self.top(f.rhs, env, uvars, tag, split_and)
-        elif isinstance(f, Forall) and self.opts.mode != 'preserve':
-            for env2, uv2 in self._instances(f, env, uvars):
-                self.top(f.body, env2, uv2, tag, False)
-        else:
-            self.asserts[tag].append(self.lower_f(f, env, uvars))
+    def _scoped(self, var, entry, compile_body, body):
+        """compile_body(body) with var bound to entry, a compiled term."""
+        outer = self.scope
+        self.scope = {**outer, var: entry}
+        out = compile_body(body)
+        self.scope = outer
+        return out
 
-    def lower_f(self, f, env, uvars, concrete=False):
-        """Lower a formula to an SMT expression.
+    def _expanded(self, f, compile_body):
+        """(slot, f's body compiled once for all its instances). Over one
+        element the variable is that element's literal and slot is None;
+        otherwise it reads a new frame slot, and a universal joins the
+        expanded universals that Skolem witnesses below take as arguments
+        (an expanded existential needs none: one disjunct has to hold)."""
+        w = sort_width(f.ty)
+        if f.ty.size() == 1:
+            lit = bv_lit(f.ty.value_at(0), w)
+            return None, self._scoped(f.var, (True, lit, f.ty, w),
+                                      compile_body, f.body)
+        slot = self.size
+        self.size += 1
+        uvars = self.uvars
+        if isinstance(f, Forall):
+            self.uvars = uvars + [(slot, f.ty)]
+        out = self._scoped(f.var, (False, itemgetter(slot), f.ty, w),
+                           compile_body, f.body)
+        self.uvars = uvars
+        return slot, out
 
-        concrete forces finite con/disjunctions for quantifiers regardless
-        of mode; it is used inside term conditionals, whose polarity is
-        unknown, and is the regular behavior of expand-all.
-        """
-        if isinstance(f, TrueF):
-            return 'true'
-        if isinstance(f, FalseF):
-            return 'false'
-        if isinstance(f, Atom):
-            le, lt = self.lower_t(f.lhs, env, uvars)
-            re_, rt = self.lower_t(f.rhs, env, uvars)
-            w = max(sort_width(lt), sort_width(rt))
-            op = {'=': '=', '<': 'bvult', '<=': 'bvule'}[f.rel]
-            return (op, zx(le, sort_width(lt), w), zx(re_, sort_width(rt), w))
-        if isinstance(f, Not):
-            return ('not', self.lower_f(f.body, env, uvars, concrete))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            op = {And: 'and', Or: 'or', Implies: '=>', Iff: '='}[type(f)]
-            return (op, self.lower_f(f.lhs, env, uvars, concrete),
-                    self.lower_f(f.rhs, env, uvars, concrete))
-        if isinstance(f, QUANTIFIERS):
-            return self.lower_quant(f, env, uvars, concrete)
-        raise AssertionError('unhandled formula %r' % f)
+    def top(self, f, tag):
+        """Lower f into asserts[tag]. Only source-level conjunctions split:
+        each expanded instance stays one assertion, so instance count
+        equals clause count."""
+        if isinstance(f, And):
+            self.top(f.lhs, tag)
+            self.top(f.rhs, tag)
+            return
+        self.scope, self.uvars, self.size = {}, [], 0
+        if isinstance(f, Forall) and self.opts.mode != 'preserve':
+            self._assertions(f, self.asserts[tag].append)([None] * self.size)
+            return
+        # most assertions expand nothing: no closure is made for them
+        static, e = _LOWER[type(f)](self, f)
+        self.asserts[tag].append(e if static else e([None] * self.size))
 
-    def lower_quant(self, f, env, uvars, concrete):
-        single = f.ty.size() == 1
-        if self.opts.mode == 'preserve' and not concrete and not single:
+    def _assertions(self, f, add):
+        """A function of the frame that passes each assertion of f to add."""
+        if isinstance(f, Forall) and self.opts.mode != 'preserve':
+            slot, body = self._expanded(
+                f, lambda b: self._assertions(b, add))
+            if slot is None:
+                return body
+
+            def each(env):
+                for _ in self._instances(f, slot, env):
+                    body(env)
+            return each
+        static, e = self._lower(f)
+        if static:
+            return lambda env: add(e)
+        return lambda env: add(e(env))
+
+    def _lower(self, node):
+        """Compile a formula to (static, v), a term to (static, v, type,
+        width): v is the SMT expression when static, else a function of the
+        frame that builds it. concrete, set inside the condition of a term
+        conditional, whose polarity is unknown, expands every quantifier
+        into a finite con/disjunction, as expand-all always does."""
+        return _LOWER[type(node)](self, node)
+
+    def _quantifier(self, f):
+        head = 'forall' if isinstance(f, Forall) else 'exists'
+        many = f.ty.size() > 1
+        if self.opts.mode == 'preserve' and not self.concrete and many:
             sym = smt_sym(f.var)
             w = sort_width(f.ty)
-            body = self.lower_f(f.body, {**env, f.var: ('expr', sym, f.ty)},
-                                uvars)
+            body = self._scoped(f.var, (True, sym, f.ty, w), self._lower,
+                                f.body)
             if not predicate_trivial(f.ty):
-                guard = ('bvule', sym, bv_lit(f.ty.bound, w))
-                body = ('=>' if isinstance(f, Forall) else 'and', guard, body)
-            head = 'forall' if isinstance(f, Forall) else 'exists'
-            return (head, ((sym, ('_', 'BitVec', str(w))),), body)
+                body = _node('=>' if head == 'forall' else 'and',
+                             (True, ('bvule', sym, bv_lit(f.ty.bound, w))),
+                             body)
+            return _node(head, (True, ((sym, _sort(w)),)), body)
+        if (many and head == 'exists' and not self.concrete
+                and self.opts.mode == 'eliminate'):
+            name = self._skolem_name(f)
+            if name is not None:
+                return self._skolem(f, name)
+        slot, (static, body) = self._expanded(f, self._lower)
+        if slot is None:
+            return static, body
+        op = 'and' if head == 'forall' else 'or'
+        part = (lambda env: body) if static else body
+        instances = self._instances
+        return False, lambda env: (op, *[part(env) for _ in
+                                         instances(f, slot, env)])
 
-        name = None
-        if not (single or isinstance(f, Forall) or concrete
-                or self.opts.mode == 'expand-all'):
-            name = self._skolem_name(f, env, uvars)
-        if name is None:
-            parts = tuple(self.lower_f(f.body, env2, uv2, concrete)
-                          for env2, uv2 in self._instances(f, env, uvars))
-            if single:
-                return parts[0]
-            return ('and' if isinstance(f, Forall) else 'or',) + parts
-
-        # Skolemize: the witness becomes a function of the enclosing
-        # expanded universals, applied to their current values.
-        arg_tys, rty = self.symtab[name]
-        vals = tuple(env[u][1] for u in uvars)
-        args = [bv_lit(v, sort_width(t)) for v, t in zip(vals, arg_tys)]
-        app = (name,) + tuple(args) if args else name
-        key = (name, vals)
-        if key not in self.range_done:
-            self.range_done.add(key)
-            self.asserts['skolem-range-axiom'].append(
-                'true' if predicate_trivial(f.ty)
-                else ('bvule', app, bv_lit(f.ty.bound, sort_width(f.ty))))
-        return self.lower_f(f.body, {**env, f.var: ('expr', app, f.ty)}, uvars)
-
-    def _skolem_name(self, f, env, uvars):
-        """The Skolem symbol of the existential f, or None when expanding it
-        is cheaper; decided once per node. The memo holds the node itself,
-        so no later node can take its id while the translation runs."""
-        hit = self.sk_memo.get(id(f))
-        if hit is not None:
-            return hit[1]
-        tys = [env[u][2] for u in uvars]
+    def _skolem_name(self, f):
+        """The Skolem symbol of the existential f, a function of the
+        enclosing expanded universals, or None when expanding f is
+        cheaper."""
+        tys = [ty for _, ty in self.uvars]
         nontrivial = (0 if predicate_trivial(f.ty)
                       else math.prod(ty.size() for ty in tys))
-        name = None
-        if not nontrivial > self.opts.heuristic_factor * f.ty.size():
-            name = self.fresh('_sk')
-            self.symtab[name] = (tys, f.ty)
-            self.stats.skolem_symbols.append((name, len(uvars)))
-        self.sk_memo[id(f)] = (f, name)
+        if nontrivial > self.opts.heuristic_factor * f.ty.size():
+            return None
+        name = self.fresh('_sk')
+        self.symtab[name] = (tys, f.ty)
+        self.stats.skolem_symbols.append((name, len(tys)))
         return name
+
+    def _skolem(self, f, name):
+        """f's body with the witness, applied to the current values of the
+        enclosing expanded universals, for its variable. The first use of
+        each application asserts its range."""
+        slots = [slot for slot, _ in self.uvars]
+        w = sort_width(f.ty)
+        bound = None if predicate_trivial(f.ty) else bv_lit(f.ty.bound, w)
+        done, axioms = self.range_done, self.asserts['skolem-range-axiom']
+        if slots:
+            slot = self.size
+            self.size += 1
+            entry = (False, itemgetter(slot), f.ty, w)
+        else:  # a Skolem constant, the same in every instance
+            slot, entry = None, (True, name, f.ty, w)
+        static, body = self._scoped(f.var, entry, self._lower, f.body)
+
+        def witness(env):
+            app = (name, *[env[i] for i in slots]) if slots else name
+            if app not in done:
+                done.add(app)
+                axioms.append('true' if bound is None
+                              else ('bvule', app, bound))
+            if slot is not None:
+                env[slot] = app
+            return body if static else body(env)
+        return False, witness
+
+    def _connective(self, f):
+        lhs, rhs = f.lhs, f.rhs
+        return _node(_CONNECTIVE[type(f)], _LOWER[type(lhs)](self, lhs),
+                     _LOWER[type(rhs)](self, rhs))
+
+    def _atom(self, f):
+        lhs = _LOWER[type(f.lhs)](self, f.lhs)
+        rhs = _LOWER[type(f.rhs)](self, f.rhs)
+        w = max(lhs[3], rhs[3])
+        return _node(_REL[f.rel], _widen(lhs, w), _widen(rhs, w))
 
     # -- terms ----------------------------------------------------------------
 
-    def lower_t(self, t, env, uvars):
-        if isinstance(t, Var):
-            kind, v, ty = env[t.name]
-            if kind == 'val':
-                return bv_lit(v, sort_width(ty)), ty
-            return v, ty
-        if isinstance(t, Lit):
-            ty = BOOL if isinstance(t.value, bool) else FiniteType('nat', t.value)
-            return bv_lit(t.value, sort_width(ty)), ty
-        if isinstance(t, (Add, Mul)):
-            le, lt = self.lower_t(t.lhs, env, uvars)
-            re_, rt = self.lower_t(t.rhs, env, uvars)
-            if isinstance(t, Add):
-                ty = FiniteType('nat', lt.bound + rt.bound)
-                op = 'bvadd'
-            else:
-                ty = FiniteType('nat', lt.bound * rt.bound)
-                op = 'bvmul'
-            w = sort_width(ty)
-            return (op, zx(le, sort_width(lt), w),
-                    zx(re_, sort_width(rt), w)), ty
-        if isinstance(t, AddConst):
-            le, lt = self.lower_t(t.lhs, env, uvars)
-            ty = FiniteType('nat', lt.bound + t.const)
-            w = sort_width(ty)
-            return ('bvadd', zx(le, sort_width(lt), w),
-                    bv_lit(t.const, w)), ty
-        if isinstance(t, Ite):
-            cond = self.lower_f(t.cond, env, uvars, concrete=True)
-            te, tt = self.lower_t(t.then, env, uvars)
-            ee, et = self.lower_t(t.els, env, uvars)
-            if tt.kind == 'bool':
-                return ('ite', cond, te, ee), BOOL
-            ty = FiniteType('nat', max(tt.bound, et.bound))
-            w = sort_width(ty)
-            return ('ite', cond, zx(te, sort_width(tt), w),
-                    zx(ee, sort_width(et), w)), ty
-        if isinstance(t, Apply):
-            if t.func in self.symtab:
-                arg_tys, rty = self.symtab[t.func]
-            else:
-                fd = self.funcs[t.func]
-                self._ensure_define(t.func)
-                arg_tys = [ty for _, ty in fd.params]
-                rty = fd.result
-            parts = []
-            for a, pty in zip(t.args, arg_tys):
-                ae, at = self.lower_t(a, env, uvars)
-                parts.append(zx(ae, sort_width(at), sort_width(pty)))
-            name = smt_sym(t.func)
-            app = (name,) + tuple(parts) if parts else name
-            return app, rty
+    def _lit(self, t):
+        ty = BOOL if isinstance(t.value, bool) else FiniteType('nat', t.value)
+        w = sort_width(ty)
+        return True, bv_lit(t.value, w), ty, w
+
+    def _arith(self, t):
+        lhs = _LOWER[type(t.lhs)](self, t.lhs)
+        rhs = _LOWER[type(t.rhs)](self, t.rhs)
+        if isinstance(t, Add):
+            ty = FiniteType('nat', lhs[2].bound + rhs[2].bound)
+            op = 'bvadd'
+        else:
+            ty = FiniteType('nat', lhs[2].bound * rhs[2].bound)
+            op = 'bvmul'
+        w = sort_width(ty)
+        return (*_node(op, _widen(lhs, w), _widen(rhs, w)), ty, w)
+
+    def _add_const(self, t):
+        lhs = _LOWER[type(t.lhs)](self, t.lhs)
+        ty = FiniteType('nat', lhs[2].bound + t.const)
+        w = sort_width(ty)
+        return (*_node('bvadd', _widen(lhs, w), (True, bv_lit(t.const, w))),
+                ty, w)
+
+    def _ite(self, t):
+        outer, self.concrete = self.concrete, True
+        cond = _LOWER[type(t.cond)](self, t.cond)
+        self.concrete = outer
+        then = _LOWER[type(t.then)](self, t.then)
+        els = _LOWER[type(t.els)](self, t.els)
+        if then[2].kind == 'bool':
+            return (*_node('ite', cond, then[:2], els[:2]), BOOL, 1)
+        ty = FiniteType('nat', max(then[2].bound, els[2].bound))
+        w = sort_width(ty)
+        return (*_node('ite', cond, _widen(then, w), _widen(els, w)), ty, w)
+
+    def _apply(self, t):
+        if t.func in self.symtab:
+            arg_tys, rty = self.symtab[t.func]
+        else:
+            fd = self.funcs[t.func]
+            self._ensure_define(t.func)
+            arg_tys = [ty for _, ty in fd.params]
+            rty = fd.result
+        args = [_widen(_LOWER[type(a)](self, a), sort_width(pty))
+                for a, pty in zip(t.args, arg_tys)]
+        name = smt_sym(t.func)
+        return (*(_node(name, *args) if args else (True, name)), rty,
+                sort_width(rty))
+
+    def _unaxiomatized(self, t):
         raise AssertionError('choices must be axiomatized before lowering: %r'
                              % t)
 
@@ -568,13 +652,18 @@ class Translator:
             return
         self._defined.add(name)
         fd = self.funcs[name]
-        env = {p: ('expr', smt_sym(p), ty) for p, ty in fd.params}
-        body_expr, bty = self.lower_t(fd.body, env, [])
-        body_expr = zx(body_expr, sort_width(bty), sort_width(fd.result))
+        outer = self.scope, self.uvars, self.size
+        self.scope = {p: (True, smt_sym(p), ty, sort_width(ty))
+                      for p, ty in fd.params}
+        self.uvars, self.size = [], 0
+        static, body = _widen(self._lower(fd.body), sort_width(fd.result))
+        if not static:  # a condition in the body expands a quantifier
+            body = body([None] * self.size)
+        self.scope, self.uvars, self.size = outer
         self.defines.append((smt_sym(name),
                              [(smt_sym(p), sort_width(ty))
                               for p, ty in fd.params],
-                             sort_width(fd.result), body_expr))
+                             sort_width(fd.result), body))
 
     # -- entry point ------------------------------------------------------------
 
@@ -591,12 +680,12 @@ class Translator:
 
         queue = []
         neg = self.axiomatize(neg, queue)
-        self.top(neg, {}, [], 'negated-goal')
+        self.top(neg, 'negated-goal')
         while queue:
             ax, tag = queue.pop(0)
             ax = rename_apart(to_nnf(ax))
             ax = self.axiomatize(ax, queue)
-            self.top(ax, {}, [], tag)
+            self.top(ax, tag)
 
         st = self.stats
         st.goal_conjuncts = len(self.asserts['negated-goal'])
@@ -619,6 +708,32 @@ class Translator:
         logic = 'UFBV' if opts.mode == 'preserve' else 'QF_UFBV'
         return SmtScript(logic=logic, header=header, defines=self.defines,
                          decls=decls, asserts=self.asserts, stats=st)
+
+
+_REL = {'=': '=', '<': 'bvult', '<=': 'bvule'}
+_CONNECTIVE = {And: 'and', Or: 'or', Implies: '=>', Iff: '='}
+# node type -> compiling method; methods look their children up here
+# directly, so each nested connective or term costs one Python frame
+_LOWER = {
+    TrueF: lambda tr, f: (True, 'true'),
+    FalseF: lambda tr, f: (True, 'false'),
+    Atom: Translator._atom,
+    Not: lambda tr, f: _node('not', _LOWER[type(f.body)](tr, f.body)),
+    And: Translator._connective,
+    Or: Translator._connective,
+    Implies: Translator._connective,
+    Iff: Translator._connective,
+    Forall: Translator._quantifier,
+    Exists: Translator._quantifier,
+    Var: lambda tr, t: tr.scope[t.name],
+    Lit: Translator._lit,
+    Add: Translator._arith,
+    Mul: Translator._arith,
+    AddConst: Translator._add_const,
+    Ite: Translator._ite,
+    Apply: Translator._apply,
+    Choose: Translator._unaxiomatized,
+}
 
 
 def translate(goal: Formula, funcs=None, opts=None) -> SmtScript:

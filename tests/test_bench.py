@@ -148,6 +148,15 @@ def test_quantifier_mechanism_falls_back_without_support():
     assert rec['outcome'] == 'skipped'
 
 
+@pytest.mark.parametrize('budget', [0, 1])
+def test_run_case_honours_any_expansion_budget(budget):
+    # e4a0 negates to four universals over 4 elements: 256 instances
+    rec = run_case(BenchCase('cycle4-valid', 'e4a0', 2), 'refsolve-S',
+                   load_solver_configs(), expansion_budget=budget)
+    assert rec['outcome'] == 'error'
+    assert rec['verdict'] == 'error'
+
+
 def test_run_suite_appends_median_rows():
     cases = [BenchCase('cycle4-valid', 'e4a0', 1)]
     records = run_suite(cases, ['RISCAL'], configs={}, repeats=3)

@@ -224,6 +224,17 @@ def test_bench_progress_on_stderr(tmp_path, capsys):
     assert 'bench.csv' in captured.out
 
 
+@pytest.mark.parametrize('repeats', ['0', '-2'])
+def test_bench_rejects_repeats_below_one(tmp_path, capsys, repeats):
+    out = tmp_path / 'report'
+    code = main(['bench', '--families', 'cycle4-valid', '--patterns', 'e4a0',
+                 '-N', '1', '--mechanisms', 'RISCAL', '--repeats', repeats,
+                 '--out', str(out)])
+    assert code == 3
+    assert '--repeats' in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- packaging ----------------------------------------------------------------------
 
 

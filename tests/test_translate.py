@@ -419,6 +419,67 @@ def test_inlining_translates_each_argument_once():
     assert len(inlined) < 2 * len(default)
 
 
+IN_CONDITION_SRC = """
+type D = nat[2];
+fun g(p: D): D = if (exists y: D. y < p) then p else 1;
+theorem t <=> forall x: D. (if (forall z: D. z <= x) then x else 0) <= g(x) + 2;
+"""
+
+# Recorded before the lowering was compiled once per quantifier body. The
+# conditions of term conditionals, in the goal and in g's body, expand their
+# quantifiers in every mode.
+IN_CONDITION_SCRIPTS = {
+    'eliminate': [
+        '(set-logic QF_UFBV)',
+        '; mode: eliminate  heuristic-factor: 2  eliminate-choices: off  inline-definitions: off',
+        '(define-fun g ((p (_ BitVec 2))) (_ BitVec 2) (ite (or (bvult #b00 p) (bvult #b01 p) (bvult #b10 p)) p ((_ zero_extend 1) #b1)))',
+        '(declare-fun _sk1 () (_ BitVec 2))',
+        '(assert (not (bvule ((_ zero_extend 1) (ite (and (bvule #b00 _sk1) (bvule #b01 _sk1) (bvule #b10 _sk1)) _sk1 ((_ zero_extend 1) #b0))) (bvadd ((_ zero_extend 1) (g _sk1)) #b010)))) ; negated-goal',
+        '(assert (bvule _sk1 #b10)) ; skolem-range-axiom',
+        '(check-sat)',
+    ],
+    'preserve': [
+        '(set-logic UFBV)',
+        '; mode: preserve  heuristic-factor: 2  eliminate-choices: off  inline-definitions: off',
+        '(define-fun g ((p (_ BitVec 2))) (_ BitVec 2) (ite (or (bvult #b00 p) (bvult #b01 p) (bvult #b10 p)) p ((_ zero_extend 1) #b1)))',
+        '(assert (exists ((x (_ BitVec 2))) (and (bvule x #b10) (not (bvule ((_ zero_extend 1) (ite (and (bvule #b00 x) (bvule #b01 x) (bvule #b10 x)) x ((_ zero_extend 1) #b0))) (bvadd ((_ zero_extend 1) (g x)) #b010)))))) ; negated-goal',
+        '(check-sat)',
+    ],
+    'expand-all': [
+        '(set-logic QF_UFBV)',
+        '; mode: expand-all  heuristic-factor: 2  eliminate-choices: off  inline-definitions: off',
+        '(define-fun g ((p (_ BitVec 2))) (_ BitVec 2) (ite (or (bvult #b00 p) (bvult #b01 p) (bvult #b10 p)) p ((_ zero_extend 1) #b1)))',
+        '(assert (or (not (bvule ((_ zero_extend 1) (ite (and (bvule #b00 #b00) (bvule #b01 #b00) (bvule #b10 #b00)) #b00 ((_ zero_extend 1) #b0))) (bvadd ((_ zero_extend 1) (g #b00)) #b010))) (not (bvule ((_ zero_extend 1) (ite (and (bvule #b00 #b01) (bvule #b01 #b01) (bvule #b10 #b01)) #b01 ((_ zero_extend 1) #b0))) (bvadd ((_ zero_extend 1) (g #b01)) #b010))) (not (bvule ((_ zero_extend 1) (ite (and (bvule #b00 #b10) (bvule #b01 #b10) (bvule #b10 #b10)) #b10 ((_ zero_extend 1) #b0))) (bvadd ((_ zero_extend 1) (g #b10)) #b010))))) ; negated-goal',
+        '(check-sat)',
+    ],
+}
+
+
+@pytest.mark.parametrize('mode', MODES)
+def test_quantifiers_in_conditions_expand_in_every_mode(mode):
+    m = resolve_model(parse_model(IN_CONDITION_SRC))
+    goal = m.theorems['t']
+    text = _emit(goal, m.funcs, mode=mode)
+    assert text.splitlines() == IN_CONDITION_SCRIPTS[mode]
+    assert oracle_check(goal, m.funcs) == 'valid'
+    refsolve = load_solver_configs()['refsolve']
+    verdict, _, _ = decide(goal, m.funcs, refsolve, SmtOptions(mode=mode))
+    assert verdict.status == 'valid'
+
+
+def test_translation_recursion_does_not_grow_with_each_conjunct():
+    # one conjunction nested 300 deep, about as deep as loading the model
+    # allows; lowering must add no frames per level beyond the tree walk
+    conjuncts = ['x = x'] * 299 + ['x <= 3']
+    src = 'theorem t <=> forall x: nat[3]. %s;' % ' /\\ '.join(conjuncts)
+    m = resolve_model(parse_model(src))
+    for mode in MODES:
+        script = translate(m.theorems['t'], m.funcs, SmtOptions(mode=mode))
+        text = emit_smtlib(script)
+        assert text.count('(= ') >= 299
+        assert check_script(text) == 'unsat', mode
+
+
 # -- script shape --------------------------------------------------------------------
 
 
