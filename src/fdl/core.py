@@ -329,20 +329,31 @@ def _children(node):
 
 def walk(node):
     """Yield node and all descendants, preorder."""
-    yield node
-    for c in _children(node):
-        yield from walk(c)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        # children pushed last first, so that they come out in order
+        for name in reversed(_LAYOUT[type(node)][1]):
+            v = getattr(node, name)
+            if isinstance(v, list):
+                stack += reversed(v)
+            else:
+                stack.append(v)
 
 
-def free_vars(node, bound=None) -> set:
-    bound = bound or frozenset()
-    if isinstance(node, Var):
-        return set() if node.name in bound else {node.name}
-    if isinstance(node, BINDERS):
-        return free_vars(node.body, bound | {node.var})
-    out = set()
-    for c in _children(node):
-        out |= free_vars(c, bound)
+def free_vars(node) -> set:
+    out, stack = set(), [(node, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Var):
+            if node.name not in bound:
+                out.add(node.name)
+            continue
+        if isinstance(node, BINDERS):
+            bound = bound | {node.var}
+        for c in _children(node):
+            stack.append((c, bound))
     return out
 
 
@@ -405,12 +416,13 @@ def _rebuild(node, fn):
 
 
 def rename_apart(node, used: Optional[set] = None):
-    """Give every binder a globally fresh name (primes appended as needed)."""
-    used = set() if used is None else set(used)
-    used |= free_vars(node)
+    """Give every binder a name that is neither in used nor free in node
+    (primes appended as needed); each name given out is added to used."""
+    used = set() if used is None else used
+    free = free_vars(node)
 
     def fresh(name):
-        while name in used:
+        while name in used or name in free:
             name += "'"
         used.add(name)
         return name

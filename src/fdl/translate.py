@@ -38,6 +38,14 @@ once; for each ground instance (Translator._instances, which counts the
 expansion budget) the bound variable's literal is written into a frame
 slot, only the tuples that depend on it are built again, and the first use
 of each Skolem application asserts its range.
+
+Names: Translator._taken, seeded with the function names, holds every name
+given out. The binders of the negated goal and of each inlined body are
+renamed apart from it (core.rename_apart adds the names it gives out), and
+fresh _sk/_ch symbols skip it and join it. An axiom's binders avoid only the
+function and declared names, as if it stood alone, then join it. So no
+binder shares a function's or a declared name, and no inlined body captures
+a variable of its arguments.
 """
 
 import itertools
@@ -199,11 +207,10 @@ def negate_goal(goal: Formula) -> Formula:
     return to_nnf(goal, True)
 
 
-def estimate_costs(goal: Formula):
-    """Structural cost estimate on nnf(!goal): (skolem range conjuncts,
-    universal expansion conjuncts). Both are 0 when the respective
-    quantifier kind is absent."""
-    neg = negate_goal(goal)
+def estimate_costs(neg: Formula):
+    """Structural cost estimate on the negation-normal form neg, for a goal
+    nnf(!goal): (skolem range conjuncts, universal expansion conjuncts).
+    Both are 0 when the respective quantifier kind is absent."""
     skolem = 0
     expansion = 1
     saw_forall = saw_exists = False
@@ -232,7 +239,8 @@ def estimate_costs(goal: Formula):
 
 def instantiate(fd, args, used):
     """The body of the defined function fd with args for its parameters,
-    its binders first renamed apart from the names in used."""
+    its binders first renamed apart from the names in used, which gains
+    their new names."""
     body = rename_apart(fd.body, used)
     return subst(body, {p: a for (p, _), a in zip(fd.params, args)})
 
@@ -297,7 +305,6 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
                 # a definition that can take several values: its body, with
                 # the choices in it, takes the application's place
                 body = instantiate(funcs[hit.func], hit.args, used)
-                used.update(n.var for n in walk(body) if isinstance(n, BINDERS))
                 return go(replace(f, hit, body), ok)
             y = fresh()
             if isinstance(hit, Choose):
@@ -341,7 +348,7 @@ class Translator:
         self.scope, self.uvars, self.size = {}, [], 0
         self.concrete = False
         self.stats = TranslateStats()
-        self._used_names = set(self.funcs)
+        self._taken = set(self.funcs)  # see the module docstring, Names
         nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
         self._inlined = {n: fd for n, fd in self.funcs.items()
@@ -354,18 +361,9 @@ class Translator:
         while True:
             self.counters[prefix] += 1
             name = '%s%d' % (prefix, self.counters[prefix])
-            if name not in self._used_names:
-                self._used_names.add(name)
+            if name not in self._taken:
+                self._taken.add(name)
                 return name
-
-    def note_names(self, node):
-        for n in walk(node):
-            if isinstance(n, Var):
-                self._used_names.add(n.name)
-            elif isinstance(n, BINDERS):
-                self._used_names.add(n.var)
-            elif isinstance(n, Apply):
-                self._used_names.add(n.func)
 
     # -- choice axiomatization -------------------------------------------------
 
@@ -402,11 +400,9 @@ class Translator:
                 self._queue_constraint(n.func, params, fd.result, queue)
             if n.func in self._inlined:
                 # the arguments are axiomatized already: a choice in one has
-                # one value in all uses of its parameter
-                used = set(a for a, _ in scope) | self._used_names
-                body = instantiate(fd, args, used)
-                self.note_names(body)
-                return go(body, scope)
+                # one value in all uses of its parameter. The binders in
+                # scope are taken, so no argument is captured.
+                return go(instantiate(fd, args, self._taken), scope)
             return Apply(n.func, args, pos=n.pos)
 
         return go(f, [])
@@ -480,12 +476,7 @@ class Translator:
             self.top(f.rhs, tag)
             return
         self.scope, self.uvars, self.size = {}, [], 0
-        if isinstance(f, Forall) and self.opts.mode != 'preserve':
-            self._assertions(f, self.asserts[tag].append)([None] * self.size)
-            return
-        # most assertions expand nothing: no closure is made for them
-        static, e = _LOWER[type(f)](self, f)
-        self.asserts[tag].append(e if static else e([None] * self.size))
+        self._assertions(f, self.asserts[tag].append)([None] * self.size)
 
     def _assertions(self, f, add):
         """A function of the frame that passes each assertion of f to add."""
@@ -668,24 +659,20 @@ class Translator:
     # -- entry point ------------------------------------------------------------
 
     def run(self, goal: Formula) -> SmtScript:
-        self.note_names(goal)
-        for fd in self.funcs.values():
-            self.note_names(fd.body if fd.body is not None else fd.ensures)
-
-        f = goal
+        neg = negate_goal(goal)
+        estimates = estimate_costs(neg)
         if self.opts.eliminate_choices:
-            f = eliminate_choices(f, self.funcs)
-        neg = rename_apart(negate_goal(f))
-        self.note_names(neg)
+            neg = negate_goal(eliminate_choices(goal, self.funcs))
 
         queue = []
-        neg = self.axiomatize(neg, queue)
+        neg = self.axiomatize(rename_apart(neg, self._taken), queue)
         self.top(neg, 'negated-goal')
         while queue:
             ax, tag = queue.pop(0)
-            ax = rename_apart(to_nnf(ax))
-            ax = self.axiomatize(ax, queue)
-            self.top(ax, tag)
+            names = set(self.funcs).union(self.symtab)
+            ax = rename_apart(to_nnf(ax), names)
+            self._taken |= names
+            self.top(self.axiomatize(ax, queue), tag)
 
         st = self.stats
         st.goal_conjuncts = len(self.asserts['negated-goal'])
@@ -693,7 +680,7 @@ class Translator:
         st.choose_axiom_conjuncts = len(self.asserts['choose-axiom'])
         st.type_constraint_conjuncts = len(self.asserts['type-constraint'])
         st.expanded_instances = self.instances
-        st.estimate_skolem, st.estimate_expansion = estimate_costs(goal)
+        st.estimate_skolem, st.estimate_expansion = estimates
 
         opts = self.opts
         header = ['mode: %s  heuristic-factor: %g  eliminate-choices: %s'

@@ -77,6 +77,22 @@ def test_walk_and_free_vars():
     assert sum(1 for n in walk(f) if isinstance(n, Var)) == 3
 
 
+def test_walk_and_free_vars_spend_no_frame_per_level():
+    # a chain far deeper than the interpreter's recursion limit; walk keeps
+    # pre-order, left before right
+    f = And(_lt(Var('x'), Var('y')), _lt(Var('z'), Lit(2)))
+    for _ in range(5000):
+        f = Not(f)
+    f = Forall('x', nat(1), f)
+    nodes = list(walk(f))
+    assert len(nodes) == 1 + 5000 + 7
+    assert nodes[0] is f and isinstance(nodes[5000], Not)
+    assert [type(n).__name__ for n in nodes[5001:]] == [
+        'And', 'Atom', 'Var', 'Var', 'Atom', 'Var', 'Lit']
+    assert [n.name for n in nodes if isinstance(n, Var)] == ['x', 'y', 'z']
+    assert free_vars(f) == {'y', 'z'}
+
+
 def _one_of_each_node_class():
     x, one = Var('x'), Lit(1)
     a = _lt(x, one)
@@ -173,6 +189,17 @@ def test_rename_apart_makes_binders_unique():
     names = [n.var for n in walk(g) if hasattr(n, 'var')]
     assert len(names) == len(set(names)) == 3
     assert free_vars(g) == set()
+
+
+def test_rename_apart_records_the_names_it_gives_out():
+    # the caller's set gains every binder's new name; a free variable is
+    # avoided but not recorded
+    f = And(Exists('z', nat(1), _lt(Var('z'), Lit(1))),
+            Forall('x', nat(1), Exists('y', nat(1), _lt(Var('x'), Var('z')))))
+    used = {'x'}
+    g = rename_apart(f, used)
+    assert (g.lhs.var, g.rhs.var, g.rhs.body.var) == ("z'", "x'", 'y')
+    assert used == {'x', "x'", 'y', "z'"}
 
 
 def test_rename_apart_preserves_meaning():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from fdl.core import (
     TrueF, Var, nat, resolve_model, walk,
 )
 from fdl.oracle import oracle_check
-from fdl.parser import parse_model
+from fdl.parser import parse_formula, parse_model
 from fdl.randgen import random_goal
 from fdl.refsolver import check_script
 from fdl.solvers import decide, load_solver_configs
@@ -238,18 +239,19 @@ def test_heuristic_never_expands_over_trivial_carriers():
 
 def test_estimates_on_pattern_goals():
     goal, funcs = _pattern_goal('a4e0', 1)
-    assert estimate_costs(goal) == (4, 0)
+    assert estimate_costs(negate_goal(goal)) == (4, 0)
     goal, funcs = _pattern_goal('e4a0', 1)
-    assert estimate_costs(goal) == (0, 16)
+    assert estimate_costs(negate_goal(goal)) == (0, 16)
     goal, funcs = _pattern_goal('e2a2', 6)
-    assert estimate_costs(goal) == (8192, 4096)
+    assert estimate_costs(negate_goal(goal)) == (8192, 4096)
 
 
 def test_estimates_recorded_in_stats():
     goal, funcs = _pattern_goal('e2a2', 2)
     script = translate(goal, funcs, SmtOptions(mode='eliminate'))
     assert (script.stats.estimate_skolem,
-            script.stats.estimate_expansion) == estimate_costs(goal)
+            script.stats.estimate_expansion) == estimate_costs(
+                negate_goal(goal))
 
 
 # -- expansion budget ----------------------------------------------------------------
@@ -401,6 +403,77 @@ def test_each_existential_keeps_its_own_skolem_symbol():
         assert verdict.status == 'invalid', mode
 
 
+def _binders(text):
+    return re.findall(r'\((?:forall|exists) \(\((\S+) ', text)
+
+
+def _assert_names_apart(goal, funcs):
+    """In every mode and flag combination, the declared and defined names
+    are unique, no binder carries one of them, and refsolve agrees with the
+    oracle."""
+    want = oracle_check(goal, funcs)
+    for mode in MODES:
+        for flags in FLAGS:
+            text = _emit(goal, funcs, mode=mode, **flags)
+            symbols = _defines(text) + [ln.split()[1] for ln in _decls(text)]
+            assert len(set(symbols)) == len(symbols), (mode, flags)
+            assert not set(_binders(text)) & set(symbols), (mode, flags)
+            answer = check_script(text)
+            got = 'valid' if answer == 'unsat' else 'invalid'
+            assert got == want, (mode, flags)
+
+
+SHADOWING_BINDER_SRC = """
+type D = nat[2];
+fun f(x: D): nat[3] = x + 1;
+theorem t <=> forall f: D. exists y: D. f(f) <= f + 1 /\\ y = y;
+"""
+
+
+def test_no_binder_shadows_a_function():
+    # (f f) in the scope of a binder f would apply a bit vector
+    m = resolve_model(parse_model(SHADOWING_BINDER_SRC))
+    _assert_names_apart(m.theorems['t'], m.funcs)
+
+
+# The names the translator makes up, written by the user: as goal binders,
+# in the choose body of a definition that is always inlined, and in a
+# contract's ensures clause. In inlinedFirst, pick's body is read before any
+# choice is numbered; in chosenFirst, the inline choice is declared _ch1
+# before h's axiom, which binds _ch1, is renamed.
+MADE_UP_NAMES_SRC = """
+type D = nat[1];
+fun h(p: D): D ensures exists _ch1: D. exists _sk1: D. exists _el1: D.
+  result <= _ch1 /\\ _ch1 <= _sk1 /\\ _sk1 <= _el1 /\\ _el1 <= p;
+fun pick(p: D): D = choose y: D with exists _ch1: D. exists _sk1: D.
+  exists _el1: D. y <= _ch1 /\\ _ch1 <= _sk1 /\\ _sk1 <= _el1 /\\ _el1 <= p;
+theorem binders <=> forall _ch1: D. forall _sk1: D. exists _el1: D.
+  pick(_ch1) <= _ch1 /\\ h(_sk1) <= _el1 /\\ _el1 <= _sk1;
+theorem inlinedFirst <=> pick(1) <= h(1) \\/ (choose y: D with y <= 0) < h(0);
+theorem chosenFirst <=> (choose y: D with y <= 0) < h(0) \\/ pick(1) <= h(1);
+"""
+
+
+@pytest.mark.parametrize('name', ['binders', 'inlinedFirst', 'chosenFirst'])
+def test_made_up_names_avoid_the_users_names(name):
+    m = resolve_model(parse_model(MADE_UP_NAMES_SRC))
+    _assert_names_apart(m.theorems[name], m.funcs)
+
+
+# h's axiom binds p, and pick's body, inlined into it with p for x, binds p
+AXIOM_SCOPE_SRC = """
+type D = nat[1];
+fun pick(x: D): D = choose y: D with exists p: D. y <= p /\\ p <= x;
+fun h(p: D): D ensures result = pick(p);
+theorem t <=> forall x: D. h(x) <= x;
+"""
+
+
+def test_body_inlined_into_an_axiom_captures_none_of_its_binders():
+    m = resolve_model(parse_model(AXIOM_SCOPE_SRC))
+    _assert_names_apart(m.theorems['t'], m.funcs)
+
+
 NESTED_PICK_SRC = """
 type D = nat[2];
 fun pick(p: D): D = choose y: D with y <= p;
@@ -550,3 +623,24 @@ def test_scripts_match_the_recorded_table():
     got = _golden_table()
     assert len(got) == 3 * 4 * (128 + 8)
     assert got == table
+
+
+# sha256 and length of the preserve-mode script, under each entry of OPTIONS,
+# of TWO_WITNESSES_SRC's goal and of every random_goal seed in 0-199 whose
+# script renames a binder (a primed name), recorded before the translator
+# kept one set of taken names. Each goal is stored as its print_formula text,
+# which parses back to a goal with the same scripts.
+NAMES_GOLDEN = ROOT / 'tests' / 'translate_names_golden.json'
+
+
+def test_preserve_mode_bound_names_match_the_recorded_table():
+    table = json.loads(NAMES_GOLDEN.read_text())
+    assert len(table) == 50
+    for text, want in table.items():
+        goal = parse_formula(text, {})
+        got = {}
+        for label, kw in OPTIONS.items():
+            script = _emit(goal, mode='preserve', **kw)
+            got[label] = [hashlib.sha256(script.encode()).hexdigest(),
+                          len(script)]
+        assert got == want, text
