@@ -5,15 +5,20 @@ r"""Concrete syntax for models and formulas.
     fun f(x: D): nat[1] ensures result = if x < 2 then 0 else 1;
     theorem goal <=> forall x: D, y: D. exists z: D. x < z \/ z <= y;
 
-Connectives: ! /\ \/ => <=> (=> right-associative, quantifier and choose
-bodies extend as far right as possible). Relations: = < <= > >= (the last
-two are sugar for flipped < and <=). Terms: + * literals, if/then/else,
-choose x: T with F, function application. Comments run from # to end of line.
+Operators, loosest first: <=>, => (right-associative), \/, /\, prefix !,
+the comparisons = < <= > >= (they do not chain; > and >= are flipped < and
+<=), +, *. Quantifier and choose bodies extend as far right as possible.
+Terms: literals, variables, if/then/else, choose x: T with F, function
+application. Comments run from # or // to end of line.
+
+Formulas and terms are parsed by precedence climbing over PREC, the table
+the printer reads too; type bounds have their own four-level grammar.
+Nesting deeper than Python's recursion limit is a parse error.
 """
 
 from dataclasses import dataclass
 
-from .core import (Add, AddConst, And, Apply, Atom, BOOL, Choose, Diagnostic,
+from .core import (Add, AddConst, And, Apply, Atom, Choose, Diagnostic,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
                    Term, TrueF, TypeExpr, Var, resolve_node,
@@ -25,6 +30,32 @@ KEYWORDS = {'val', 'type', 'fun', 'theorem', 'nat', 'bool', 'forall', 'exists',
 SYMBOLS = ['<=>', '=>', '<=', '>=', '/\\', '\\/',
            ';', ':', ',', '.', '(', ')', '[', ']',
            '=', '<', '>', '+', '-', '*', '^', '!']
+
+
+# Binding strength of each construct, loosest first. The parser climbs it and
+# the printer reads it.
+PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6,
+        Add: 7, AddConst: 7, Mul: 8}
+_TERM = PREC[Add]  # the loosest strength at which only terms are parsed
+
+_CONNECTIVES = {'<=>': Iff, '=>': Implies, '\\/': Or, '/\\': And}
+_SYMBOL = {cls: sym for sym, cls in _CONNECTIVES.items()}
+_INFIX = {**_CONNECTIVES, **dict.fromkeys(('=', '<', '<=', '>', '>='), Atom),
+          '+': Add, '*': Mul}
+
+
+def _infix_term(op, lhs, rhs, pos):
+    """The node of a comparison or an arithmetic operator: > and >= flip,
+    + with a literal right operand is AddConst."""
+    if op == '+':
+        if isinstance(rhs, Lit):
+            return AddConst(lhs, rhs.value, pos=pos)
+        return Add(lhs, rhs, pos=pos)
+    if op == '*':
+        return Mul(lhs, rhs, pos=pos)
+    if op in ('>', '>='):
+        return Atom(op.replace('>', '<'), rhs, lhs, pos=pos)
+    return Atom(op, lhs, rhs, pos=pos)
 
 
 class ParseError(FdlError):
@@ -172,46 +203,91 @@ class Parser:
         t = self.peek()
         raise _Fail('expected type bound, got %r' % (t.text or t.kind), t.pos)
 
-    # -- formulas ----------------------------------------------------------
+    # -- formulas and terms ------------------------------------------------
 
     def formula(self) -> Formula:
-        return self.iff()
+        return self.as_formula(self.expr(PREC[Iff]))
 
-    def iff(self) -> Formula:
-        f = self.implies()
-        while self.at('<=>'):
-            pos = self.take().pos
-            f = Iff(f, self.implies(), pos=pos)
-        return f
+    def term(self) -> Term:
+        return self.expr(_TERM)
 
-    def implies(self) -> Formula:
-        f = self.disj()
-        if self.at('=>'):
-            pos = self.take().pos
-            return Implies(f, self.implies(), pos=pos)
-        return f
+    def expr(self, min_prec):
+        """Precedence climbing: a primary, then every infix operator that
+        binds at least as tightly as min_prec. From _TERM up, only terms
+        are parsed."""
+        lhs = self.primary(min_prec)
+        while True:
+            op = self.peek()
+            cls = _INFIX.get(op.kind)
+            prec = PREC.get(cls, 0)
+            if prec < min_prec:
+                return lhs
+            if prec >= PREC[Atom]:
+                if isinstance(lhs, Formula):  # so comparisons do not chain
+                    return lhs
+                self.take()
+                lhs = _infix_term(op.kind, lhs, self.expr(prec + 1), op.pos)
+            else:  # a connective; a chain of => folds to the right
+                chain, arrows = [self.as_formula(lhs)], []
+                while not arrows or cls is Implies and self.at('=>'):
+                    arrows.append(self.take().pos)
+                    chain.append(self.as_formula(self.expr(prec + 1)))
+                lhs = chain.pop()
+                while chain:
+                    lhs = cls(chain.pop(), lhs, pos=arrows.pop())
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.at('\\/'):
-            pos = self.take().pos
-            f = Or(f, self.conj(), pos=pos)
-        return f
+    def as_formula(self, e) -> Formula:
+        """e where a formula is required: a bool literal becomes TrueF or
+        FalseF, any other term still lacks its comparison."""
+        if isinstance(e, Formula):
+            return e
+        if isinstance(e, Lit) and isinstance(e.value, bool):
+            return TrueF(pos=e.pos) if e.value else FalseF(pos=e.pos)
+        t = self.peek()
+        raise _Fail('expected comparison operator, got %r'
+                    % (t.text or t.kind), t.pos)
 
-    def conj(self) -> Formula:
-        f = self.prefix()
-        while self.at('/\\'):
-            pos = self.take().pos
-            f = And(f, self.prefix(), pos=pos)
-        return f
-
-    def prefix(self) -> Formula:
-        if self.at('!'):
-            pos = self.take().pos
-            return Not(self.prefix(), pos=pos)
-        if self.at('keyword', 'forall') or self.at('keyword', 'exists'):
+    def primary(self, min_prec):
+        t = self.peek()
+        if self.accept('number'):
+            return Lit(int(t.text), pos=t.pos)
+        if self.accept('ident'):
+            if self.accept('('):
+                args = [self.term()]
+                while self.accept(','):
+                    args.append(self.term())
+                self.expect(')')
+                return Apply(t.text, args, pos=t.pos)
+            return Var(t.text, pos=t.pos)
+        if self.accept('('):
+            e = self.expr(_TERM if min_prec >= _TERM else PREC[Iff])
+            self.expect(')')
+            return e
+        if self.accept('keyword', 'true') or self.accept('keyword', 'false'):
+            return Lit(t.text == 'true', pos=t.pos)
+        if self.accept('keyword', 'if'):
+            cond = self.formula()
+            self.expect('keyword', 'then')
+            then = self.term()
+            self.expect('keyword', 'else')
+            return Ite(cond, then, self.term(), pos=t.pos)
+        if self.accept('keyword', 'choose'):
+            name = self.expect('ident')
+            self.expect(':')
+            ty = self.type_expr()
+            self.expect('keyword', 'with')
+            return Choose(name.text, ty, self.formula(), pos=t.pos)
+        if min_prec < _TERM and t.kind == '!':  # a run of ! is a loop
+            bangs = []
+            while self.at('!'):
+                bangs.append(self.take().pos)
+            f = self.as_formula(self.expr(PREC[Not]))
+            for pos in reversed(bangs):
+                f = Not(f, pos=pos)
+            return f
+        if min_prec < _TERM and t.text in ('forall', 'exists'):
             return self.quantified()
-        return self.atom()
+        raise _Fail('expected term, got %r' % (t.text or t.kind), t.pos)
 
     def quantified(self) -> Formula:
         t = self.take()
@@ -230,96 +306,6 @@ class Parser:
         self.expect(':')
         return name.text, self.type_expr(), name.pos
 
-    def atom(self) -> Formula:
-        t = self.peek()
-        if t.kind == 'keyword' and t.text in ('true', 'false'):
-            # bare literal is a formula; 'true = x' is a comparison
-            if self.toks[self.i + 1].kind not in ('=', '<', '<=', '>', '>='):
-                self.take()
-                return TrueF(pos=t.pos) if t.text == 'true' else FalseF(pos=t.pos)
-        if self.at('('):
-            # Either a parenthesized formula or a comparison whose left
-            # operand is parenthesized; try the comparison first.
-            mark = self.i
-            try:
-                return self.comparison()
-            except _Fail:
-                self.i = mark
-            self.expect('(')
-            f = self.formula()
-            self.expect(')')
-            return f
-        return self.comparison()
-
-    def comparison(self) -> Formula:
-        lhs = self.term()
-        t = self.peek()
-        if t.kind not in ('=', '<', '<=', '>', '>='):
-            raise _Fail('expected comparison operator, got %r'
-                        % (t.text or t.kind), t.pos)
-        self.take()
-        rhs = self.term()
-        if t.kind == '>':
-            return Atom('<', rhs, lhs, pos=t.pos)
-        if t.kind == '>=':
-            return Atom('<=', rhs, lhs, pos=t.pos)
-        return Atom(t.kind, lhs, rhs, pos=t.pos)
-
-    # -- terms ---------------------------------------------------------------
-
-    def term(self) -> Term:
-        e = self.product()
-        while self.at('+'):
-            pos = self.take().pos
-            rhs = self.product()
-            if isinstance(rhs, Lit):
-                e = AddConst(e, rhs.value, pos=pos)
-            else:
-                e = Add(e, rhs, pos=pos)
-        return e
-
-    def product(self) -> Term:
-        e = self.term_atom()
-        while self.at('*'):
-            pos = self.take().pos
-            e = Mul(e, self.term_atom(), pos=pos)
-        return e
-
-    def term_atom(self) -> Term:
-        t = self.peek()
-        if self.at('number'):
-            return Lit(int(self.take().text), pos=t.pos)
-        if self.accept('keyword', 'true'):
-            return Lit(True, pos=t.pos)
-        if self.accept('keyword', 'false'):
-            return Lit(False, pos=t.pos)
-        if self.accept('keyword', 'if'):
-            cond = self.formula()
-            self.expect('keyword', 'then')
-            then = self.term()
-            self.expect('keyword', 'else')
-            return Ite(cond, then, self.term(), pos=t.pos)
-        if self.accept('keyword', 'choose'):
-            name = self.expect('ident')
-            self.expect(':')
-            ty = self.type_expr()
-            self.expect('keyword', 'with')
-            return Choose(name.text, ty, self.formula(), pos=t.pos)
-        if self.at('ident'):
-            name = self.take()
-            if self.accept('('):
-                args = [self.term()]
-                while self.accept(','):
-                    args.append(self.term())
-                self.expect(')')
-                return Apply(name.text, args, pos=name.pos)
-            return Var(name.text, pos=name.pos)
-        if self.accept('('):
-            e = self.term()
-            self.expect(')')
-            return e
-        raise _Fail('expected term, got %r' % (t.text or t.kind), t.pos)
-
     # -- declarations --------------------------------------------------------
 
     def model(self):
@@ -327,13 +313,21 @@ class Parser:
         diags = []
         while not self.at('eof'):
             try:
-                self.declaration(m)
+                self.guarded(lambda: self.declaration(m))
             except _Fail as e:
                 diags.append(Diagnostic(e.msg, e.pos))
                 while not self.at(';') and not self.at('eof'):
                     self.take()
                 self.accept(';')
         return m, diags
+
+    def guarded(self, parse):
+        """parse(), with nesting deeper than Python's recursion limit
+        reported at the token reached."""
+        try:
+            return parse()
+        except RecursionError:
+            raise _Fail('nested too deeply', self.peek().pos) from None
 
     def declaration(self, m: Model):
         t = self.peek()
@@ -409,7 +403,7 @@ def parse_formula(text: str, ctx: dict, funcs=None, types=None,
     """
     p = Parser(text)
     try:
-        f = p.formula()
+        f = p.guarded(p.formula)
         p.expect('eof')
     except _Fail as e:
         raise ParseError([Diagnostic(e.msg, e.pos)]) from None
@@ -422,10 +416,6 @@ def parse_formula(text: str, ctx: dict, funcs=None, types=None,
 
 # ---------------------------------------------------------------------------
 # printing
-
-
-_F_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6,
-           TrueF: 6, FalseF: 6, Forall: 0, Exists: 0}
 
 
 def print_type(ty) -> str:
@@ -458,13 +448,13 @@ def print_term(t: Term, prec=0) -> str:
         if isinstance(t.value, bool):
             return 'true' if t.value else 'false'
         return str(t.value)
-    if isinstance(t, (Add, AddConst)):
-        rhs = str(t.const) if isinstance(t, AddConst) else print_term(t.rhs, 2)
-        s = '%s + %s' % (print_term(t.lhs, 1), rhs)
-        return '(%s)' % s if prec > 1 else s
-    if isinstance(t, Mul):
-        s = '%s * %s' % (print_term(t.lhs, 2), print_term(t.rhs, 3))
-        return '(%s)' % s if prec > 2 else s
+    if isinstance(t, (Add, AddConst, Mul)):
+        mine = PREC[type(t)]
+        rhs = (str(t.const) if isinstance(t, AddConst)
+               else print_term(t.rhs, mine + 1))
+        s = '%s %s %s' % (print_term(t.lhs, mine),
+                          '*' if isinstance(t, Mul) else '+', rhs)
+        return '(%s)' % s if mine < prec else s
     if isinstance(t, Ite):
         s = 'if %s then %s else %s' % (print_formula(t.cond),
                                        print_term(t.then),
@@ -485,17 +475,16 @@ def print_formula(f: Formula, prec=0) -> str:
     if isinstance(f, FalseF):
         return 'false'
     if isinstance(f, Atom):
-        return '%s %s %s' % (print_term(f.lhs, 1), f.rel, print_term(f.rhs, 1))
+        operand = PREC[Atom] + 1
+        return '%s %s %s' % (print_term(f.lhs, operand), f.rel,
+                             print_term(f.rhs, operand))
     if isinstance(f, Not):
-        return '!%s' % print_formula(f.body, 5)
+        return '!%s' % print_formula(f.body, PREC[Not])
     if isinstance(f, (And, Or, Implies, Iff)):
-        mine = _F_PREC[type(f)]
-        sym = {And: '/\\', Or: '\\/', Implies: '=>', Iff: '<=>'}[type(f)]
-        if isinstance(f, Implies):
-            lp, rp = mine + 1, mine
-        else:
-            lp, rp = mine, mine + 1
-        s = '%s %s %s' % (print_formula(f.lhs, lp), sym,
+        mine = PREC[type(f)]
+        right = isinstance(f, Implies)  # the right-associative one
+        lp, rp = (mine + 1, mine) if right else (mine, mine + 1)
+        s = '%s %s %s' % (print_formula(f.lhs, lp), _SYMBOL[type(f)],
                           print_formula(f.rhs, rp))
         return '(%s)' % s if mine < prec else s
     if isinstance(f, (Forall, Exists)):
@@ -508,4 +497,3 @@ def print_formula(f: Formula, prec=0) -> str:
         s = '%s %s. %s' % (word, ', '.join(binders), print_formula(body))
         return '(%s)' % s if prec > 0 else s
     raise AssertionError('unhandled formula %r' % f)
-

@@ -643,17 +643,26 @@ class Translator:
             return
         self._defined.add(name)
         fd = self.funcs[name]
+        # a parameter named like a function would shadow it: prime it apart
+        # from the functions and the other parameters
+        taken = set(self.funcs).union(p for p, _ in fd.params)
+        params = []
+        for p, ty in fd.params:
+            q = p
+            if p in self.funcs:
+                while q in taken:
+                    q += "'"
+                taken.add(q)
+            params.append((p, smt_sym(q), ty))
         outer = self.scope, self.uvars, self.size
-        self.scope = {p: (True, smt_sym(p), ty, sort_width(ty))
-                      for p, ty in fd.params}
+        self.scope = {p: (True, q, ty, sort_width(ty)) for p, q, ty in params}
         self.uvars, self.size = [], 0
         static, body = _widen(self._lower(fd.body), sort_width(fd.result))
         if not static:  # a condition in the body expands a quantifier
             body = body([None] * self.size)
         self.scope, self.uvars, self.size = outer
         self.defines.append((smt_sym(name),
-                             [(smt_sym(p), sort_width(ty))
-                              for p, ty in fd.params],
+                             [(q, sort_width(ty)) for _, q, ty in params],
                              sort_width(fd.result), body))
 
     # -- entry point ------------------------------------------------------------

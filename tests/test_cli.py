@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from fdl.cli import main
+from fdl.core import Atom, Implies, Not
+from fdl.parser import parse_model
 
 from conftest import CHOOSE_SRC, CYCLE4_SRC
 
@@ -123,6 +125,45 @@ def test_type_diagnostics_exit_three(tmp_path, capsys):
     p.write_text('theorem t <=> loose = 0;')
     assert main(['check', str(p)]) == 3
     assert 'free variables' in capsys.readouterr().err
+
+
+def _nested(tmp_path, depth):
+    p = tmp_path / 'nested.fdl'
+    p.write_text('theorem t <=> forall x: nat[1]. %sx = x%s;'
+                 % ('(' * depth, ')' * depth))
+    return str(p)
+
+
+@pytest.mark.parametrize('mechanism', ['evaluator', 'refsolve'])
+def test_parentheses_add_no_depth(tmp_path, capsys, mechanism):
+    assert main(['check', _nested(tmp_path, 300),
+                 '--mechanism', mechanism]) == 0
+    assert capsys.readouterr().out == 'valid\n'
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    assert main(['check', _nested(tmp_path, 5000)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith('error: line 1 col ')
+    assert err.endswith(': nested too deeply\n')
+    assert err.count('error:') == 1 and 'RecursionError' not in err
+
+
+def test_runs_of_negation_and_chains_of_implication_parse_in_a_loop():
+    n = 5000
+    m = parse_model('theorem t <=> forall x: nat[1]. %sx = x;' % ('!' * n))
+    f = m.theorems['t'].body
+    for _ in range(n):
+        assert isinstance(f, Not)
+        f = f.body
+    assert isinstance(f, Atom)
+    m = parse_model('theorem t <=> forall x: nat[1]. %s;'
+                    % ' => '.join(['x = x'] * n))
+    f = m.theorems['t'].body
+    for _ in range(n - 1):
+        assert isinstance(f, Implies) and isinstance(f.lhs, Atom)
+        f = f.rhs
+    assert isinstance(f, Atom)
 
 
 def test_missing_file_exits_three(capsys):

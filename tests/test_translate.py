@@ -407,10 +407,17 @@ def _binders(text):
     return re.findall(r'\((?:forall|exists) \(\((\S+) ', text)
 
 
+def _define_locals(text):
+    """The parameters and binders of every define-fun."""
+    return [name for ln in text.splitlines() if ln.startswith('(define-fun')
+            for name in re.findall(
+                r'\(([^\s()]+) (?:\(_ BitVec \d+\)|Bool)\)', ln)]
+
+
 def _assert_names_apart(goal, funcs):
     """In every mode and flag combination, the declared and defined names
-    are unique, no binder carries one of them, and refsolve agrees with the
-    oracle."""
+    are unique, no binder or define-fun parameter carries one of them, and
+    refsolve agrees with the oracle."""
     want = oracle_check(goal, funcs)
     for mode in MODES:
         for flags in FLAGS:
@@ -418,6 +425,7 @@ def _assert_names_apart(goal, funcs):
             symbols = _defines(text) + [ln.split()[1] for ln in _decls(text)]
             assert len(set(symbols)) == len(symbols), (mode, flags)
             assert not set(_binders(text)) & set(symbols), (mode, flags)
+            assert not set(_define_locals(text)) & set(symbols), (mode, flags)
             answer = check_script(text)
             got = 'valid' if answer == 'unsat' else 'invalid'
             assert got == want, (mode, flags)
@@ -433,6 +441,22 @@ theorem t <=> forall f: D. exists y: D. f(f) <= f + 1 /\\ y = y;
 def test_no_binder_shadows_a_function():
     # (f f) in the scope of a binder f would apply a bit vector
     m = resolve_model(parse_model(SHADOWING_BINDER_SRC))
+    _assert_names_apart(m.theorems['t'], m.funcs)
+
+
+SHADOWING_PARAMETER_SRC = """
+type D = nat[2];
+fun f(x: D): nat[3] = x + 1;
+fun g(f: D): nat[3] = f(f);
+theorem t <=> forall x: D. g(x) <= 3;
+"""
+
+
+def test_no_parameter_shadows_a_function():
+    # (f f) in the body of a define-fun with a parameter f would apply a
+    # bit vector
+    m = resolve_model(parse_model(SHADOWING_PARAMETER_SRC))
+    assert oracle_check(m.theorems['t'], m.funcs) == 'valid'
     _assert_names_apart(m.theorems['t'], m.funcs)
 
 
