@@ -50,11 +50,13 @@ def _load_model(path, params):
     try:
         model = parse_model(text)
         model = resolve_model(model, _parse_params(params))
+        diags = typecheck_model(model)
     except ParseError as e:
         raise CliError('\n'.join(str(d) for d in e.diagnostics))
     except TypeError_ as e:
         raise CliError(str(e))
-    diags = typecheck_model(model)
+    except RecursionError:  # as in Parser.guarded: a diagnostic, exit 3
+        raise CliError('model nested too deeply') from None
     if diags:
         raise CliError('\n'.join(str(d) for d in diags))
     return model

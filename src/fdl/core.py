@@ -2,6 +2,12 @@
 
 Every type denotes a small finite carrier: nat[b] is {0, ..., b} and bool is
 {false, true}. Values are plain Python ints and bools.
+
+The readers walk and free_vars keep their nodes on an explicit stack. The
+rewrites (subst, resolve_node, the translator's passes) recurse through
+_rebuild, which passes each subnode and the pass's context straight to the
+pass, two frames per nesting level: rewrites on an explicit stack measured
+slower per pass (ROADMAP item 8).
 """
 
 from dataclasses import dataclass, field, fields
@@ -380,66 +386,54 @@ def nondeterministic_funcs(funcs: dict) -> frozenset:
         out |= more
 
 
-def subst(node, mapping: dict):
-    """Replace free variables by terms. Binders are assumed renamed apart
-    from the mapping's free variables (see rename_apart)."""
-    if not mapping:
+def subst(node, mapping: dict, used: Optional[set] = None):
+    """node with free variables replaced by their terms in mapping. With
+    used, every binder is also renamed apart, in pre-order: primes are
+    appended until its name is in neither used nor free_vars(node), and the
+    name joins used. Without, binders must not capture the terms."""
+    free = () if used is None else free_vars(node)
+    return _subst(node, (mapping, used, free))
+
+
+def _subst(node, ctx):
+    mapping, used, free = ctx
+    if not mapping and used is None:
         return node
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, BINDERS):
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        body = subst(node.body, inner)
-        return type(node)(node.var, node.ty, body, pos=node.pos)
-    return _rebuild(node, lambda c: subst(c, mapping))
+    if not isinstance(node, BINDERS):
+        return _rebuild(node, _subst, ctx)
+    var = name = node.var
+    if used is not None:
+        while name in used or name in free:
+            name += "'"
+        used.add(name)
+    inner = {k: v for k, v in mapping.items() if k != var}
+    if name != var:
+        inner[var] = Var(name)
+    body = _subst(node.body, (inner, used, free))
+    return type(node)(name, node.ty, body, pos=node.pos)
 
 
-def _rebuild(node, fn):
-    """node with fn applied to each subnode; node itself when fn changes
-    none of them."""
+def _rebuild(node, fn, ctx):
+    """node with fn(subnode, ctx) for each subnode; node itself when fn
+    changes none of them."""
     names, kids = _LAYOUT[type(node)]
     new = {}
     changed = False
     for name in kids:
         v = getattr(node, name)
         if isinstance(v, list):
-            nv = [fn(x) for x in v]
+            nv = [fn(x, ctx) for x in v]
             changed = changed or any(a is not b for a, b in zip(v, nv))
         else:
-            nv = fn(v)
+            nv = fn(v, ctx)
             changed = changed or nv is not v
         new[name] = nv
     if not changed:
         return node
     return type(node)(*[new[n] if n in new else getattr(node, n)
                         for n in names])
-
-
-def rename_apart(node, used: Optional[set] = None):
-    """Give every binder a name that is neither in used nor free in node
-    (primes appended as needed); each name given out is added to used."""
-    used = set() if used is None else used
-    free = free_vars(node)
-
-    def fresh(name):
-        while name in used or name in free:
-            name += "'"
-        used.add(name)
-        return name
-
-    def go(n, ren):
-        if isinstance(n, Var):
-            if n.name in ren:
-                return Var(ren[n.name], pos=n.pos)
-            return n
-        if isinstance(n, BINDERS):
-            nv = fresh(n.var)
-            inner = dict(ren)
-            inner[n.var] = nv
-            return type(n)(nv, n.ty, go(n.body, inner), pos=n.pos)
-        return _rebuild(n, lambda c: go(c, ren))
-
-    return go(node, {})
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +455,12 @@ def resolve_type(ref: TypeRef, types: dict, params: dict) -> FiniteType:
     return resolve_type(types[ref.name], types, params)
 
 
-def resolve_node(node, types: dict, params: dict):
+def resolve_node(node, env: tuple):
+    """node with every binder's type resolved; env is (types, params)."""
     if isinstance(node, BINDERS):
-        ty = resolve_type(node.ty, types, params)
-        return type(node)(node.var, ty, resolve_node(node.body, types, params),
-                          pos=node.pos)
-    return _rebuild(node, lambda c: resolve_node(c, types, params))
+        return type(node)(node.var, resolve_type(node.ty, *env),
+                          resolve_node(node.body, env), pos=node.pos)
+    return _rebuild(node, resolve_node, env)
 
 
 def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
@@ -487,6 +481,7 @@ def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
             if name not in m.params:
                 raise TypeError_('unknown parameter %r' % name)
     out = Model(params=dict(params))
+    env = (m.types, params)
     for name, ref in m.types.items():
         out.types[name] = resolve_type(ref, m.types, params)
     for name, fd in m.funcs.items():
@@ -494,12 +489,12 @@ def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
             name=fd.name,
             params=[(p, resolve_type(t, m.types, params)) for p, t in fd.params],
             result=resolve_type(fd.result, m.types, params),
-            body=resolve_node(fd.body, m.types, params) if fd.body is not None else None,
-            ensures=resolve_node(fd.ensures, m.types, params)
+            body=resolve_node(fd.body, env) if fd.body is not None else None,
+            ensures=resolve_node(fd.ensures, env)
             if fd.ensures is not None else None,
             pos=fd.pos)
     for name, f in m.theorems.items():
-        out.theorems[name] = resolve_node(f, m.types, params)
+        out.theorems[name] = resolve_node(f, env)
     return out
 
 
@@ -553,7 +548,7 @@ class TypeChecker:
             a = self.check_term(t.lhs, env)
             if a is None:
                 return None
-            if a.kind != 'nat' or t.const < 0:
+            if a.kind != 'nat' or isinstance(t.const, bool) or t.const < 0:
                 return self.error('arithmetic on non-numeric operands', t.pos)
             return nat(a.bound + t.const)
         if isinstance(t, Ite):

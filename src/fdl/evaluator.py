@@ -127,12 +127,12 @@ class Evaluator:
         """A new slot for var and body compiled with var in it."""
         slot, outer = self.size, self.scope
         self.size, self.scope = slot + 1, {**outer, var: slot}
-        compiled = self.compile(body)
+        compiled = _COMPILE[type(body)](self, body)
         self.scope = outer
         return slot, compiled
 
     def _map(self, op, child):
-        det, fn = self.compile(child)
+        det, fn = _COMPILE[type(child)](self, child)
         if det:
             return True, lambda env: op(fn(env))
 
@@ -142,7 +142,8 @@ class Evaluator:
         return False, values
 
     def _pair(self, op, lhs, rhs):
-        (ldet, lfn), (rdet, rfn) = self.compile(lhs), self.compile(rhs)
+        ldet, lfn = _COMPILE[type(lhs)](self, lhs)
+        rdet, rfn = _COMPILE[type(rhs)](self, rhs)
         if ldet and rdet:
             return True, lambda env: op(lfn(env), rfn(env))
         lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
@@ -155,7 +156,8 @@ class Evaluator:
 
     def _connective(self, stop, forced, f):
         # a left value equal to stop decides the result: forced
-        (ldet, lfn), (rdet, rfn) = self.compile(f.lhs), self.compile(f.rhs)
+        ldet, lfn = _COMPILE[type(f.lhs)](self, f.lhs)
+        rdet, rfn = _COMPILE[type(f.rhs)](self, f.rhs)
         if ldet and rdet:
             return True, lambda env: forced if lfn(env) == stop else rfn(env)
         lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
@@ -215,12 +217,13 @@ class Evaluator:
             outer = self.scope, self.size
             self.scope = {p: i for i, (p, _) in enumerate(fd.params)}
             self.size = len(fd.params)
-            body = (self.compile(fd.body) if fd.body is not None else
+            body = (_COMPILE[type(fd.body)](self, fd.body)
+                    if fd.body is not None else
                     self._choices('result', fd.result, fd.ensures))
             self._bodies[t.func] = body, [None] * (self.size - len(fd.params))
             self.scope, self.size = outer
         (bdet, body), pad = self._bodies[t.func]
-        args = [self.compile(a) for a in t.args]
+        args = [_COMPILE[type(a)](self, a) for a in t.args]
         if bdet and all(det for det, _ in args):
             fns = [fn for _, fn in args]
             return True, lambda env: body([fn(env) for fn in fns] + pad)

@@ -407,7 +407,7 @@ def parse_formula(text: str, ctx: dict, funcs=None, types=None,
         p.expect('eof')
     except _Fail as e:
         raise ParseError([Diagnostic(e.msg, e.pos)]) from None
-    f = resolve_node(f, types or {}, params or {})
+    f = resolve_node(f, (types or {}, params or {}))
     diags = typecheck_formula(f, ctx, funcs)
     if diags:
         raise ParseError(diags)

@@ -27,25 +27,26 @@ has one value in all uses of its parameter.
 
 The passes: to_nnf carries the polarity, so one function gives the
 negation-normal form of a formula or of its negation. eliminate_choices and
-axiomatize handle the nodes they rewrite and hand every other node to
-core's generic traversal (core._rebuild). Lowering compiles each node once
-into closures (Feeley & Lapalme, "Using Closures for Code Generation",
-1987), in the static scope of its binders. Widths, zero-extensions,
-operators and literals, define-fun bodies and each existential's Skolem
-decision are fixed while compiling, in pre-order, so symbols are numbered
-and declared in the order the tree is read. A quantifier's body is compiled
-once; for each ground instance (Translator._instances, which counts the
-expansion budget) the bound variable's literal is written into a frame
-slot, only the tuples that depend on it are built again, and the first use
-of each Skolem application asserts its range.
+axiomatize handle the nodes they rewrite and hand every other node, with
+their context, to core's generic traversal (core._rebuild). Lowering
+compiles each node once into closures (Feeley & Lapalme, "Using Closures
+for Code Generation", 1987), in the static scope of its binders. Widths,
+zero-extensions, operators and literals, define-fun bodies and each
+existential's Skolem decision are fixed while compiling, in pre-order, so
+symbols are numbered and declared in the order the tree is read. A
+quantifier's body is compiled once; for each ground instance
+(Translator._instances, which counts the expansion budget) the bound
+variable's literal is written into a frame slot, only the tuples that
+depend on it are built again, and the first use of each Skolem application
+asserts its range.
 
 Names: Translator._taken, seeded with the function names, holds every name
-given out. The binders of the negated goal and of each inlined body are
-renamed apart from it (core.rename_apart adds the names it gives out), and
-fresh _sk/_ch symbols skip it and join it. An axiom's binders avoid only the
-function and declared names, as if it stood alone, then join it. So no
-binder shares a function's or a declared name, and no inlined body captures
-a variable of its arguments.
+given out. core.subst renames the binders of the negated goal and of each
+inlined body apart from it, in the pass that substitutes the arguments, and
+adds the names it gives out; fresh _sk/_ch symbols skip it and join it. An
+axiom's binders avoid only the function and declared names, as if it stood
+alone, then join it. So no binder shares a function's or a declared name,
+and no inlined body captures a variable of its arguments.
 """
 
 import itertools
@@ -57,7 +58,7 @@ from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, TrueF,
                    Var, _children, _rebuild, free_vars, has_choose,
-                   nondeterministic_funcs, rename_apart, subst, walk)
+                   nondeterministic_funcs, subst, walk)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -211,26 +212,20 @@ def estimate_costs(neg: Formula):
     """Structural cost estimate on the negation-normal form neg, for a goal
     nnf(!goal): (skolem range conjuncts, universal expansion conjuncts).
     Both are 0 when the respective quantifier kind is absent."""
-    skolem = 0
-    expansion = 1
-    saw_forall = saw_exists = False
-
-    def go(f, mult):
-        nonlocal skolem, expansion, saw_forall, saw_exists
+    skolem, expansion, saw_forall = 0, 1, False
+    stack = [(neg, 1)]  # (node, product of the enclosing universals' sizes)
+    while stack:
+        f, mult = stack.pop()
         if isinstance(f, Forall):
             saw_forall = True
             expansion *= f.ty.size()
-            go(f.body, mult * f.ty.size())
+            stack.append((f.body, mult * f.ty.size()))
         elif isinstance(f, Exists):
-            saw_exists = True
             skolem += mult
-            go(f.body, mult)
+            stack.append((f.body, mult))
         elif not isinstance(f, Atom):
-            for c in _children(f):
-                go(c, mult)
-
-    go(neg, 1)
-    return (skolem if saw_exists else 0), (expansion if saw_forall else 0)
+            stack += [(c, mult) for c in _children(f)]
+    return skolem, (expansion if saw_forall else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +233,9 @@ def estimate_costs(neg: Formula):
 
 
 def instantiate(fd, args, used):
-    """The body of the defined function fd with args for its parameters,
-    its binders first renamed apart from the names in used, which gains
-    their new names."""
-    body = rename_apart(fd.body, used)
-    return subst(body, {p: a for (p, _), a in zip(fd.params, args)})
+    """The body of the defined function fd with args for its parameters and
+    its binders renamed apart from used, which gains their new names."""
+    return subst(fd.body, {p: a for (p, _), a in zip(fd.params, args)}, used)
 
 
 def eliminate_choices(goal: Formula, funcs) -> Formula:
@@ -290,9 +283,9 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
             return t
         return None
 
-    def replace(node, target, repl):
-        return repl if node is target else _rebuild(
-            node, lambda c: replace(c, target, repl))
+    def replace(node, hit):
+        target, repl = hit
+        return repl if node is target else _rebuild(node, replace, hit)
 
     def go(f, ok):
         if isinstance(f, Atom):
@@ -305,7 +298,7 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
                 # a definition that can take several values: its body, with
                 # the choices in it, takes the application's place
                 body = instantiate(funcs[hit.func], hit.args, used)
-                return go(replace(f, hit, body), ok)
+                return go(replace(f, (hit, body)), ok)
             y = fresh()
             if isinstance(hit, Choose):
                 rty = hit.ty
@@ -315,13 +308,14 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
                 rty = fd.result
                 mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
                 mapping['result'] = Var(y)
-                cond = subst(rename_apart(fd.ensures, used), mapping)
+                cond = subst(fd.ensures, mapping, used)
             # the stripped atom may hold further occurrences; recurse on it
-            return Forall(y, rty, Implies(cond, go(replace(f, hit, Var(y)), ok)))
+            rest = go(replace(f, (hit, Var(y))), ok)
+            return Forall(y, rty, Implies(cond, rest))
         if isinstance(f, Implies):
             return Implies(go(f.lhs, False), go(f.rhs, ok), pos=f.pos)
         ok = ok and not isinstance(f, (Not, Iff, Exists))
-        return _rebuild(f, lambda c: go(c, ok))
+        return _rebuild(f, go, ok)
 
     return go(goal, True)
 
@@ -388,7 +382,7 @@ class Translator:
                 self._queue_constraint(name, args, n.ty, queue)
                 return Apply(name, [Var(a) for a, _ in args])
             if not isinstance(n, Apply):
-                return _rebuild(n, lambda c: go(c, scope))
+                return _rebuild(n, go, scope)
             fd = self.funcs.get(n.func)
             args = [go(a, scope) for a in n.args]
             if fd is not None and fd.is_contract() and n.func not in self.symtab:
@@ -674,12 +668,12 @@ class Translator:
             neg = negate_goal(eliminate_choices(goal, self.funcs))
 
         queue = []
-        neg = self.axiomatize(rename_apart(neg, self._taken), queue)
+        neg = self.axiomatize(subst(neg, {}, self._taken), queue)
         self.top(neg, 'negated-goal')
         while queue:
             ax, tag = queue.pop(0)
             names = set(self.funcs).union(self.symtab)
-            ax = rename_apart(to_nnf(ax), names)
+            ax = subst(to_nnf(ax), {}, names)
             self._taken |= names
             self.top(self.axiomatize(ax, queue), tag)
 
@@ -744,7 +738,7 @@ def translate(goal: Formula, funcs=None, opts=None) -> SmtScript:
 def _sx(e) -> str:
     if isinstance(e, str):
         return e
-    return '(%s)' % ' '.join(_sx(x) for x in e)
+    return '(%s)' % ' '.join(map(_sx, e))
 
 
 def _sort(width: int):

@@ -149,6 +149,37 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
     assert err.count('error:') == 1 and 'RecursionError' not in err
 
 
+def _deep(tmp_path, shape, depth):
+    p = tmp_path / 'deep.fdl'
+    body = (' /\\ '.join(['x = x'] * depth) if shape == 'and'
+            else '!' * depth + 'x = x')
+    p.write_text('theorem t <=> forall x: nat[3]. %s;' % body)
+    return str(p)
+
+
+@pytest.mark.parametrize('shape', ['and', 'not'])
+@pytest.mark.parametrize('flags', [
+    ['--mechanism', 'evaluator'],
+    ['--mechanism', 'evaluator', '--eval-mode', 'deterministic'],
+    ['--mechanism', 'refsolve', '--mode', 'eliminate'],
+    ['--mechanism', 'refsolve', '--mode', 'preserve'],
+    ['--mechanism', 'refsolve', '--mode', 'expand-all'],
+])
+def test_every_mechanism_decides_a_goal_nested_400_deep(tmp_path, capsys,
+                                                        shape, flags):
+    # 400 conjuncts or negations: every pass from load to emission must
+    # spend at most two frames per level
+    assert main(['check', _deep(tmp_path, shape, 400)] + flags) == 0
+    assert capsys.readouterr().out == 'valid\n'
+
+
+@pytest.mark.parametrize('shape', ['and', 'not'])
+def test_a_goal_too_deep_to_load_is_a_diagnostic(tmp_path, capsys, shape):
+    assert main(['check', _deep(tmp_path, shape, 5000)]) == 3
+    err = capsys.readouterr().err
+    assert err == 'error: model nested too deeply\n'
+
+
 def test_runs_of_negation_and_chains_of_implication_parse_in_a_loop():
     n = 5000
     m = parse_model('theorem t <=> forall x: nat[1]. %sx = x;' % ('!' * n))

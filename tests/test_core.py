@@ -11,10 +11,11 @@ from fdl.core import (
     Forall, Formula, FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
     Term, TrueF, TypeError_, TypeExpr, Var, _children, _rebuild,
     enumerate_domain, eval_bound, free_vars, has_choose, nat,
-    nondeterministic_funcs, rename_apart, resolve_model, subst,
+    nondeterministic_funcs, resolve_model, subst,
     typecheck_formula, typecheck_model, walk,
 )
 from fdl.evaluator import check_validity
+from fdl.parser import parse_model
 
 
 # -- finite types --------------------------------------------------------------
@@ -136,9 +137,9 @@ def test_traversal_calls_no_dataclasses_fields_once_warm(monkeypatch):
     monkeypatch.setattr(core, 'fields', no_fields)
     for n in _one_of_each_node_class():
         assert list(walk(n))[0] is n
-        assert _rebuild(n, lambda c: c) is n
+        assert _rebuild(n, lambda c, ctx: c, None) is n
     t = Apply('f', [Var('x'), Lit(1)])
-    assert _rebuild(t, lambda c: Lit(0)) == Apply('f', [Lit(0), Lit(0)])
+    assert _rebuild(t, lambda c, ctx: ctx, Lit(0)) == Apply('f', [Lit(0), Lit(0)])
     assert [emit_smtlib(translate(goal, funcs, o)) for o in options] == want
 
 
@@ -185,7 +186,7 @@ def test_subst_respects_binders():
 def test_rename_apart_makes_binders_unique():
     inner = Exists('x', nat(1), _lt(Var('x'), Var('x')))
     f = Forall('x', nat(1), And(inner, inner))
-    g = rename_apart(f)
+    g = subst(f, {}, set())
     names = [n.var for n in walk(g) if hasattr(n, 'var')]
     assert len(names) == len(set(names)) == 3
     assert free_vars(g) == set()
@@ -197,15 +198,25 @@ def test_rename_apart_records_the_names_it_gives_out():
     f = And(Exists('z', nat(1), _lt(Var('z'), Lit(1))),
             Forall('x', nat(1), Exists('y', nat(1), _lt(Var('x'), Var('z')))))
     used = {'x'}
-    g = rename_apart(f, used)
+    g = subst(f, {}, used)
     assert (g.lhs.var, g.rhs.var, g.rhs.body.var) == ("z'", "x'", 'y')
     assert used == {'x', "x'", 'y', "z'"}
+
+
+def test_subst_with_used_avoids_capturing_the_argument():
+    # body exists y. y = p with the argument y for p: the binder is renamed
+    # in the same pass, so the argument stays free
+    body = Exists('y', nat(1), Atom('=', Var('y'), Var('p')))
+    used = {'y'}
+    g = subst(body, {'p': Var('y')}, used)
+    assert g == Exists("y'", nat(1), Atom('=', Var("y'"), Var('y')))
+    assert free_vars(g) == {'y'} and used == {'y', "y'"}
 
 
 def test_rename_apart_preserves_meaning():
     f = Forall('x', nat(2), Exists('x', nat(2), Atom('=', Var('x'), Lit(2))))
     v1, _ = check_validity(f)
-    v2, _ = check_validity(rename_apart(f))
+    v2, _ = check_validity(subst(f, {}, set()))
     assert v1.status == v2.status == 'valid'
 
 
@@ -267,6 +278,15 @@ def test_typecheck_rejects_kind_mismatch():
     assert any('comparison' in d.message for d in typecheck_formula(f, {}))
     g = _lt(Lit(True), Lit(False))
     assert any('ordering' in d.message for d in typecheck_formula(g, {}))
+
+
+@pytest.mark.parametrize('lit', ['true', 'false'])
+def test_typecheck_rejects_a_bool_added_as_a_constant(lit):
+    # x + <literal> parses to AddConst, whose constant must be a number
+    text = 'type D = nat[1]; theorem t <=> forall x: D. x + %s <= 2;' % lit
+    diags = typecheck_model(resolve_model(parse_model(text)))
+    assert [(d.message, d.pos) for d in diags] == [
+        ('arithmetic on non-numeric operands', (1, text.index('+') + 1))]
 
 
 def test_typecheck_model_flags_free_variables_in_goals():
