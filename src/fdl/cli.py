@@ -155,11 +155,13 @@ def _cmd_translate(args) -> int:
     if args.stats:
         st = script.stats
         print('goal=%d skolem-range=%d choose=%d type-constraint=%d '
-              'instances=%d est-skolem=%d est-expansion=%d'
+              'instances=%d est-skolem=%d est-expansion=%d '
+              'contracts-as-definitions=%d'
               % (st.goal_conjuncts, st.skolem_range_conjuncts,
                  st.choose_axiom_conjuncts, st.type_constraint_conjuncts,
                  st.expanded_instances, st.estimate_skolem,
-                 st.estimate_expansion), file=sys.stderr)
+                 st.estimate_expansion, st.contracts_as_definitions),
+              file=sys.stderr)
     return 0
 
 

@@ -373,17 +373,70 @@ def applies_in(node) -> list:
     return [n for n in walk(node) if isinstance(n, Apply)]
 
 
-def nondeterministic_funcs(funcs: dict) -> frozenset:
+def nondeterministic_funcs(funcs: dict, pinned=None) -> frozenset:
     """Names of the functions whose applications can take more than one
     value: every contract, and every definition whose body contains a choose
-    or applies a function already in the set (computed as a fixpoint)."""
-    out = {name for name, fd in funcs.items() if fd.is_contract()}
+    or applies a function already in the set (computed as a fixpoint).
+    pinned maps contracts to the term that fixes their result: such a
+    contract joins the set only as a definition with that body would."""
+    pinned = pinned or {}
+    out = {name for name, fd in funcs.items()
+           if fd.is_contract() and name not in pinned}
     while True:
         more = {name for name, fd in funcs.items()
-                if name not in out and has_choose(fd.body, out)}
+                if name not in out and has_choose(pinned.get(name, fd.body),
+                                                  out)}
         if not more:
             return frozenset(out)
         out |= more
+
+
+def definitional_funcs(funcs: dict) -> dict:
+    """funcs with every functional contract replaced by the definition it
+    amounts to; every other entry is the same object.
+
+    A contract is functional when its ensures is result = t or t = result,
+    result is not free in t, t's type fits the result type (so every
+    argument has exactly one result) and t is deterministic: no choose, and
+    no application of a function that is still nondeterministic once the
+    functional contracts are definitions (the fixpoint of
+    nondeterministic_funcs, so one such contract may apply another)."""
+    pinned = {}
+    for name, fd in funcs.items():
+        if fd.is_contract():
+            t = _pinned_term(fd, funcs)
+            if t is not None:
+                pinned[name] = t
+    if pinned:
+        nondet = nondeterministic_funcs(funcs, pinned)
+        pinned = {n: t for n, t in pinned.items() if n not in nondet}
+    if not pinned:
+        return funcs
+    return {name: FuncDecl(name, fd.params, fd.result, body=pinned[name],
+                           pos=fd.pos) if name in pinned else fd
+            for name, fd in funcs.items()}
+
+
+def _pinned_term(fd: FuncDecl, funcs: dict):
+    """t when fd's ensures is result = t or t = result, result is not free
+    in t and t's type is a nat type that fits the result's; else None.
+    Whether t is deterministic is left to the fixpoint."""
+    f = fd.ensures
+    if not (isinstance(f, Atom) and f.rel == '=') or fd.result.kind != 'nat':
+        return None
+    if isinstance(f.lhs, Var) and f.lhs.name == 'result':
+        t = f.rhs
+    elif isinstance(f.rhs, Var) and f.rhs.name == 'result':
+        t = f.lhs
+    else:
+        return None
+    if 'result' in free_vars(t):
+        return None
+    tc = TypeChecker(funcs)
+    ty = tc.check_term(t, dict(fd.params))
+    if tc.diags or ty is None or ty.kind != 'nat' or ty.bound > fd.result.bound:
+        return None
+    return t
 
 
 def subst(node, mapping: dict, used: Optional[set] = None):

@@ -16,14 +16,20 @@ booleans as width-1 bit vectors. Quantifier handling depends on the mode:
 
 Each choose occurrence becomes a fresh uninterpreted function _ch<n> over
 the binders in scope, constrained by an axiom that its value satisfies the
-choose condition; a contract function becomes a single uninterpreted
+choose condition. A functional contract, ensures result = t with t
+deterministic and of a type that fits the result type, admits one result
+per argument, so the translator reads it as the definition = t
+(core.definitional_funcs; the evaluator and the oracle read the contract
+as written). Any other contract function becomes a single uninterpreted
 function constrained by its ensures clause. Defined functions emit as
 define-fun unless inlining is requested. A definition that can take several
 values (one whose body contains a choose, or applies a contract or another
 such definition; see core.nondeterministic_funcs) is always inlined, since a
 macro cannot carry nondeterminism. Under every option a definition is
 inlined after its arguments are translated, so an argument with a choice
-has one value in all uses of its parameter.
+has one value in all uses of its parameter. A goal nested too deeply for
+the recursive passes is a TranslateError, like an exceeded expansion
+budget.
 
 The passes: to_nnf carries the polarity, so one function gives the
 negation-normal form of a formula or of its negation. eliminate_choices and
@@ -57,8 +63,8 @@ from operator import itemgetter
 from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, TrueF,
-                   Var, _children, _rebuild, free_vars, has_choose,
-                   nondeterministic_funcs, subst, walk)
+                   Var, _children, _rebuild, definitional_funcs, free_vars,
+                   has_choose, nondeterministic_funcs, subst, walk)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -88,6 +94,7 @@ class TranslateStats:
     expanded_instances: int = 0
     estimate_skolem: int = 0
     estimate_expansion: int = 0
+    contracts_as_definitions: int = 0
 
 
 @dataclass
@@ -326,7 +333,9 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
 
 class Translator:
     def __init__(self, funcs=None, opts=None):
-        self.funcs = funcs or {}
+        source = funcs or {}
+        # functional contracts read as definitions from here on
+        self.funcs = definitional_funcs(source)
         self.opts = opts or SmtOptions()
         assert self.opts.mode in MODES
         self.symtab = {}  # smt name -> (arg_types, result_type)
@@ -342,6 +351,9 @@ class Translator:
         self.scope, self.uvars, self.size = {}, [], 0
         self.concrete = False
         self.stats = TranslateStats()
+        # functional contracts not yet translated (see _count_definition)
+        self._as_definitions = set() if self.funcs is source else {
+            n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
         nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
@@ -358,6 +370,13 @@ class Translator:
             if name not in self._taken:
                 self._taken.add(name)
                 return name
+
+    def _count_definition(self, name):
+        """Count name in the stats the first time it is translated, if it
+        is a functional contract."""
+        if name in self._as_definitions:
+            self._as_definitions.discard(name)
+            self.stats.contracts_as_definitions += 1
 
     # -- choice axiomatization -------------------------------------------------
 
@@ -393,6 +412,7 @@ class Translator:
                 queue.append((self._close(params, ens), 'choose-axiom'))
                 self._queue_constraint(n.func, params, fd.result, queue)
             if n.func in self._inlined:
+                self._count_definition(n.func)
                 # the arguments are axiomatized already: a choice in one has
                 # one value in all uses of its parameter. The binders in
                 # scope are taken, so no argument is captured.
@@ -636,6 +656,7 @@ class Translator:
         if name in self._defined:
             return
         self._defined.add(name)
+        self._count_definition(name)
         fd = self.funcs[name]
         # a parameter named like a function would shadow it: prime it apart
         # from the functions and the other parameters
@@ -727,8 +748,13 @@ _LOWER = {
 
 
 def translate(goal: Formula, funcs=None, opts=None) -> SmtScript:
-    """Translate a closed goal; callers map sat -> invalid, unsat -> valid."""
-    return Translator(funcs, opts).run(goal)
+    """Translate a closed goal; callers map sat -> invalid, unsat -> valid.
+    A goal nested too deeply for the recursive passes is a TranslateError,
+    like an exceeded expansion budget."""
+    try:
+        return Translator(funcs, opts).run(goal)
+    except RecursionError:
+        raise TranslateError('goal nested too deeply to translate') from None
 
 
 # ---------------------------------------------------------------------------

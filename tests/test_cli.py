@@ -13,7 +13,7 @@ from fdl.cli import main
 from fdl.core import Atom, Implies, Not
 from fdl.parser import parse_model
 
-from conftest import CHOOSE_SRC, CYCLE4_SRC
+from conftest import CHOOSE_SRC, CONTRACT_SRC, CYCLE4_SRC
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -225,6 +225,15 @@ def test_translate_to_file_with_stats(cycle4, tmp_path, capsys):
     assert out.read_text().startswith('(set-logic')
     err = capsys.readouterr().err
     assert 'goal=' in err and 'est-skolem=' in err
+
+
+def test_translate_stats_count_contracts_as_definitions(tmp_path, capsys):
+    p = tmp_path / 'contracts.fdl'
+    p.write_text(CONTRACT_SRC)
+    assert main(['translate', str(p), '--stats']) == 0
+    captured = capsys.readouterr()
+    assert '(define-fun f ' in captured.out
+    assert captured.err.split()[-1] == 'contracts-as-definitions=1'
 
 
 def test_translate_mode_flag(cycle4, capsys):

@@ -10,8 +10,8 @@ from fdl.core import (
     BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF, FiniteType,
     Forall, Formula, FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
     Term, TrueF, TypeError_, TypeExpr, Var, _children, _rebuild,
-    enumerate_domain, eval_bound, free_vars, has_choose, nat,
-    nondeterministic_funcs, resolve_model, subst,
+    definitional_funcs, enumerate_domain, eval_bound, free_vars, has_choose,
+    nat, nondeterministic_funcs, resolve_model, subst,
     typecheck_formula, typecheck_model, walk,
 )
 from fdl.evaluator import check_validity
@@ -175,6 +175,45 @@ def test_nondeterministic_funcs_follow_applications():
                               body=Apply('viaH', [Var('x')]))
     assert nondeterministic_funcs(funcs) == {'h', 'pick', 'viaH', 'outer'}
     assert nondeterministic_funcs({}) == frozenset()
+
+
+def test_definitional_funcs_rewrite_only_functional_contracts():
+    d = nat(2)
+    p = Var('p')
+    funcs = {
+        'flipped': FuncDecl('flipped', [('p', d)], nat(3),
+                            ensures=Atom('=', AddConst(p, 1), Var('result'))),
+        # applies a functional contract: the fixpoint makes it one too
+        'k': FuncDecl('k', [('p', d)], nat(3), ensures=Atom(
+            '=', Var('result'), Apply('flipped', [p]))),
+        'below': FuncDecl('below', [('p', d)], d,
+                          ensures=Atom('<=', Var('result'), p)),
+        # applies a contract that stays one
+        'viaBelow': FuncDecl('viaBelow', [('p', d)], d, ensures=Atom(
+            '=', Var('result'), Apply('below', [p]))),
+        'pick': FuncDecl('pick', [('x', d)], d,
+                         body=Choose('y', d, Atom('<=', Var('y'), Var('x')))),
+        'chosen': FuncDecl('chosen', [('p', d)], d, ensures=Atom(
+            '=', Var('result'), Choose('y', d, Atom('<=', Var('y'), p)))),
+        # p + 1 can leave nat[2]
+        'succ': FuncDecl('succ', [('p', d)], d,
+                         ensures=Atom('=', Var('result'), AddConst(p, 1))),
+        'self': FuncDecl('self', [('p', d)], d, ensures=Atom(
+            '=', Var('result'), Var('result'))),
+    }
+    out = definitional_funcs(funcs)
+    assert list(out) == list(funcs)
+    for name in ('flipped', 'k'):
+        fd = out[name]
+        assert not fd.is_contract() and fd.params is funcs[name].params
+        assert fd.result == nat(3)
+    assert out['flipped'].body is funcs['flipped'].ensures.lhs
+    assert out['k'].body is funcs['k'].ensures.rhs
+    for name in ('below', 'viaBelow', 'pick', 'chosen', 'succ', 'self'):
+        assert out[name] is funcs[name], name
+    # no functional contract left: the table itself
+    del funcs['flipped'], funcs['k']
+    assert definitional_funcs(funcs) is funcs
 
 
 def test_subst_respects_binders():

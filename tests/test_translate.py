@@ -181,12 +181,20 @@ def test_mode_names_are_closed():
 
 
 def test_preserve_keeps_quantifiers_and_uses_ufbv():
-    m = resolve_model(parse_model(CONTRACT_SRC))
+    # a contract that does not fix its result stays a declared function
+    src = CONTRACT_SRC.replace('ensures result = (if x1 < x2 then 0 else 1)',
+                               'ensures result <= x1')
+    m = resolve_model(parse_model(src))
     text = emit_smtlib(translate(m.theorems['fTotal'], m.funcs,
                                  SmtOptions(mode='preserve')))
     assert text.startswith('(set-logic UFBV)')
     assert '(exists ((' in text and '(forall ((' in text
     assert _decls(text) != []
+    # the functional contract is a definition
+    m = resolve_model(parse_model(CONTRACT_SRC))
+    text = emit_smtlib(translate(m.theorems['fTotal'], m.funcs,
+                                 SmtOptions(mode='preserve')))
+    assert '(define-fun f ' in text
 
 
 def test_expand_all_grounds_everything():
@@ -375,6 +383,99 @@ def test_argument_with_a_choice_is_passed_by_value(src, name):
             answer = check_script(_emit(goal, m.funcs, mode=mode, **flags))
             got = 'valid' if answer == 'unsat' else 'invalid'
             assert got == want, (mode, flags)
+
+
+# -- functional contracts ------------------------------------------------------------
+
+# contracts that fix result to a deterministic term of the result type
+FUNCTIONAL_CONTRACT_SRC = """
+type D = nat[2];
+fun flipped(p: D): nat[3] ensures p + 1 = result;
+fun h(p: nat[1]): nat[5] ensures result = p + p;
+fun twice(p: D): nat[4] ensures result = p + p;
+fun k(p: D): nat[4] ensures result = twice(p);
+theorem flippedSucc <=> forall x: D. flipped(x) = x + 1;
+theorem flippedZero <=> exists x: D. flipped(x) = 0;
+theorem widening <=> forall x: nat[1]. h(x) <= 2 /\\ !(h(x) = 1);
+theorem wideningTwo <=> forall x: nat[1]. h(x) = 2;
+theorem chained <=> forall x: D. k(x) = x + x;
+theorem chainedOdd <=> exists x: D. k(x) = 3;
+"""
+
+# contracts that keep the axiomatized path: result is not fixed, fixed by a
+# choice, or fixed to a term that leaves the result type
+AXIOMATIZED_CONTRACT_SRC = """
+type D = nat[2];
+fun below(p: D): D ensures result <= p;
+fun pick(x: D): D = choose y: D with y <= x;
+fun viaPick(p: D): D ensures result = pick(p);
+fun succ(p: nat[3]): nat[3] ensures result = p + 1;
+theorem belowBounded <=> forall x: D. below(x) <= x;
+theorem belowZero <=> forall x: D. below(x) = 0;
+theorem viaPickBounded <=> forall x: D. viaPick(x) <= x;
+theorem succ <=> forall x: D. succ(x) = x + 1;
+"""
+
+
+@pytest.mark.parametrize('name, contracts', [
+    ('flippedSucc', {'flipped'}), ('flippedZero', {'flipped'}),
+    ('widening', {'h'}), ('wideningTwo', {'h'}),
+    ('chained', {'k', 'twice'}), ('chainedOdd', {'k', 'twice'})])
+def test_functional_contract_is_translated_as_a_definition(name, contracts):
+    m = resolve_model(parse_model(FUNCTIONAL_CONTRACT_SRC))
+    goal = m.theorems[name]
+    want = oracle_check(goal, m.funcs)
+    for mode in MODES:
+        for flags in FLAGS:
+            script = translate(goal, m.funcs, SmtOptions(mode=mode, **flags))
+            assert script.stats.contracts_as_definitions == len(contracts)
+            text = emit_smtlib(script)
+            assert _tagged(text, 'choose-axiom') == [], (mode, flags)
+            declared = {ln.split()[1] for ln in _decls(text)}
+            assert not declared & contracts, (mode, flags)
+            if flags['inline_definitions']:
+                assert _defines(text) == [], (mode, flags)
+            else:
+                assert set(_defines(text)) == contracts, (mode, flags)
+            answer = check_script(text)
+            got = 'valid' if answer == 'unsat' else 'invalid'
+            assert got == want, (mode, flags)
+
+
+@pytest.mark.parametrize('name, contract', [
+    ('belowBounded', 'below'), ('belowZero', 'below'),
+    ('viaPickBounded', 'viaPick'), ('succ', 'succ')])
+def test_other_contracts_stay_axiomatized(name, contract):
+    m = resolve_model(parse_model(AXIOMATIZED_CONTRACT_SRC))
+    goal = m.theorems[name]
+    want = oracle_check(goal, m.funcs)
+    for mode in MODES:
+        for flags in FLAGS:
+            script = translate(goal, m.funcs, SmtOptions(mode=mode, **flags))
+            assert script.stats.contracts_as_definitions == 0
+            text = emit_smtlib(script)
+            if not flags['eliminate_choices']:
+                assert contract in [ln.split()[1] for ln in _decls(text)]
+                assert _tagged(text, 'choose-axiom') != []
+            answer = check_script(text)
+            got = 'valid' if answer == 'unsat' else 'invalid'
+            assert got == want, (mode, flags)
+
+
+@pytest.mark.parametrize('mode', MODES)
+def test_a_goal_too_deep_to_translate_is_a_translate_error(mode):
+    # built as an AST, so no parser limit applies; the translator's
+    # recursive passes overflow and the overflow becomes a TranslateError
+    goal = Atom('=', Lit(0), Lit(0))
+    for _ in range(5000):
+        goal = And(goal, Atom('=', Lit(0), Lit(0)))
+    with pytest.raises(TranslateError,
+                       match='goal nested too deeply to translate'):
+        translate(goal, None, SmtOptions(mode=mode))
+    verdict, outcome, _ = decide(goal, None, load_solver_configs()['refsolve'],
+                                 SmtOptions(mode=mode))
+    assert verdict.status == 'error'
+    assert verdict.reason == 'goal nested too deeply to translate'
 
 
 TWO_WITNESSES_SRC = """
