@@ -439,32 +439,54 @@ def _pinned_term(fd: FuncDecl, funcs: dict):
     return t
 
 
-def subst(node, mapping: dict, used: Optional[set] = None):
-    """node with free variables replaced by their terms in mapping. With
-    used, every binder is also renamed apart, in pre-order: primes are
-    appended until its name is in neither used nor free_vars(node), and the
-    name joins used. Without, binders must not capture the terms."""
-    free = () if used is None else free_vars(node)
-    return _subst(node, (mapping, used, free))
+def binders(node) -> list:
+    """The names of node's binders, in pre-order."""
+    return [n.var for n in walk(node) if isinstance(n, BINDERS)]
+
+
+def apart(names, used: set, free=()) -> list:
+    """names, each with primes appended until it is in neither used nor
+    free; each joins used in turn."""
+    out = []
+    for name in names:
+        while name in used or name in free:
+            name += "'"
+        used.add(name)
+        out.append(name)
+    return out
+
+
+def subst(node, mapping: dict, used: Optional[set] = None, names=None):
+    """node with free variables replaced by their terms in mapping, and its
+    binders named by the iterator names in pre-order, or apart(binders(node),
+    used, free_vars(node)), or else kept (then they must not capture the
+    terms). A node that nothing changes is returned as it is."""
+    if used is not None:
+        names = iter(apart(binders(node), used, free_vars(node)))
+    return _subst(node, (mapping, names))
+
+
+def enter_binder(var: str, mapping: dict, names):
+    """(the name of a binder of var: the next of the iterator names, or var
+    without names; the mapping for the binder's body)."""
+    name = var if names is None else next(names)
+    if name != var or var in mapping:
+        mapping = {**mapping, var: Var(name)}
+    return name, mapping
 
 
 def _subst(node, ctx):
-    mapping, used, free = ctx
-    if not mapping and used is None:
+    mapping, names = ctx
+    if not mapping and names is None:
         return node
     if isinstance(node, Var):
         return mapping.get(node.name, node)
     if not isinstance(node, BINDERS):
         return _rebuild(node, _subst, ctx)
-    var = name = node.var
-    if used is not None:
-        while name in used or name in free:
-            name += "'"
-        used.add(name)
-    inner = {k: v for k, v in mapping.items() if k != var}
-    if name != var:
-        inner[var] = Var(name)
-    body = _subst(node.body, (inner, used, free))
+    name, inner = enter_binder(node.var, mapping, names)
+    body = _subst(node.body, (inner, names))
+    if name == node.var and body is node.body:
+        return node
     return type(node)(name, node.ty, body, pos=node.pos)
 
 

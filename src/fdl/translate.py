@@ -31,12 +31,14 @@ has one value in all uses of its parameter. A goal nested too deeply for
 the recursive passes is a TranslateError, like an exceeded expansion
 budget.
 
-The passes: to_nnf carries the polarity, so one function gives the
-negation-normal form of a formula or of its negation. eliminate_choices and
-axiomatize handle the nodes they rewrite and hand every other node, with
-their context, to core's generic traversal (core._rebuild). Lowering
-compiles each node once into closures (Feeley & Lapalme, "Using Closures
-for Code Generation", 1987), in the static scope of its binders. Widths,
+The passes: the negated goal, then each queued axiom, is rewritten in one
+rebuild (Translator.normalize) that pushes negations to the atoms by
+polarity, names each binder as it enters it, maps an inlined body's
+parameters to their rewritten arguments (the "rapier" of Peyton Jones &
+Marlow, JFP 12(4-5), 2002), turns each choose into a _ch symbol and returns
+every node that nothing changes as it is. Lowering then compiles each node
+once into closures (Feeley & Lapalme, "Using Closures for Code
+Generation", 1987), in the static scope of its binders. Widths,
 zero-extensions, operators and literals, define-fun bodies and each
 existential's Skolem decision are fixed while compiling, in pre-order, so
 symbols are numbered and declared in the order the tree is read. A
@@ -47,11 +49,12 @@ depend on it are built again, and the first use of each Skolem application
 asserts its range.
 
 Names: Translator._taken, seeded with the function names, holds every name
-given out. core.subst renames the binders of the negated goal and of each
-inlined body apart from it, in the pass that substitutes the arguments, and
-adds the names it gives out; fresh _sk/_ch symbols skip it and join it. An
-axiom's binders avoid only the function and declared names, as if it stood
-alone, then join it. So no binder shares a function's or a declared name,
+given out. The goal's binder names are fixed before the rebuild: scan
+lists them in the normal form's pre-order and core.apart primes each apart
+from _taken. An inlined body's are fixed so when it is inlined, also apart
+from its free variables; an axiom's avoid only the function and declared
+names, as if it stood alone, then join _taken. Fresh _sk/_ch symbols skip
+_taken and join it. So no binder shares a function's or a declared name,
 and no inlined body captures a variable of its arguments.
 """
 
@@ -60,11 +63,11 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import (Add, AddConst, And, Apply, Atom, BINDERS, BOOL, Choose,
-                   Exists, FalseF, FdlError, FiniteType, Forall, Formula,
-                   Iff, Implies, Ite, Lit, Mul, Not, Or, QUANTIFIERS, TrueF,
-                   Var, _children, _rebuild, definitional_funcs, free_vars,
-                   has_choose, nondeterministic_funcs, subst, walk)
+from .core import (_LAYOUT, Add, AddConst, And, Apply, Atom, BOOL, Choose,
+                   Exists, FalseF, FdlError, FiniteType, Forall, Formula, Iff,
+                   Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, _children,
+                   _rebuild, apart, binders, definitional_funcs, enter_binder,
+                   free_vars, has_choose, nondeterministic_funcs, subst)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -167,82 +170,55 @@ def smt_sym(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# formula normalization
+# the negation-normal form's binders and costs
 
 
 _DUAL = {TrueF: FalseF, FalseF: TrueF, And: Or, Or: And, Forall: Exists,
          Exists: Forall}
 
 
-def to_nnf(f: Formula, neg=False) -> Formula:
-    """The negation-normal form of f, or of !f when neg: negations pushed to
-    the atoms, => and <=> removed.
-
-    Terms are left untouched; formulas inside term conditionals are handled
-    structurally by the lowering step instead.
-    """
-    if isinstance(f, Not):
-        if neg:
-            return to_nnf(f.body)
-        if isinstance(f.body, Atom):
-            return f
-        out = to_nnf(f.body, True)
-        if not isinstance(f.body, Not):
-            # out is a fresh node; it takes the position of the negation
-            out.pos = f.pos
-        return out
-    if isinstance(f, Atom):
-        return Not(f) if neg else f
-    if isinstance(f, (TrueF, FalseF)):
-        return _DUAL[type(f)]() if neg else f
-    pos = None if neg else f.pos
-    if isinstance(f, Implies):  # !a \/ b
-        return (And if neg else Or)(to_nnf(f.lhs, not neg), to_nnf(f.rhs, neg),
-                                    pos=pos)
-    if isinstance(f, Iff):  # (!a \/ b) /\ (a \/ !b)
-        inner = And if neg else Or
-        return (Or if neg else And)(
-            inner(to_nnf(f.lhs, not neg), to_nnf(f.rhs, neg)),
-            inner(to_nnf(f.lhs, neg), to_nnf(f.rhs, not neg)), pos=pos)
-    kind = _DUAL[type(f)] if neg else type(f)
-    if isinstance(f, QUANTIFIERS):
-        return kind(f.var, f.ty, to_nnf(f.body, neg), pos=pos)
-    return kind(to_nnf(f.lhs, neg), to_nnf(f.rhs, neg), pos=pos)
-
-
-def negate_goal(goal: Formula) -> Formula:
-    """The satisfiability-side formula: nnf(!goal)."""
-    return to_nnf(goal, True)
-
-
-def estimate_costs(neg: Formula):
-    """Structural cost estimate on the negation-normal form neg, for a goal
-    nnf(!goal): (skolem range conjuncts, universal expansion conjuncts).
-    Both are 0 when the respective quantifier kind is absent."""
-    skolem, expansion, saw_forall = 0, 1, False
-    stack = [(neg, 1)]  # (node, product of the enclosing universals' sizes)
+def scan(f: Formula, neg: bool):
+    """(the binder names of the negation-normal form of f, or of !f when
+    neg, in pre-order, each side of a <=> twice as the form holds it; the
+    Skolem range and universal expansion conjunct estimates, 0 when their
+    quantifier kind is absent), from one read-only walk."""
+    names, skolem, expansion = [], 0, 0
+    # (node, negated, product of the enclosing universals' sizes, None in an
+    # atom); children are pushed last first, so that they come out in order
+    stack = [(f, neg, 1)]
     while stack:
-        f, mult = stack.pop()
-        if isinstance(f, Forall):
-            saw_forall = True
-            expansion *= f.ty.size()
-            stack.append((f.body, mult * f.ty.size()))
-        elif isinstance(f, Exists):
-            skolem += mult
-            stack.append((f.body, mult))
-        elif not isinstance(f, Atom):
-            stack += [(c, mult) for c in _children(f)]
-    return skolem, (expansion if saw_forall else 0)
+        f, neg, mult = stack.pop()
+        cls = type(f)
+        if mult is None or cls is Atom:  # every binder, in plain pre-order
+            if cls is Choose or cls is Forall or cls is Exists:
+                names.append(f.var)
+            for name in reversed(_LAYOUT[cls][1]):
+                v = getattr(f, name)
+                if type(v) is list:
+                    stack += [(x, neg, None) for x in reversed(v)]
+                elif type(v) is not Var and type(v) is not Lit:
+                    stack.append((v, neg, None))
+        elif cls is Not:
+            stack.append((f.body, not neg, mult))
+        elif cls is Forall or cls is Exists:
+            names.append(f.var)
+            if (cls is Forall) != neg:
+                expansion = max(expansion, 1) * f.ty.size()
+                mult *= f.ty.size()
+            else:
+                skolem += mult
+            stack.append((f.body, neg, mult))
+        elif cls is Iff:  # (!a \/ b) /\ (a \/ !b), children last first
+            stack += [(f.rhs, not neg, mult), (f.lhs, neg, mult),
+                      (f.rhs, neg, mult), (f.lhs, not neg, mult)]
+        elif cls is not TrueF and cls is not FalseF:  # !a \/ b for a => b
+            stack += [(f.rhs, neg, mult),
+                      (f.lhs, neg != (cls is Implies), mult)]
+    return names, (skolem, expansion)
 
 
 # ---------------------------------------------------------------------------
 # source-level transforms
-
-
-def instantiate(fd, args, used):
-    """The body of the defined function fd with args for its parameters and
-    its binders renamed apart from used, which gains their new names."""
-    return subst(fd.body, {p: a for (p, _), a in zip(fd.params, args)}, used)
 
 
 def eliminate_choices(goal: Formula, funcs) -> Formula:
@@ -261,18 +237,8 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
     """
     funcs = funcs or {}
     nondet = nondeterministic_funcs(funcs)
-    used = set()
-    for n in walk(goal):
-        if isinstance(n, Var):
-            used.add(n.name)
-        elif isinstance(n, BINDERS):
-            used.add(n.var)
+    used = set(binders(goal))  # goal is closed: every variable is bound
     names = ('_el%d' % i for i in itertools.count(1))
-
-    def fresh():
-        name = next(n for n in names if n not in used)
-        used.add(name)
-        return name
 
     def eligible_occurrence(t):
         # first choice-like node in a term tree; conditions of term
@@ -301,21 +267,22 @@ def eliminate_choices(goal: Formula, funcs) -> Formula:
             hit = eligible_occurrence(f.lhs) or eligible_occurrence(f.rhs)
             if hit is None:
                 return f
-            if isinstance(hit, Apply) and funcs[hit.func].body is not None:
-                # a definition that can take several values: its body, with
-                # the choices in it, takes the application's place
-                body = instantiate(funcs[hit.func], hit.args, used)
-                return go(replace(f, (hit, body)), ok)
-            y = fresh()
+            if isinstance(hit, Apply):
+                fd = funcs[hit.func]
+                mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
+                if fd.body is not None:
+                    # a definition that can take several values: its body,
+                    # with the choices in it, takes the application's place
+                    body = subst(fd.body, mapping, used)
+                    return go(replace(f, (hit, body)), ok)
+            y = next(n for n in names if n not in used)
+            used.add(y)
             if isinstance(hit, Choose):
                 rty = hit.ty
                 cond = subst(hit.body, {hit.var: Var(y)})
             else:
-                fd = funcs[hit.func]
                 rty = fd.result
-                mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
-                mapping['result'] = Var(y)
-                cond = subst(fd.ensures, mapping, used)
+                cond = subst(fd.ensures, {**mapping, 'result': Var(y)}, used)
             # the stripped atom may hold further occurrences; recurse on it
             rest = go(replace(f, (hit, Var(y))), ok)
             return Forall(y, rty, Implies(cond, rest))
@@ -355,6 +322,7 @@ class Translator:
         self._as_definitions = set() if self.funcs is source else {
             n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
+        self.queue = []  # (axiom, tag), each normalized and lowered in turn
         nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
         self._inlined = {n: fd for n, fd in self.funcs.items()
@@ -378,61 +346,109 @@ class Translator:
             self._as_definitions.discard(name)
             self.stats.contracts_as_definitions += 1
 
-    # -- choice axiomatization -------------------------------------------------
+    # -- the front end: one rebuild before lowering ---------------------------
 
-    def axiomatize(self, f: Formula, queue: list) -> Formula:
-        """Replace choose terms by fresh constrained functions, register
-        contract functions, and append the new axioms to the queue."""
+    def normalize(self, f: Formula, neg: bool, used: set):
+        """(f, or !f when neg, through the one rebuild of the module
+        docstring's The passes; scan's estimates). f must be closed. Its
+        binders are named apart from used before the rebuild starts, and
+        the names join used and _taken."""
+        names, estimates = scan(f, neg)
+        names = iter(apart(names, used))
+        self._taken |= used
+        return self._rewrite(f, ({}, [], names), neg), estimates
 
-        def go(n, scope):
-            if isinstance(n, QUANTIFIERS):
-                return type(n)(n.var, n.ty, go(n.body, scope + [(n.var, n.ty)]),
-                               pos=n.pos)
-            if isinstance(n, Choose):
-                fv = free_vars(n)
-                args = [(a, ty) for a, ty in scope if a in fv and ty.size() > 1]
-                folded = {a: Lit(int(ty.value_at(0)))
-                          for a, ty in scope if a in fv and ty.size() == 1}
-                name = self.fresh('_ch')
-                self.symtab[name] = ([ty for _, ty in args], n.ty)
-                app = Apply(name, [Var(a) for a, _ in args])
-                body = subst(n.body, dict(folded, **{n.var: app}))
-                queue.append((self._close(args, body), 'choose-axiom'))
-                self._queue_constraint(name, args, n.ty, queue)
-                return Apply(name, [Var(a) for a, _ in args])
-            if not isinstance(n, Apply):
-                return _rebuild(n, go, scope)
-            fd = self.funcs.get(n.func)
-            args = [go(a, scope) for a in n.args]
-            if fd is not None and fd.is_contract() and n.func not in self.symtab:
-                self.symtab[n.func] = ([ty for _, ty in fd.params], fd.result)
-                params = list(fd.params)
-                ens = subst(fd.ensures, {'result': Apply(
-                    n.func, [Var(p) for p, _ in params])})
-                queue.append((self._close(params, ens), 'choose-axiom'))
-                self._queue_constraint(n.func, params, fd.result, queue)
-            if n.func in self._inlined:
-                self._count_definition(n.func)
-                # the arguments are axiomatized already: a choice in one has
-                # one value in all uses of its parameter. The binders in
-                # scope are taken, so no argument is captured.
-                return go(instantiate(fd, args, self._taken), scope)
-            return Apply(n.func, args, pos=n.pos)
+    def _rewrite(self, n, ctx, neg=None):
+        """n, or !n when neg, in negation-normal form; with neg None, n
+        keeps its connectives (a term, or a formula in a conditional). ctx
+        holds the terms for free variables, the enclosing quantifiers'
+        (name, type) and the iterator of binder names."""
+        cls = type(n)
+        if cls is Var:
+            return ctx[0].get(n.name, n)
+        if cls is Lit:
+            return n
+        if cls is Forall or cls is Exists:
+            mapping, scope, names = ctx
+            var, mapping = enter_binder(n.var, mapping, names)
+            body = self._rewrite(n.body, (mapping, scope + [(var, n.ty)],
+                                          names), neg)
+            if not neg and var == n.var and body is n.body:
+                return n
+            return (_DUAL[cls] if neg else cls)(var, n.ty, body,
+                                                 pos=None if neg else n.pos)
+        if neg is None:
+            if cls is Apply:
+                return self._application(n, ctx)
+            if cls is Choose:
+                return self._choice(n, ctx)
+            return _rebuild(n, self._rewrite, ctx)
+        if cls is Atom:
+            lhs, rhs = self._rewrite(n.lhs, ctx), self._rewrite(n.rhs, ctx)
+            if lhs is not n.lhs or rhs is not n.rhs:
+                n = Atom(n.rel, lhs, rhs, pos=n.pos)
+            return Not(n) if neg else n
+        if cls is Not:
+            if neg or type(n.body) is not Atom:
+                return self._rewrite(n.body, ctx, not neg)
+            return _rebuild(n, self._rewrite, ctx)
+        if cls is TrueF or cls is FalseF:
+            return _DUAL[cls]() if neg else n
+        if cls is Implies:  # !a \/ b
+            return self._rewrite(Or(Not(n.lhs), n.rhs, pos=n.pos), ctx, neg)
+        if cls is Iff:  # (!a \/ b) /\ (a \/ !b), read in scan's order
+            return self._rewrite(And(Or(Not(n.lhs), n.rhs), Or(
+                n.lhs, Not(n.rhs)), pos=n.pos), ctx, neg)
+        lhs = self._rewrite(n.lhs, ctx, neg)
+        rhs = self._rewrite(n.rhs, ctx, neg)
+        if not neg and lhs is n.lhs and rhs is n.rhs:
+            return n
+        return _DUAL[cls](lhs, rhs) if neg else cls(lhs, rhs, pos=n.pos)
 
-        return go(f, [])
+    def _choice(self, n, ctx):
+        """The choose n as a fresh _ch symbol applied to the enclosing
+        binders that it reads; its axioms are queued."""
+        c = subst(n, ctx[0], names=ctx[2])
+        fv = free_vars(c)
+        args = [(a, ty) for a, ty in ctx[1] if a in fv and ty.size() > 1]
+        folded = {a: Lit(int(ty.value_at(0)))
+                  for a, ty in ctx[1] if a in fv and ty.size() == 1}
+        name = self.fresh('_ch')
+        folded[c.var] = Apply(name, [Var(a) for a, _ in args])
+        self._declare(name, args, c.ty, subst(c.body, folded))
+        return Apply(name, [Var(a) for a, _ in args])
 
-    @staticmethod
-    def _close(binders, body) -> Formula:
-        for name, ty in reversed(binders):
-            body = Forall(name, ty, body)
-        return body
+    def _application(self, n, ctx):
+        fd = self.funcs.get(n.func)
+        if n.func not in self._inlined:
+            out = _rebuild(n, self._rewrite, ctx)
+            # every _ch symbol is in symtab, so fd is not None here
+            if n.func not in self.symtab and fd.is_contract():
+                app = Apply(n.func, [Var(p) for p, _ in fd.params])
+                self._declare(n.func, fd.params, fd.result,
+                              subst(fd.ensures, {'result': app}))
+            return out
+        # the arguments are rewritten first: a choice in one has one value
+        # in all uses of its parameter
+        args = [self._rewrite(a, ctx) for a in n.args]
+        self._count_definition(n.func)
+        names = apart(binders(fd.body), self._taken, free_vars(fd.body))
+        mapping = {p: a for (p, _), a in zip(fd.params, args)}
+        return self._rewrite(fd.body, (mapping, ctx[1], iter(names)))
 
-    def _queue_constraint(self, name, binders, rty, queue):
-        if predicate_trivial(rty):
-            return
-        app = Apply(name, [Var(a) for a, _ in binders])
-        queue.append((self._close(binders, Atom('<=', app, Lit(rty.bound))),
-                      'type-constraint'))
+    def _declare(self, name, params, rty, axiom):
+        """Declare name: params -> rty; queue axiom and the result's type
+        constraint, each closed over params."""
+        self.symtab[name] = ([ty for _, ty in params], rty)
+        axioms = [(axiom, 'choose-axiom')]
+        if not predicate_trivial(rty):
+            app = Apply(name, [Var(a) for a, _ in params])
+            axioms.append((Atom('<=', app, Lit(rty.bound)),
+                           'type-constraint'))
+        for ax, tag in axioms:
+            for p, ty in reversed(params):
+                ax = Forall(p, ty, ax)
+            self.queue.append((ax, tag))
 
     # -- lowering, compiled once per node ----------------------------------------
 
@@ -683,20 +699,19 @@ class Translator:
     # -- entry point ------------------------------------------------------------
 
     def run(self, goal: Formula) -> SmtScript:
-        neg = negate_goal(goal)
-        estimates = estimate_costs(neg)
+        source = goal
         if self.opts.eliminate_choices:
-            neg = negate_goal(eliminate_choices(goal, self.funcs))
-
-        queue = []
-        neg = self.axiomatize(subst(neg, {}, self._taken), queue)
+            goal = eliminate_choices(goal, self.funcs)
+        neg, estimates = self.normalize(goal, True, self._taken)
+        if goal is not source:  # the estimates describe the goal as written
+            estimates = scan(source, True)[1]
         self.top(neg, 'negated-goal')
-        while queue:
-            ax, tag = queue.pop(0)
-            names = set(self.funcs).union(self.symtab)
-            ax = subst(to_nnf(ax), {}, names)
-            self._taken |= names
-            self.top(self.axiomatize(ax, queue), tag)
+        while self.queue:
+            ax, tag = self.queue.pop(0)
+            # an axiom's binders avoid only the function and declared names
+            ax, _ = self.normalize(ax, False,
+                                   set(self.funcs).union(self.symtab))
+            self.top(ax, tag)
 
         st = self.stats
         st.goal_conjuncts = len(self.asserts['negated-goal'])
