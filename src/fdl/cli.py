@@ -13,8 +13,7 @@ from .core import FdlError, TypeError_, resolve_model, typecheck_model
 from .evaluator import EvalTimeout, Verdict, check_validity
 from .oracle import DEFAULT_CAP, oracle_check
 from .parser import ParseError, parse_model, print_formula
-from .randgen import GoalGen
-from .refsolver import check_script
+from .randgen import GoalGen, differential
 from .solvers import DEFAULT_TIMEOUT_MS, decide, load_solver_configs
 from .translate import (MODES, SmtOptions, TranslateError, emit_smtlib,
                         translate)
@@ -205,16 +204,8 @@ def _cmd_fuzz(args) -> int:
     gen = GoalGen(rng, args.max_depth, args.max_bound)
     for i in range(args.count):
         goal = gen.goal()
-        want = oracle_check(goal)
-        got = {}
-        for mode in ('nondeterministic', 'deterministic'):
-            v, _ = check_validity(goal, {}, mode)
-            got['evaluator/' + mode] = v.status
-        for mode in MODES:
-            script = translate(goal, {}, SmtOptions(mode=mode))
-            answer = check_script(emit_smtlib(script))
-            got['refsolve/' + mode] = \
-                {'unsat': 'valid', 'sat': 'invalid'}.get(answer, answer)
+        got = differential(goal)
+        want = got.pop('oracle')
         bad = {k: v for k, v in got.items() if v != want}
         if bad:
             print('mismatch on goal %d (oracle: %s):' % (i, want))

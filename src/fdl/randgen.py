@@ -1,4 +1,5 @@
-"""Seeded generator of random closed goals for differential testing.
+"""Seeded generator of random closed goals for differential testing, and
+the differential itself.
 
 Goals are choose-free, quantify over nat[b] with b <= max_bound, and keep
 nesting shallow so that exhaustive truth-set evaluation stays cheap. Every
@@ -9,6 +10,10 @@ import random
 
 from .core import (Add, AddConst, And, Atom, Exists, FalseF, Forall, Iff,
                    Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, nat)
+from .evaluator import check_validity
+from .oracle import oracle_check
+from .refsolver import check_script
+from .translate import MODES, SmtOptions, emit_smtlib, translate
 
 _RELS = ('=', '<', '<=')
 
@@ -92,3 +97,18 @@ class GoalGen:
 
 def random_goal(seed: int, max_depth: int = 4, max_bound: int = 3):
     return GoalGen(random.Random(seed), max_depth, max_bound).goal()
+
+
+def differential(goal, funcs=None) -> dict:
+    """Each mechanism's status for the closed goal, all in process: the
+    oracle, the evaluator in both modes and refsolve on the script of each
+    translation mode (sat -> invalid, unsat -> valid, else its answer)."""
+    got = {'oracle': oracle_check(goal, funcs)}
+    for mode in ('nondeterministic', 'deterministic'):
+        got['evaluator/' + mode] = check_validity(goal, funcs, mode)[0].status
+    for mode in MODES:
+        answer = check_script(emit_smtlib(translate(
+            goal, funcs, SmtOptions(mode=mode))))
+        got['refsolve/' + mode] = {'unsat': 'valid',
+                                   'sat': 'invalid'}.get(answer, answer)
+    return got

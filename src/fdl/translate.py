@@ -36,29 +36,33 @@ rebuild (Translator.normalize) that pushes negations to the atoms by
 polarity, names each binder as it enters it, maps an inlined body's
 parameters to their rewritten arguments (the "rapier" of Peyton Jones &
 Marlow, JFP 12(4-5), 2002), turns each choose into a _ch symbol and returns
-every node that nothing changes as it is. Lowering then compiles each node
-once into closures (Feeley & Lapalme, "Using Closures for Code
-Generation", 1987), in the static scope of its binders. Widths,
-zero-extensions, operators and literals, define-fun bodies and each
-existential's Skolem decision are fixed while compiling, in pre-order, so
-symbols are numbered and declared in the order the tree is read. A
-quantifier's body is compiled once; for each ground instance
+every node that nothing changes as it is. Under --eliminate-choices it also
+lifts choices out of the goal's atoms that only forall, /\\, \\/ and
+the right side of => enclose, into a guarded universal (Translator._lift);
+every other occurrence keeps its _ch symbol or contract declaration.
+Lowering then compiles each node once into closures (Feeley & Lapalme,
+"Using Closures for Code Generation", 1987), in the static scope of its
+binders. Widths, zero-extensions, operators and literals, define-fun bodies
+and each existential's Skolem decision are fixed while compiling, in
+pre-order, so symbols are numbered and declared in the order the tree is
+read. A quantifier's body is compiled once; for each ground instance
 (Translator._instances, which counts the expansion budget) the bound
 variable's literal is written into a frame slot, only the tuples that
 depend on it are built again, and the first use of each Skolem application
 asserts its range.
 
 Names: Translator._taken, seeded with the function names, holds every name
-given out. The goal's binder names are fixed before the rebuild: scan
-lists them in the normal form's pre-order and core.apart primes each apart
-from _taken. An inlined body's are fixed so when it is inlined, also apart
-from its free variables; an axiom's avoid only the function and declared
-names, as if it stood alone, then join _taken. Fresh _sk/_ch symbols skip
-_taken and join it. So no binder shares a function's or a declared name,
-and no inlined body captures a variable of its arguments.
+given out. The goal's binder names are fixed before the rebuild: scan lists
+them in the normal form's pre-order and core.apart primes each apart from
+_taken; a lifted atom takes its binders' names from the same list. An
+inlined body's are fixed so when it is inlined, also apart from its free
+variables, and so are those of a lifted contract's ensures; an axiom's
+avoid only the function and declared names, as if it stood alone, then join
+_taken. Fresh _sk/_ch/_el symbols skip _taken and join it. So no binder
+shares a function's or a declared name, and no inlined body captures a
+variable of its arguments.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -217,81 +221,27 @@ def scan(f: Formula, neg: bool):
     return names, (skolem, expansion)
 
 
-# ---------------------------------------------------------------------------
-# source-level transforms
+def _eligible(t, nondet):
+    """The first node of the term t that --eliminate-choices lifts out of
+    its atom: a choose, or an application of a function in nondet whose
+    arguments hold no choice, so that no argument is copied into the uses
+    of its parameter; else None. Conditions of term conditionals have
+    mixed polarity and choose bodies are opaque: neither is searched."""
+    if type(t) is Choose:
+        return t
+    for c in _children(t):
+        hit = None if isinstance(c, Formula) else _eligible(c, nondet)
+        if hit is not None:
+            return hit
+    if (type(t) is Apply and t.func in nondet
+            and not any(has_choose(a, nondet) for a in t.args)):
+        return t
+    return None
 
 
-def eliminate_choices(goal: Formula, funcs) -> Formula:
-    """Lift choices and contract applications out of positive atoms.
-
-    An occurrence c (a choose term, or an application of a contract
-    function) inside an atom A[c] gets rewritten to
-
-        forall y: R. (cond[y] => A[y])
-
-    where cond is the choose condition (or the contract's ensures clause
-    with its parameters instantiated). An eligible application of a
-    definition that can take several values is replaced by its body first.
-    Only occurrences in positive position and not under an existential or
-    another choice are eligible; the rest are left for axiomatization.
-    """
-    funcs = funcs or {}
-    nondet = nondeterministic_funcs(funcs)
-    used = set(binders(goal))  # goal is closed: every variable is bound
-    names = ('_el%d' % i for i in itertools.count(1))
-
-    def eligible_occurrence(t):
-        # first choice-like node in a term tree; conditions of term
-        # conditionals have mixed polarity and choose bodies are opaque. An
-        # application is a hit only once its arguments hold no choice, so
-        # an argument is never copied into the uses of its parameter.
-        if isinstance(t, Choose):
-            return t
-        for c in _children(t):
-            hit = None if isinstance(c, Formula) else eligible_occurrence(c)
-            if hit is not None:
-                return hit
-        if (isinstance(t, Apply) and t.func in nondet
-                and not any(has_choose(a, nondet) for a in t.args)):
-            return t
-        return None
-
-    def replace(node, hit):
-        target, repl = hit
-        return repl if node is target else _rebuild(node, replace, hit)
-
-    def go(f, ok):
-        if isinstance(f, Atom):
-            if not ok:
-                return f
-            hit = eligible_occurrence(f.lhs) or eligible_occurrence(f.rhs)
-            if hit is None:
-                return f
-            if isinstance(hit, Apply):
-                fd = funcs[hit.func]
-                mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
-                if fd.body is not None:
-                    # a definition that can take several values: its body,
-                    # with the choices in it, takes the application's place
-                    body = subst(fd.body, mapping, used)
-                    return go(replace(f, (hit, body)), ok)
-            y = next(n for n in names if n not in used)
-            used.add(y)
-            if isinstance(hit, Choose):
-                rty = hit.ty
-                cond = subst(hit.body, {hit.var: Var(y)})
-            else:
-                rty = fd.result
-                cond = subst(fd.ensures, {**mapping, 'result': Var(y)}, used)
-            # the stripped atom may hold further occurrences; recurse on it
-            rest = go(replace(f, (hit, Var(y))), ok)
-            return Forall(y, rty, Implies(cond, rest))
-        if isinstance(f, Implies):
-            return Implies(go(f.lhs, False), go(f.rhs, ok), pos=f.pos)
-        ok = ok and not isinstance(f, (Not, Iff, Exists))
-        return _rebuild(f, go, ok)
-
-    return go(goal, True)
+def _replace(node, hit):
+    target, repl = hit
+    return repl if node is target else _rebuild(node, _replace, hit)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +260,7 @@ class Translator:
         self._defined = set()
         self.asserts = {tag: [] for tag in TAGS}
         self.instances = 0
-        self.counters = {'_sk': 0, '_ch': 0}
+        self.counters = {'_sk': 0, '_ch': 0, '_el': 0}
         self.range_done = set()  # Skolem applications with a range axiom
         # compile state: name -> compiled term, the expanded universals as
         # (frame slot, type), the frame's size, and whether quantifiers
@@ -323,11 +273,12 @@ class Translator:
             n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
         self.queue = []  # (axiom, tag), each normalized and lowered in turn
-        nondet = nondeterministic_funcs(self.funcs)
+        self._nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
+        inline = self.opts.inline_definitions
         self._inlined = {n: fd for n, fd in self.funcs.items()
-                         if fd.body is not None and (
-                             self.opts.inline_definitions or n in nondet)}
+                         if fd.body is not None
+                         and (inline or n in self._nondet)}
 
     # -- fresh symbols -------------------------------------------------------
 
@@ -348,21 +299,24 @@ class Translator:
 
     # -- the front end: one rebuild before lowering ---------------------------
 
-    def normalize(self, f: Formula, neg: bool, used: set):
+    def normalize(self, f: Formula, neg: bool, used: set, lift=False):
         """(f, or !f when neg, through the one rebuild of the module
         docstring's The passes; scan's estimates). f must be closed. Its
         binders are named apart from used before the rebuild starts, and
-        the names join used and _taken."""
+        the names join used and _taken. lift is set for the goal under
+        --eliminate-choices."""
         names, estimates = scan(f, neg)
         names = iter(apart(names, used))
         self._taken |= used
-        return self._rewrite(f, ({}, [], names), neg), estimates
+        return self._rewrite(f, ({}, [], names), neg, lift), estimates
 
-    def _rewrite(self, n, ctx, neg=None):
+    def _rewrite(self, n, ctx, neg=None, lift=False):
         """n, or !n when neg, in negation-normal form; with neg None, n
         keeps its connectives (a term, or a formula in a conditional). ctx
         holds the terms for free variables, the enclosing quantifiers'
-        (name, type) and the iterator of binder names."""
+        (name, type) and the iterator of binder names. lift marks a node
+        that only forall, /\\, \\/ and the right side of => enclose: its
+        atoms' choices are lifted (see _lift)."""
         cls = type(n)
         if cls is Var:
             return ctx[0].get(n.name, n)
@@ -372,7 +326,7 @@ class Translator:
             mapping, scope, names = ctx
             var, mapping = enter_binder(n.var, mapping, names)
             body = self._rewrite(n.body, (mapping, scope + [(var, n.ty)],
-                                          names), neg)
+                                          names), neg, lift and cls is Forall)
             if not neg and var == n.var and body is n.body:
                 return n
             return (_DUAL[cls] if neg else cls)(var, n.ty, body,
@@ -384,6 +338,9 @@ class Translator:
                 return self._choice(n, ctx)
             return _rebuild(n, self._rewrite, ctx)
         if cls is Atom:
+            if lift and (_eligible(n.lhs, self._nondet)
+                         or _eligible(n.rhs, self._nondet)):
+                return self._lift(subst(n, ctx[0], names=ctx[2]), ctx[1], neg)
             lhs, rhs = self._rewrite(n.lhs, ctx), self._rewrite(n.rhs, ctx)
             if lhs is not n.lhs or rhs is not n.rhs:
                 n = Atom(n.rel, lhs, rhs, pos=n.pos)
@@ -395,15 +352,41 @@ class Translator:
         if cls is TrueF or cls is FalseF:
             return _DUAL[cls]() if neg else n
         if cls is Implies:  # !a \/ b
-            return self._rewrite(Or(Not(n.lhs), n.rhs, pos=n.pos), ctx, neg)
+            return self._rewrite(Or(Not(n.lhs), n.rhs, pos=n.pos), ctx, neg,
+                                 lift)
         if cls is Iff:  # (!a \/ b) /\ (a \/ !b), read in scan's order
             return self._rewrite(And(Or(Not(n.lhs), n.rhs), Or(
                 n.lhs, Not(n.rhs)), pos=n.pos), ctx, neg)
-        lhs = self._rewrite(n.lhs, ctx, neg)
-        rhs = self._rewrite(n.rhs, ctx, neg)
+        lhs = self._rewrite(n.lhs, ctx, neg, lift)
+        rhs = self._rewrite(n.rhs, ctx, neg, lift)
         if not neg and lhs is n.lhs and rhs is n.rhs:
             return n
         return _DUAL[cls](lhs, rhs) if neg else cls(lhs, rhs, pos=n.pos)
+
+    def _lift(self, atom, scope, neg):
+        """The atom, its binders already named, as
+        forall y. cond[y] => atom[y] for its first eligible choice (see
+        _eligible), where cond is the choose's condition or the contract's
+        ensures with y for result, rewritten; the rewrite lifts the
+        formula's further choices. An eligible application of a definition
+        that can take several values is replaced by its body first."""
+        hit = _eligible(atom.lhs, self._nondet) or _eligible(atom.rhs,
+                                                             self._nondet)
+        if type(hit) is Choose:
+            y = self.fresh('_el')
+            rty, cond = hit.ty, subst(hit.body, {hit.var: Var(y)})
+        else:
+            fd = self.funcs[hit.func]
+            mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
+            if fd.body is not None:
+                body = subst(fd.body, mapping, self._taken)
+                return self._rewrite(_replace(atom, (hit, body)),
+                                     ({}, scope, None), neg, True)
+            y = self.fresh('_el')
+            mapping['result'] = Var(y)
+            rty, cond = fd.result, subst(fd.ensures, mapping, self._taken)
+        atom = Forall(y, rty, Implies(cond, _replace(atom, (hit, Var(y)))))
+        return self._rewrite(atom, ({}, scope, None), neg, True)
 
     def _choice(self, n, ctx):
         """The choose n as a fresh _ch symbol applied to the enclosing
@@ -699,12 +682,8 @@ class Translator:
     # -- entry point ------------------------------------------------------------
 
     def run(self, goal: Formula) -> SmtScript:
-        source = goal
-        if self.opts.eliminate_choices:
-            goal = eliminate_choices(goal, self.funcs)
-        neg, estimates = self.normalize(goal, True, self._taken)
-        if goal is not source:  # the estimates describe the goal as written
-            estimates = scan(source, True)[1]
+        neg, estimates = self.normalize(goal, True, self._taken,
+                                        self.opts.eliminate_choices)
         self.top(neg, 'negated-goal')
         while self.queue:
             ax, tag = self.queue.pop(0)

@@ -15,7 +15,7 @@ from fdl.bench import PATTERNS, BenchCase, render_chart, run_case
 from fdl.core import Add, Atom, Exists, Forall, Not, Var, nat
 from fdl.evaluator import check_validity
 from fdl.oracle import oracle_check
-from fdl.randgen import random_goal
+from fdl.randgen import differential, random_goal
 from fdl.refsolver import check_script
 from fdl.solvers import decide, load_solver_configs, run_solver
 from fdl.translate import (
@@ -50,14 +50,13 @@ def test_c1_differential_soundness_5000_goals():
     count = 5000
     for seed in range(count):
         goal = random_goal(seed, max_depth=4, max_bound=3)
-        want = oracle_check(goal)
-        nd, _ = check_validity(goal, mode='nondeterministic')
-        det, _ = check_validity(goal, mode='deterministic')
-        assert nd.status == want == det.status, 'seed %d' % seed
+        got = differential(goal)
+        want = got['oracle']
+        assert (got['evaluator/nondeterministic'] == want
+                == got['evaluator/deterministic']), 'seed %d' % seed
         for mode in MODES:
-            text = emit_smtlib(translate(goal, None, SmtOptions(mode=mode)))
-            got = _solver_verdict(check_script(text))
-            assert got == want, 'seed %d mode %s' % (seed, mode)
+            assert got['refsolve/' + mode] == want, \
+                'seed %d mode %s' % (seed, mode)
     backends = _available_backends()
     assert backends, 'no backend available'
     sub = 150

@@ -16,8 +16,8 @@ from fdl.randgen import random_goal
 from fdl.refsolver import check_script
 from fdl.solvers import decide, load_solver_configs
 from fdl.translate import (
-    MODES, SmtOptions, TranslateError, Translator, eliminate_choices,
-    emit_smtlib, predicate_trivial, scan, sort_width, translate,
+    MODES, SmtOptions, TranslateError, Translator, emit_smtlib,
+    predicate_trivial, scan, sort_width, translate,
 )
 
 from conftest import (
@@ -287,11 +287,50 @@ def test_default_budget_allows_the_whole_grid():
 
 def test_eliminate_choices_rewrites_atoms_to_guarded_universals():
     m = resolve_model(parse_model(CHOOSE_SRC))
-    from fdl.core import Choose, has_choose
-    g = eliminate_choices(
-        Forall('x', m.types['D'], Atom('<=', m.funcs['pick'].body, Var('x'))),
-        m.funcs)
-    assert not has_choose(g)
+    goal = Forall('x', m.types['D'],
+                  Atom('<=', m.funcs['pick'].body, Var('x')))
+    for mode in MODES:
+        text = emit_smtlib(translate(goal, m.funcs, SmtOptions(
+            mode=mode, eliminate_choices=True)))
+        assert not [d for d in _decls(text) if '_ch' in d], mode
+        assert _tagged(text, 'choose-axiom') == [], mode
+
+
+# Where --eliminate-choices lifts the choice c = (choose y: D with y <= 1):
+# under forall, /\\, \\/ and the right side of =>. The other positions keep
+# a _ch symbol: the left side of =>, under !, either side of <=> (whose
+# normal form (!a \\/ b) /\\ (a \\/ !b) holds a as a positive atom too, as
+# !!a does) and under exists.
+LIFT_POSITIONS_SRC = """
+type D = nat[2];
+theorem atom <=> (choose y: D with y <= 1) <= 1;
+theorem universal <=> forall x: D. (choose y: D with y <= 1) <= x \\/ x = 0;
+theorem conjunct <=> true /\\ (choose y: D with y <= 1) <= 1;
+theorem disjunct <=> false \\/ (choose y: D with y <= 1) <= 1;
+theorem consequent <=> true => (choose y: D with y <= 1) <= 1;
+theorem antecedent <=> ((choose y: D with y <= 1) <= 1) => true;
+theorem negated <=> !((choose y: D with y <= 1) = 2);
+theorem doubleNegated <=> !!((choose y: D with y <= 1) <= 1);
+theorem equivalent <=> ((choose y: D with y <= 1) <= 1) <=> true;
+theorem existential <=> exists x: D. (choose y: D with y <= 1) <= x;
+"""
+LIFTED = ('atom', 'universal', 'conjunct', 'disjunct', 'consequent')
+
+
+@pytest.mark.parametrize('mode', MODES)
+def test_eliminate_choices_lifts_only_from_positive_positions(mode):
+    m = resolve_model(parse_model(LIFT_POSITIONS_SRC))
+    assert len(m.theorems) == 10
+    for name, goal in m.theorems.items():
+        assert oracle_check(goal, m.funcs) == 'valid', name
+        text = _emit(goal, m.funcs, mode=mode, eliminate_choices=True)
+        if name in LIFTED:
+            assert not [d for d in _decls(text) if '_ch' in d], name
+        else:  # translated as without the option, header aside
+            plain = _emit(goal, m.funcs, mode=mode)
+            assert (text.replace('eliminate-choices: on', '')
+                    == plain.replace('eliminate-choices: off', '')), name
+        assert check_script(text) == 'unsat', name
 
 
 def test_eliminate_choices_empties_symbol_table():
@@ -849,3 +888,35 @@ def test_stats_and_errors_match_the_recorded_table():
         got = [_stats_text(goal, funcs, mode, kw)
                for mode in MODES for kw in OPTIONS.values()]
         assert got == [texts[i] for i in rows[key]], key
+
+
+# sha256 and length of the script of every goal that --eliminate-choices
+# lifts a choice out of, in all three modes with eliminate_choices alone and
+# with inline_definitions too: the goals of every `*_SRC` text in tests/ and
+# the first 100 such goals of perfbench's fuzztext seed 1, each stored with
+# its model text. Recorded before the lifting moved into the translator's
+# one rebuild.
+LIFT_GOLDEN = ROOT / 'tests' / 'translate_lift_golden.json'
+
+
+def test_lifted_scripts_match_the_recorded_table():
+    table = json.loads(LIFT_GOLDEN.read_text())
+    goals = table['goals']
+    assert len(goals) == 121
+    checked = 0
+    for key, text in table['texts'].items():
+        m = resolve_model(parse_model(text))
+        for name, goal in m.theorems.items():
+            want = goals.get('%s/%s' % (key, name))
+            if want is None:
+                continue
+            got = {}
+            for label in ('eliminate', 'flags'):
+                for mode in MODES:
+                    script = _emit(goal, m.funcs, mode=mode, **OPTIONS[label])
+                    got['%s %s' % (label, mode)] = [
+                        hashlib.sha256(script.encode()).hexdigest(),
+                        len(script)]
+            assert got == want, '%s/%s' % (key, name)
+            checked += 1
+    assert checked == len(goals)
