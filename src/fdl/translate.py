@@ -273,12 +273,11 @@ class Translator:
             n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
         self.queue = []  # (axiom, tag), each normalized and lowered in turn
-        self._nondet = nondeterministic_funcs(self.funcs)
+        self._nondet = nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
-        inline = self.opts.inline_definitions
         self._inlined = {n: fd for n, fd in self.funcs.items()
-                         if fd.body is not None
-                         and (inline or n in self._nondet)}
+                         if fd.body is not None and (
+                             self.opts.inline_definitions or n in nondet)}
 
     # -- fresh symbols -------------------------------------------------------
 
