@@ -102,6 +102,13 @@ def _goal_flags(p):
                    help='override a model parameter')
 
 
+def _solver_configs(path) -> dict:
+    try:
+        return load_solver_configs(path)
+    except ValueError as e:
+        raise CliError('bad solvers config %s' % e) from None
+
+
 def _report(verdict: Verdict, stats_lines=()) -> int:
     print(str(verdict))
     for line in stats_lines:
@@ -123,7 +130,7 @@ def _cmd_check(args) -> int:
             lines = ['bodyEvals=%d chooseYields=%d'
                      % (st.body_evals, st.choose_yields)]
         return _report(verdict, lines)
-    configs = load_solver_configs(args.solvers_config)
+    configs = _solver_configs(args.solvers_config)
     if args.mechanism not in configs:
         raise CliError('unknown mechanism %r (have: evaluator, %s)'
                        % (args.mechanism, ', '.join(configs)))
@@ -167,7 +174,7 @@ def _cmd_translate(args) -> int:
 def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise CliError('--repeats must be at least 1, got %d' % args.repeats)
-    configs = load_solver_configs(args.solvers_config)
+    configs = _solver_configs(args.solvers_config)
     if args.mechanisms:
         mechs = args.mechanisms
     else:

@@ -6,11 +6,15 @@ Intended for cross-checking on small inputs only; refuses formulas whose
 assignment space exceeds the cap.
 """
 
+import operator
+
 from .core import (Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF,
                    FdlError, Forall, Iff, Implies, Ite, Lit, Mul, Not, Or,
                    TrueF, Var, enumerate_domain, walk)
 
 DEFAULT_CAP = 2 ** 20
+
+_REL = {'=': operator.eq, '<': operator.lt, '<=': operator.le}
 
 
 def assignment_space(node, funcs=None, _seen=()):
@@ -48,11 +52,10 @@ def _truths(f, env, funcs) -> set:
     if isinstance(f, FalseF):
         return {False}
     if isinstance(f, Atom):
-        ops = {'=': lambda a, b: a == b, '<': lambda a, b: a < b,
-               '<=': lambda a, b: a <= b}
+        rel = _REL[f.rel]
         lhs = _values(f.lhs, env, funcs)
         rhs = _values(f.rhs, env, funcs)
-        return {ops[f.rel](a, b) for a in lhs for b in rhs}
+        return {rel(a, b) for a in lhs for b in rhs}
     if isinstance(f, Not):
         return {not v for v in _truths(f.body, env, funcs)}
     if isinstance(f, And):

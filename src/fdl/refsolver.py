@@ -19,10 +19,11 @@ The search is exhaustive; 'unknown' is reported only when the node budget
 runs out.
 
 Also usable as a command line solver: fdl-refsolve [--budget N] FILE, or
-this file run by path. The solver bridge imports it in a child started as
-`python -I -S -c ...`, so this module must stay standalone (no imports from
-fdl, no relative imports) and cheap to start: it imports only sys, and
-parses its command line by hand instead of with argparse.
+this file run by path; only main() parses arguments. The solver bridge
+imports this module in a child started as `python -I -S -c ...` and calls
+run(FILE), so the module must stay standalone (no imports from fdl, no
+relative imports) and cheap to start: it imports only sys, and main()
+imports argparse only when it is called.
 """
 
 import sys
@@ -370,61 +371,9 @@ def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
     return Solver(Script.parse(text), budget).check()
 
 
-_USAGE = 'usage: fdl-refsolve [-h] [--budget BUDGET] file\n'
-
-_HELP = _USAGE + """
-reference solver for the emitted SMT-LIB fragment
-
-positional arguments:
-  file
-
-options:
-  -h, --help       show this help message and exit
-  --budget BUDGET  search node budget before giving up with unknown
-"""
-
-
-def _usage_error(message):
-    sys.stderr.write('%sfdl-refsolve: error: %s\n' % (_USAGE, message))
-    sys.exit(2)
-
-
-def _parse_args(argv) -> tuple:
-    """(file, budget) from the command line, read as argparse read it:
-    -h/--help prints the help and exits 0; a missing or extra argument or a
-    bad budget prints the usage to stderr and exits 2."""
-    path, budget, extra = None, DEFAULT_BUDGET, []
-    args = list(argv)
-    while args:
-        a = args.pop(0)
-        if a in ('-h', '--help'):
-            sys.stdout.write(_HELP)
-            sys.exit(0)
-        elif a == '--budget' or a.startswith('--budget='):
-            if a == '--budget':
-                if not args:
-                    _usage_error('argument --budget: expected one argument')
-                value = args.pop(0)
-            else:
-                value = a[len('--budget='):]
-            try:
-                budget = int(value)
-            except ValueError:
-                _usage_error('argument --budget: invalid int value: %r'
-                             % value)
-        elif path is None and not a.startswith('-'):
-            path = a
-        else:
-            extra.append(a)
-    if path is None:
-        _usage_error('the following arguments are required: file')
-    if extra:
-        _usage_error('unrecognized arguments: %s' % ' '.join(extra))
-    return path, budget
-
-
-def main(argv=None) -> int:
-    path, budget = _parse_args(sys.argv[1:] if argv is None else argv)
+def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
+    """Decide the script in a file: print the answer and return 0, or print
+    one 'error: ...' line on stderr and return 1."""
     try:
         with open(path) as fh:
             text = fh.read()
@@ -436,6 +385,18 @@ def main(argv=None) -> int:
         reason = '%s: %s' % (type(e).__name__, e)
     print('error: %s' % reason, file=sys.stderr)
     return 1
+
+
+def main(argv=None) -> int:
+    import argparse  # here, not at the top: the bridge's child calls run()
+    ap = argparse.ArgumentParser(
+        prog='fdl-refsolve',
+        description='reference solver for the emitted SMT-LIB fragment')
+    ap.add_argument('file')
+    ap.add_argument('--budget', type=int, default=DEFAULT_BUDGET,
+                    help='search node budget before giving up with unknown')
+    args = ap.parse_args(argv)
+    return run(args.file, args.budget)
 
 
 if __name__ == '__main__':

@@ -10,17 +10,18 @@ script path), either from the built-in table below or from an INI file
 
 The built-in refsolve backend runs this package's refsolver.py under the
 current interpreter, as `python -I -S -c <program> {file}`: the program
-imports refsolver from the module's directory and calls its main(), so the
-child needs no install, always runs the same refsolve as its caller and does
-not depend on the child's import path. Importing the module, where running
-the file by path would not, loads its cached bytecode instead of compiling
-the source on every start. `-I -S` skip the environment, the user and site
-directories and the .pth files; refsolver.py imports only sys, so its
-start-up is about that of a bare interpreter. A [refsolve] section in the
-INI file replaces that command. Other backends are looked up
-on PATH, and one whose executable is not there reports 'unavailable' instead
-of failing. Solvers run in their own session; on timeout the whole process
-group is killed, so children of wrapper scripts die too.
+imports refsolver from the module's directory and calls its run(FILE), so
+the child parses no arguments, needs no install, always runs the same
+refsolve as its caller and does not depend on the child's import path.
+Importing the module, where running the file by path would not, loads its
+cached bytecode instead of compiling the source on every start. `-I -S`
+skip the environment, the user and site directories and the .pth files;
+refsolver.py imports only sys, so its start-up is about that of a bare
+interpreter. A [refsolve] section in the INI file replaces that command.
+Other backends are looked up on PATH, and one whose executable is not
+there reports 'unavailable' instead of failing. Solvers run in their own
+session; on timeout the whole process group is killed, so children of
+wrapper scripts die too.
 """
 
 import configparser
@@ -41,39 +42,22 @@ from .translate import SmtOptions, TranslateError, emit_smtlib, translate
 
 DEFAULT_TIMEOUT_MS = 60_000
 
-# The module's directory leaves sys.path again before main() runs, so this
-# package's modules (parser.py, ...) cannot shadow standard ones.
+# The module's directory leaves sys.path again before run() is called, so
+# this package's modules (parser.py, ...) cannot shadow standard ones.
 _REFSOLVE_PROGRAM = ('import sys; sys.path.insert(0, %r); import refsolver; '
-                     'del sys.path[0]; sys.exit(refsolver.main())'
+                     'del sys.path[0]; sys.exit(refsolver.run(sys.argv[1]))'
                      % os.path.dirname(os.path.abspath(refsolver.__file__)))
-_REFSOLVE_COMMAND = [sys.executable, '-I', '-S', '-c', _REFSOLVE_PROGRAM,
-                     '{file}']
 
-_BUILTIN = """
-[refsolve]
-command = %s
-quantifiers = true
-
-[z3]
-command = z3 -smt2 {file}
-quantifiers = true
-
-[cvc4]
-command = cvc4 --lang smt2 {file}
-quantifiers = true
-
-[cvc5]
-command = cvc5 --lang smt2 {file}
-quantifiers = true
-
-[yices]
-command = yices-smt2 {file}
-quantifiers = false
-
-[boolector]
-command = boolector --smt2 {file}
-quantifiers = false
-""" % shlex.join(_REFSOLVE_COMMAND).replace('%', '%%')
+# name -> (argv template, whether the backend takes quantified scripts)
+_BUILTIN = {
+    'refsolve': ([sys.executable, '-I', '-S', '-c', _REFSOLVE_PROGRAM,
+                  '{file}'], True),
+    'z3': (['z3', '-smt2', '{file}'], True),
+    'cvc4': (['cvc4', '--lang', 'smt2', '{file}'], True),
+    'cvc5': (['cvc5', '--lang', 'smt2', '{file}'], True),
+    'yices': (['yices-smt2', '{file}'], False),
+    'boolector': (['boolector', '--smt2', '{file}'], False),
+}
 
 
 @dataclass
@@ -95,21 +79,31 @@ class SolverOutcome:
 
 def load_solver_configs(path: Optional[str] = None) -> dict:
     """Built-in backends, overlaid with the INI file if one is given (or
-    named by $FDL_SOLVERS_CONFIG)."""
-    cp = configparser.ConfigParser()
-    cp.read_string(_BUILTIN)
+    named by $FDL_SOLVERS_CONFIG): a key that a section leaves out keeps its
+    built-in value. A file that cannot be read, or a section with no command
+    or a non-boolean quantifiers, raises ValueError('<path>: <reason>')."""
+    out = {name: SolverConfig(name, list(command), quantifiers)
+           for name, (command, quantifiers) in _BUILTIN.items()}
     if path is None:
         path = os.environ.get('FDL_SOLVERS_CONFIG')
-    if path:
+    if not path:
+        return out
+    cp = configparser.ConfigParser()
+    try:
         with open(path) as fh:
             cp.read_file(fh)
-    out = {}
-    for name in cp.sections():
-        sec = cp[name]
-        out[name] = SolverConfig(
-            name=name,
-            command=shlex.split(sec['command']),
-            quantifiers=sec.getboolean('quantifiers', fallback=True))
+        for name in cp.sections():
+            sec, old = cp[name], out.get(name, SolverConfig(name, []))
+            command = (shlex.split(sec['command']) if 'command' in sec
+                       else old.command)
+            if not command:
+                raise ValueError('[%s] has no command' % name)
+            out[name] = SolverConfig(name, command, sec.getboolean(
+                'quantifiers', fallback=old.quantifiers))
+    except (OSError, ValueError, configparser.Error) as e:
+        reason = getattr(e, 'strerror', None) or str(e)
+        raise ValueError('%s: %s' % (path, ' '.join(reason.split()))) \
+            from None
     return out
 
 

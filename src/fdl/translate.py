@@ -659,14 +659,8 @@ class Translator:
         # a parameter named like a function would shadow it: prime it apart
         # from the functions and the other parameters
         taken = set(self.funcs).union(p for p, _ in fd.params)
-        params = []
-        for p, ty in fd.params:
-            q = p
-            if p in self.funcs:
-                while q in taken:
-                    q += "'"
-                taken.add(q)
-            params.append((p, smt_sym(q), ty))
+        params = [(p, smt_sym(apart([p], taken)[0] if p in self.funcs else p),
+                   ty) for p, ty in fd.params]
         outer = self.scope, self.uvars, self.size
         self.scope = {p: (True, q, ty, sort_width(ty)) for p, q, ty in params}
         self.uvars, self.size = [], 0

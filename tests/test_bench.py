@@ -148,6 +148,15 @@ def test_quantifier_mechanism_falls_back_without_support():
     assert rec['outcome'] == 'skipped'
 
 
+def test_quantifier_mechanism_expands_all_without_support(fake_solver):
+    qf = fake_solver('grep -q "^; mode: expand-all " "$1" && echo unsat '
+                     '|| echo sat', name='qf')
+    qf.quantifiers = False
+    rec = run_case(BenchCase('cycle4-valid', 'e4a0', 1), 'qf-Q', {'qf': qf})
+    assert rec['outcome'] == 'ok'
+    assert rec['verdict'] == 'valid'
+
+
 @pytest.mark.parametrize('budget', [0, 1])
 def test_run_case_honours_any_expansion_budget(budget):
     # e4a0 negates to four universals over 4 elements: 256 instances

@@ -113,6 +113,33 @@ def test_check_unknown_mechanism_exits_three(cycle4):
     assert main(['check', cycle4, '--mechanism', 'nonexistent']) == 3
 
 
+@pytest.mark.parametrize('ini, reason', [
+    (None, 'No such file or directory'),
+    ('[ghost]\nquantifiers = false\n', '[ghost] has no command'),
+    ('[ghost]\ncommand =\n', '[ghost] has no command'),
+    ('[yices]\nquantifiers = maybe\n', 'Not a boolean: maybe'),
+    ('command = z3 {file}\n', 'File contains no section headers.'),
+], ids=['missing-file', 'no-command', 'empty-command', 'not-a-boolean',
+        'no-section'])
+@pytest.mark.parametrize('via', ['flag', 'environment'])
+def test_bad_solvers_config_is_a_usage_error(cycle4, tmp_path, capsys,
+                                            monkeypatch, ini, reason, via):
+    path = tmp_path / 'solvers.ini'
+    if ini is not None:
+        path.write_text(ini)
+    argv = ['check', cycle4, '--mechanism', 'refsolve']
+    if via == 'flag':
+        argv += ['--solvers-config', str(path)]
+    else:
+        monkeypatch.setenv('FDL_SOLVERS_CONFIG', str(path))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('error: bad solvers config %s: %s'
+                                   % (path, reason))
+    assert captured.err.count('\n') == 1
+
+
 def test_parse_diagnostics_exit_three(tmp_path, capsys):
     p = tmp_path / 'bad.fdl'
     p.write_text('theorem t <=> forall x nat[1]. x = 0;')
@@ -313,6 +340,19 @@ def test_bench_rejects_repeats_below_one(tmp_path, capsys, repeats):
                  '--out', str(out)])
     assert code == 3
     assert '--repeats' in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_rejects_a_bad_solvers_config(tmp_path, capsys):
+    ini = tmp_path / 'solvers.ini'
+    ini.write_text('[ghost]\nquantifiers = false\n')
+    out = tmp_path / 'report'
+    code = main(['bench', '--families', 'cycle4-valid', '--patterns', 'e4a0',
+                 '-N', '1', '--mechanisms', 'RISCAL', '--solvers-config',
+                 str(ini), '--out', str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        'error: bad solvers config %s: [ghost] has no command\n' % ini)
     assert not out.exists()
 
 

@@ -234,8 +234,9 @@ def test_cli_reports_an_internal_failure_without_traceback(
 
 
 def test_cli_runs_standalone_without_argparse():
-    """The solver bridge runs refsolver.py by path with -I -S: the file may
-    import nothing from fdl, and must not pay for argparse."""
+    """refsolver.py runs by path with -I -S, and importing it, as the
+    bridge's child does, loads nothing from fdl and not argparse: only
+    main() imports argparse."""
     path = os.path.abspath(refsolver.__file__)
     out = subprocess.run([sys.executable, '-I', '-S', path, '--help'],
                          capture_output=True, text=True)

@@ -40,6 +40,25 @@ def test_config_overlay_from_file(tmp_path):
     assert 'refsolve' in cfgs
 
 
+@pytest.mark.parametrize('name, quantifiers', [('yices', False),
+                                               ('refsolve', True)])
+def test_config_section_without_quantifiers_keeps_the_builtin(
+        tmp_path, name, quantifiers):
+    ini = tmp_path / 'solvers.ini'
+    ini.write_text('[%s]\ncommand = my-solver {file}\n' % name)
+    cfg = load_solver_configs(str(ini))[name]
+    assert cfg.command == ['my-solver', '{file}']
+    assert cfg.quantifiers is quantifiers
+
+
+def test_config_section_without_command_keeps_the_builtin(tmp_path):
+    ini = tmp_path / 'solvers.ini'
+    ini.write_text('[z3]\nquantifiers = false\n')
+    cfgs = load_solver_configs(str(ini))
+    assert cfgs['z3'] == SolverConfig('z3', ['z3', '-smt2', '{file}'], False)
+    assert cfgs['refsolve'] == load_solver_configs()['refsolve']
+
+
 def test_config_overlay_from_environment(tmp_path, monkeypatch):
     ini = tmp_path / 'solvers.ini'
     ini.write_text('[envsolver]\ncommand = nothing {file}\n')
@@ -54,7 +73,8 @@ def test_builtin_refsolve_runs_under_this_interpreter(tmp_path):
     program = cfg.command[4]
     here = os.path.dirname(os.path.abspath(refsolver.__file__))
     assert repr(here) in program
-    assert 'import refsolver' in program and 'refsolver.main()' in program
+    assert 'import refsolver' in program
+    assert 'refsolver.run(sys.argv[1])' in program
     ini = tmp_path / 'solvers.ini'
     ini.write_text('[refsolve]\ncommand = my-refsolve {file}\n')
     assert load_solver_configs(str(ini))['refsolve'].command[0] == 'my-refsolve'
@@ -91,14 +111,35 @@ def test_builtin_refsolve_answers_without_writing_bytecode(tmp_path):
 
 def test_builtin_refsolve_leaves_the_child_import_path_as_it_was():
     """The child imports refsolver from its directory, which holds modules
-    named like standard ones (parser); the entry is gone before main()."""
+    named like standard ones (parser); the entry is gone before run()."""
     program = load_solver_configs()['refsolve'].command[4]
-    probe = program.replace('sys.exit(refsolver.main())', 'print(sys.path)')
+    probe = program.replace('sys.exit(refsolver.run(sys.argv[1]))',
+                            'print(sys.path)')
+    assert probe != program
     out = subprocess.run([sys.executable, '-I', '-S', '-c', probe],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     here = os.path.dirname(os.path.abspath(refsolver.__file__))
     assert here not in out.stdout
+
+
+def test_builtin_refsolve_child_imports_no_argparse_and_no_fdl(tmp_path):
+    """The child calls refsolver.run and parses no arguments, so it pays
+    neither for argparse nor for the fdl package."""
+    script = tmp_path / 'trivial.smt2'
+    script.write_text(TRIVIAL)
+    cmd = [a.replace('{file}', str(script))
+           for a in load_solver_configs()['refsolve'].command]
+    out = subprocess.run(cmd[:1] + ['-X', 'importtime'] + cmd[1:],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == 'sat\n'
+    imported = {line.rpartition('|')[2].strip()
+                for line in out.stderr.splitlines()
+                if line.startswith('import time:')}
+    assert 'refsolver' in imported
+    assert not {m for m in imported
+                if m == 'argparse' or m.split('.')[0] == 'fdl'}
 
 
 def test_availability_checks_path():
