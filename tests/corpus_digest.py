@@ -14,6 +14,11 @@ The corpus:
   - perfbench/fuzztext seeds 1 and 2, 2000 goals each;
   - fdl.randgen.random_goal seeds 0-999.
 
+`--fuzz-seeds A-B` takes fuzztext seeds A to B (inclusive) in place of 1
+and 2, the rest of the corpus unchanged; `--fuzz-seeds 3-7` adds the five
+seeds that a change to the translator is usually checked on beyond the
+default corpus, 120,000 more lines.
+
 The translator is the `fdl` on the import path, so one copy of this script
 digests any version:
 
@@ -30,10 +35,13 @@ a diff also lists every text that moved between accepted and rejected:
 
     PYTHONPATH=src python tests/corpus_digest.py parse > change.txt
 
+`--fuzz-seeds A-B` picks the fuzztext seeds of the parse corpus too.
+
 pytest does not collect this file (its name does not start with test_).
 tests/test_parse_table.py pins dump() on a smaller parse corpus.
 """
 
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -82,12 +90,12 @@ def model_goals(key, text):
         yield '%s/%s' % (key, name), goal, m.funcs
 
 
-def corpus():
+def corpus(fuzz_seeds=FUZZ_SEEDS):
     """(key, goal, funcs) of every goal of the corpus."""
     yield from recorded_goals()
     for key, text in model_sources():
         yield from model_goals('tests/' + key, text)
-    for seed in FUZZ_SEEDS:
+    for seed in fuzz_seeds:
         for i, text in enumerate(fuzztext.generate(seed, FUZZ_COUNT)):
             yield from model_goals('fuzztext/%d/%d' % (seed, i), text)
     for seed in RANDGEN_SEEDS:
@@ -170,16 +178,25 @@ def parse_corpus(fuzz_seeds=FUZZ_SEEDS, fuzz_count=FUZZ_COUNT,
             random_goal(seed))
 
 
+def seed_range(text):
+    """The seeds A to B of the text 'A-B', or of 'A' alone."""
+    first, _, last = text.partition('-')
+    return range(int(first), int(last or first) + 1)
+
+
 def main(argv):
-    if argv == ['parse']:
+    ap = argparse.ArgumentParser(prog='corpus_digest.py')
+    ap.add_argument('what', nargs='?', choices=['parse'])
+    ap.add_argument('--fuzz-seeds', type=seed_range, default=FUZZ_SEEDS,
+                    metavar='A-B')
+    args = ap.parse_args(argv)
+    if args.what == 'parse':
         lines = ['%s %s' % (key, parse_digest(text))
-                 for key, text in parse_corpus(mutate=5)]
-    elif not argv:
-        lines = [digest_line(key, goal, funcs, mode, label)
-                 for key, goal, funcs in corpus()
-                 for mode in MODES for label in FLAGS]
+                 for key, text in parse_corpus(args.fuzz_seeds, mutate=5)]
     else:
-        sys.exit('usage: corpus_digest.py [parse]')
+        lines = [digest_line(key, goal, funcs, mode, label)
+                 for key, goal, funcs in corpus(args.fuzz_seeds)
+                 for mode in MODES for label in FLAGS]
     sys.stdout.write(''.join(line + '\n' for line in sorted(lines)))
 
 
