@@ -42,14 +42,17 @@ the right side of => enclose, into a guarded universal (Translator._lift);
 every other occurrence keeps its _ch symbol or contract declaration.
 Lowering then compiles each node once into closures (Feeley & Lapalme,
 "Using Closures for Code Generation", 1987), in the static scope of its
-binders. Widths, zero-extensions, operators and literals, define-fun bodies
-and each existential's Skolem decision are fixed while compiling, in
-pre-order, so symbols are numbered and declared in the order the tree is
-read. A quantifier's body is compiled once; for each ground instance
+binders, that write the script's text: a node that reads no frame slot is
+formatted once, while compiling, and a closure joins its precomputed prefix
+and suffix with the text of the parts that read one. Widths,
+zero-extensions, operators and literals, define-fun bodies and each
+existential's Skolem decision are fixed while compiling, in pre-order, so
+symbols are numbered and declared in the order the tree is read. A
+quantifier's body is compiled once; for each ground instance
 (Translator._instances, which counts the expansion budget) the bound
-variable's literal is written into a frame slot, only the tuples that
-depend on it are built again, and the first use of each Skolem application
-asserts its range.
+variable's literal is written into a frame slot, only the text that depends
+on it is written again, and the first use of each Skolem application, keyed
+by its text, asserts its range. emit_smtlib only joins lines.
 
 Names: Translator._taken, seeded with the function names, holds every name
 given out. The goal's binder names are fixed before the rebuild: scan lists
@@ -108,9 +111,9 @@ class TranslateStats:
 class SmtScript:
     logic: str
     header: list
-    defines: list  # (name, [(param, width)], result_width, body_expr)
+    defines: list  # (name, [(param, width)], result_width, body text)
     decls: list  # (name, [arg_widths], result_width)
-    asserts: dict  # tag -> [expr]
+    asserts: dict  # tag -> [SMT-LIB text of each assertion]
     stats: TranslateStats
 
 
@@ -133,26 +136,32 @@ def bv_lit(v, width: int) -> str:
 
 
 def _node(head, *parts):
-    """The compiled expression (head, *parts), each part a compiled
-    (static, v): static when every part is, else a function of the frame."""
+    """The compiled expression (head part...), each part a compiled (static,
+    v): static text when every part is, else a function of the frame that
+    joins the static text around the parts that read it."""
     if len(parts) == 2:
         (ls, lhs), (rs, rhs) = parts
         if ls:
             if rs:
-                return True, (head, lhs, rhs)
-            return False, lambda env: (head, lhs, rhs(env))
+                return True, '(%s %s %s)' % (head, lhs, rhs)
+            pre = '(%s %s ' % (head, lhs)
+            return False, lambda env: f'{pre}{rhs(env)})'
+        pre = '(%s ' % head
         if rs:
-            return False, lambda env: (head, lhs(env), rhs)
-        return False, lambda env: (head, lhs(env), rhs(env))
+            post = ' %s)' % rhs
+            return False, lambda env: f'{pre}{lhs(env)}{post}'
+        return False, lambda env: f'{pre}{lhs(env)} {rhs(env)})'
     if len(parts) == 1:
         static, v = parts[0]
         if static:
-            return True, (head, v)
-        return False, lambda env: (head, v(env))
+            return True, '(%s %s)' % (head, v)
+        pre = '(%s ' % head
+        return False, lambda env: f'{pre}{v(env)})'
     if all(static for static, _ in parts):
-        return True, (head, *[v for _, v in parts])
+        return True, '(%s %s)' % (head, ' '.join([v for _, v in parts]))
     fns = [(lambda env, v=v: v) if static else v for static, v in parts]
-    return False, lambda env: (head, *[fn(env) for fn in fns])
+    pre = '(%s ' % head
+    return False, lambda env: f"{pre}{' '.join([fn(env) for fn in fns])})"
 
 
 def _widen(term, target: int):
@@ -164,8 +173,8 @@ def _widen(term, target: int):
     if width > target:
         # only reachable for a product with a zero-bound factor, where the
         # value is 0 and the low bits are exact
-        return _node(('_', 'extract', str(target - 1), '0'), (static, v))
-    return _node(('_', 'zero_extend', str(target - width)), (static, v))
+        return _node('(_ extract %d 0)' % (target - 1), (static, v))
+    return _node('(_ zero_extend %d)' % (target - width), (static, v))
 
 
 def smt_sym(name: str) -> str:
@@ -256,12 +265,12 @@ class Translator:
         self.opts = opts or SmtOptions()
         assert self.opts.mode in MODES
         self.symtab = {}  # smt name -> (arg_types, result_type)
-        self.defines = []  # (name, [(param, width)], result_width, body_expr)
+        self.defines = []  # as SmtScript.defines
         self._defined = set()
         self.asserts = {tag: [] for tag in TAGS}
         self.instances = 0
         self.counters = {'_sk': 0, '_ch': 0, '_el': 0}
-        self.range_done = set()  # Skolem applications with a range axiom
+        self.range_done = set()  # Skolem application texts with a range axiom
         # compile state: name -> compiled term, the expanded universals as
         # (frame slot, type), the frame's size, and whether quantifiers
         # expand regardless of mode (see _lower)
@@ -509,8 +518,8 @@ class Translator:
 
     def _lower(self, node):
         """Compile a formula to (static, v), a term to (static, v, type,
-        width): v is the SMT expression when static, else a function of the
-        frame that builds it. concrete, set inside the condition of a term
+        width): v is the SMT-LIB text when static, else a function of the
+        frame that writes it. concrete, set inside the condition of a term
         conditional, whose polarity is unknown, expands every quantifier
         into a finite con/disjunction, as expand-all always does."""
         return _LOWER[type(node)](self, node)
@@ -524,10 +533,10 @@ class Translator:
             body = self._scoped(f.var, (True, sym, f.ty, w), self._lower,
                                 f.body)
             if not predicate_trivial(f.ty):
-                body = _node('=>' if head == 'forall' else 'and',
-                             (True, ('bvule', sym, bv_lit(f.ty.bound, w))),
-                             body)
-            return _node(head, (True, ((sym, _sort(w)),)), body)
+                body = _node('=>' if head == 'forall' else 'and', (
+                    True, '(bvule %s %s)' % (sym, bv_lit(f.ty.bound, w))),
+                    body)
+            return _node(head, (True, '((%s %s))' % (sym, _sort(w))), body)
         if (many and head == 'exists' and not self.concrete
                 and self.opts.mode == 'eliminate'):
             name = self._skolem_name(f)
@@ -536,11 +545,11 @@ class Translator:
         slot, (static, body) = self._expanded(f, self._lower)
         if slot is None:
             return static, body
-        op = 'and' if head == 'forall' else 'or'
+        pre = '(and ' if head == 'forall' else '(or '
         part = (lambda env: body) if static else body
         instances = self._instances
-        return False, lambda env: (op, *[part(env) for _ in
-                                         instances(f, slot, env)])
+        return False, lambda env: pre + ' '.join([
+            part(env) for _ in instances(f, slot, env)]) + ')'
 
     def _skolem_name(self, f):
         """The Skolem symbol of the existential f, a function of the
@@ -573,11 +582,12 @@ class Translator:
         static, body = self._scoped(f.var, entry, self._lower, f.body)
 
         def witness(env):
-            app = (name, *[env[i] for i in slots]) if slots else name
+            app = ('(%s %s)' % (name, ' '.join([env[i] for i in slots]))
+                   if slots else name)
             if app not in done:
                 done.add(app)
                 axioms.append('true' if bound is None
-                              else ('bvule', app, bound))
+                              else '(bvule %s %s)' % (app, bound))
             if slot is not None:
                 env[slot] = app
             return body if static else body(env)
@@ -748,29 +758,21 @@ def translate(goal: Formula, funcs=None, opts=None) -> SmtScript:
 # emission
 
 
-def _sx(e) -> str:
-    if isinstance(e, str):
-        return e
-    return '(%s)' % ' '.join(map(_sx, e))
-
-
-def _sort(width: int):
-    return ('_', 'BitVec', str(width))
+def _sort(width: int) -> str:
+    return '(_ BitVec %d)' % width
 
 
 def emit_smtlib(script: SmtScript) -> str:
     lines = ['(set-logic %s)' % script.logic]
     lines += ['; ' + h for h in script.header]
     for name, params, rw, body in script.defines:
-        ps = ' '.join('(%s %s)' % (p, _sx(_sort(w))) for p, w in params)
+        ps = ' '.join('(%s %s)' % (p, _sort(w)) for p, w in params)
         lines.append('(define-fun %s (%s) %s %s)'
-                     % (name, ps, _sx(_sort(rw)), _sx(body)))
+                     % (name, ps, _sort(rw), body))
     for name, argws, rw in script.decls:
         lines.append('(declare-fun %s (%s) %s)'
-                     % (name, ' '.join(_sx(_sort(w)) for w in argws),
-                        _sx(_sort(rw))))
+                     % (name, ' '.join(map(_sort, argws)), _sort(rw)))
     for tag in TAGS:
-        for e in script.asserts[tag]:
-            lines.append('(assert %s) ; %s' % (_sx(e), tag))
+        lines += ['(assert %s) ; %s' % (e, tag) for e in script.asserts[tag]]
     lines.append('(check-sat)')
     return '\n'.join(lines) + '\n'

@@ -134,6 +134,19 @@ def test_goal_conjuncts_count_expanded_existential_prefix(pattern, i, n):
     assert len(_tagged(emit_smtlib(script), 'negated-goal')) == want
 
 
+def test_large_expansion_matches_the_recorded_script():
+    # cycle4-valid e4a0 at N=3, eliminate: 4,096 expanded goal assertions;
+    # sha256 and length recorded while lowering still built nested tuples
+    # that a separate pass printed
+    goal, funcs = _pattern_goal('e4a0', 3)
+    script = translate(goal, funcs, SmtOptions(mode='eliminate'))
+    text = emit_smtlib(script)
+    assert script.stats.goal_conjuncts == 4096
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == (
+        '39997102321f8ded13824fc836e181819e650141a81dcf7dafb1384930711f9b',
+        499832)
+
+
 @pytest.mark.parametrize('pattern, consts', [
     ('a4e0', 4), ('a3e1', 3), ('a2e2', 2), ('a1e3', 1),
 ])
@@ -764,6 +777,22 @@ def test_translation_recursion_does_not_grow_with_each_conjunct():
         text = emit_smtlib(script)
         assert text.count('(= ') >= 299
         assert check_script(text) == 'unsat', mode
+
+
+@pytest.mark.parametrize('mode', MODES)
+def test_emission_adds_no_depth_per_conjunct(mode):
+    # built as an AST, past what loading a model allows: translating and
+    # emitting a 900-deep conjunction under a quantifier spend no frame per
+    # level beyond the translator's own passes
+    body = Atom('=', Var('x'), Var('x'))
+    for _ in range(899):
+        body = And(body, Atom('=', Var('x'), Var('x')))
+    goal = Forall('x', nat(3), body)
+    text = emit_smtlib(translate(goal, None, SmtOptions(mode=mode)))
+    # eliminate Skolemizes the negated universal, expand-all expands it
+    instances = 4 if mode == 'expand-all' else 1
+    assert text.count('(not (= ') == 900 * instances
+    assert text.endswith('(check-sat)\n')
 
 
 # -- script shape --------------------------------------------------------------------
