@@ -40,19 +40,18 @@ every node that nothing changes as it is. Under --eliminate-choices it also
 lifts choices out of the goal's atoms that only forall, /\\, \\/ and
 the right side of => enclose, into a guarded universal (Translator._lift);
 every other occurrence keeps its _ch symbol or contract declaration.
-Lowering then compiles each node once into closures (Feeley & Lapalme,
-"Using Closures for Code Generation", 1987), in the static scope of its
-binders, that write the script's text: a node that reads no frame slot is
-formatted once, while compiling, and a closure joins its precomputed prefix
-and suffix with the text of the parts that read one. Widths,
-zero-extensions, operators and literals, define-fun bodies and each
-existential's Skolem decision are fixed while compiling, in pre-order, so
-symbols are numbered and declared in the order the tree is read. A
-quantifier's body is compiled once; for each ground instance
+Lowering then compiles each node once, in the static scope of its binders,
+into closures (Feeley & Lapalme, "Using Closures for Code Generation", 1987)
+that write the script's text: a node that reads no frame slot is formatted
+while compiling, and a closure joins precomputed text around the parts that
+read one. Widths, zero-extensions, operators and literals, define-fun bodies
+and each existential's Skolem decision are fixed while compiling, in
+pre-order, so symbols are numbered and declared in the order the tree is
+read. A quantifier's body is compiled once; for each ground instance
 (Translator._instances, which counts the expansion budget) the bound
-variable's literal is written into a frame slot, only the text that depends
-on it is written again, and the first use of each Skolem application, keyed
-by its text, asserts its range. emit_smtlib only joins lines.
+variable's literal goes into a frame slot, only the text that depends on it
+is written again, and the first use of each Skolem application's text
+asserts its range. emit_smtlib only joins lines.
 
 Names: Translator._taken, seeded with the function names, holds every name
 given out. The goal's binder names are fixed before the rebuild: scan lists
@@ -63,7 +62,8 @@ variables, and so are those of a lifted contract's ensures; an axiom's
 avoid only the function and declared names, as if it stood alone, then join
 _taken. Fresh _sk/_ch/_el symbols skip _taken and join it. So no binder
 shares a function's or a declared name, and no inlined body captures a
-variable of its arguments.
+variable of its arguments. Translator._written maps each primed name and
+each _el binder to the name as written, which an exceeded budget reports.
 """
 
 import math
@@ -136,9 +136,8 @@ def bv_lit(v, width: int) -> str:
 
 
 def _node(head, *parts):
-    """The compiled expression (head part...), each part a compiled (static,
-    v): static text when every part is, else a function of the frame that
-    joins the static text around the parts that read it."""
+    """The compiled (head part...) of compiled parts (static, v): static text
+    if every part is, else a function of the frame that writes it."""
     if len(parts) == 2:
         (ls, lhs), (rs, rhs) = parts
         if ls:
@@ -281,6 +280,7 @@ class Translator:
         self._as_definitions = set() if self.funcs is source else {
             n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
+        self._written = {}  # a primed or _el binder name -> its written name
         self.queue = []  # (axiom, tag), each normalized and lowered in turn
         self._nondet = nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
@@ -305,6 +305,12 @@ class Translator:
             self._as_definitions.discard(name)
             self.stats.contracts_as_definitions += 1
 
+    def _give(self, names, used, free=()):
+        """iter(apart(names, used, free)); notes primed names in _written."""
+        given = apart(names, used, free)
+        self._written.update([(g, n) for n, g in zip(names, given) if g != n])
+        return iter(given)
+
     # -- the front end: one rebuild before lowering ---------------------------
 
     def normalize(self, f: Formula, neg: bool, used: set, lift=False):
@@ -314,7 +320,7 @@ class Translator:
         the names join used and _taken. lift is set for the goal under
         --eliminate-choices."""
         names, estimates = scan(f, neg)
-        names = iter(apart(names, used))
+        names = self._give(names, used)
         self._taken |= used
         return self._rewrite(f, ({}, [], names), neg, lift), estimates
 
@@ -381,18 +387,21 @@ class Translator:
         hit = _eligible(atom.lhs, self._nondet) or _eligible(atom.rhs,
                                                              self._nondet)
         if type(hit) is Choose:
-            y = self.fresh('_el')
+            y, written = self.fresh('_el'), hit.var
             rty, cond = hit.ty, subst(hit.body, {hit.var: Var(y)})
         else:
             fd = self.funcs[hit.func]
             mapping = {p: a for (p, _), a in zip(fd.params, hit.args)}
             if fd.body is not None:
-                body = subst(fd.body, mapping, self._taken)
+                body = subst(fd.body, mapping, names=self._give(
+                    binders(fd.body), self._taken, free_vars(fd.body)))
                 return self._rewrite(_replace(atom, (hit, body)),
                                      ({}, scope, None), neg, True)
-            y = self.fresh('_el')
+            y, written = self.fresh('_el'), 'result'
             mapping['result'] = Var(y)
-            rty, cond = fd.result, subst(fd.ensures, mapping, self._taken)
+            rty, cond = fd.result, subst(fd.ensures, mapping, names=self._give(
+                binders(fd.ensures), self._taken, free_vars(fd.ensures)))
+        self._written[y] = self._written.get(written, written)
         atom = Forall(y, rty, Implies(cond, _replace(atom, (hit, Var(y)))))
         return self._rewrite(atom, ({}, scope, None), neg, True)
 
@@ -423,9 +432,9 @@ class Translator:
         # in all uses of its parameter
         args = [self._rewrite(a, ctx) for a in n.args]
         self._count_definition(n.func)
-        names = apart(binders(fd.body), self._taken, free_vars(fd.body))
+        names = self._give(binders(fd.body), self._taken, free_vars(fd.body))
         mapping = {p: a for (p, _), a in zip(fd.params, args)}
-        return self._rewrite(fd.body, (mapping, ctx[1], iter(names)))
+        return self._rewrite(fd.body, (mapping, ctx[1], names))
 
     def _declare(self, name, params, rty, axiom):
         """Declare name: params -> rty; queue axiom and the result's type
@@ -448,7 +457,8 @@ class Translator:
         if self.instances > self.opts.expansion_budget:
             raise TranslateError(
                 "expansion budget %d exceeded while expanding quantifier "
-                "over '%s'" % (self.opts.expansion_budget, var))
+                "over '%s'" % (self.opts.expansion_budget,
+                                self._written.get(var, var)))
 
     def _instances(self, f, slot, env):
         """Write each element of the quantifier f's carrier into env[slot],
@@ -533,9 +543,8 @@ class Translator:
             body = self._scoped(f.var, (True, sym, f.ty, w), self._lower,
                                 f.body)
             if not predicate_trivial(f.ty):
-                body = _node('=>' if head == 'forall' else 'and', (
-                    True, '(bvule %s %s)' % (sym, bv_lit(f.ty.bound, w))),
-                    body)
+                guard = True, '(bvule %s %s)' % (sym, bv_lit(f.ty.bound, w))
+                body = _node('=>' if head == 'forall' else 'and', guard, body)
             return _node(head, (True, '((%s %s))' % (sym, _sort(w))), body)
         if (many and head == 'exists' and not self.concrete
                 and self.opts.mode == 'eliminate'):
@@ -696,10 +705,9 @@ class Translator:
             self.top(ax, tag)
 
         st = self.stats
-        st.goal_conjuncts = len(self.asserts['negated-goal'])
-        st.skolem_range_conjuncts = len(self.asserts['skolem-range-axiom'])
-        st.choose_axiom_conjuncts = len(self.asserts['choose-axiom'])
-        st.type_constraint_conjuncts = len(self.asserts['type-constraint'])
+        (st.goal_conjuncts, st.skolem_range_conjuncts,
+         st.choose_axiom_conjuncts, st.type_constraint_conjuncts) = [
+            len(self.asserts[t]) for t in TAGS]
         st.expanded_instances = self.instances
         st.estimate_skolem, st.estimate_expansion = estimates
 
