@@ -367,8 +367,13 @@ _COMPILE = {'and': Solver._junction, 'or': Solver._junction,
 
 
 def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
-    """Decide a script; returns 'sat', 'unsat' or 'unknown'."""
-    return Solver(Script.parse(text), budget).check()
+    """Decide a script; returns 'sat', 'unsat' or 'unknown'. A term nested
+    too deeply for the recursive compile and its closures is a
+    RefsolverError."""
+    try:
+        return Solver(Script.parse(text), budget).check()
+    except RecursionError:
+        raise RefsolverError('script nested too deeply') from None
 
 
 def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
@@ -381,7 +386,7 @@ def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
         return 0
     except (RefsolverError, OSError) as e:
         reason = str(e)
-    except Exception as e:  # an internal failure, e.g. a RecursionError
+    except Exception as e:  # an internal failure
         reason = '%s: %s' % (type(e).__name__, e)
     print('error: %s' % reason, file=sys.stderr)
     return 1

@@ -178,6 +178,28 @@ def test_search_depth_is_not_bounded_by_recursion():
     assert len(s.cells) > sys.getrecursionlimit()
 
 
+def _nested_not(depth):
+    term = '(= x x)'
+    for _ in range(depth):
+        term = '(not %s)' % term
+    return _script(term, decls=['(declare-fun x () (_ BitVec 1))'])
+
+
+def test_nesting_past_the_recursion_limit_is_an_error(tmp_path):
+    # compile and the closures take a frame per level: 900 levels decide,
+    # 1,000 end with one error line and exit 1, not a RecursionError
+    assert check_script(_nested_not(900)) == 'sat'
+    with pytest.raises(RefsolverError, match='^script nested too deeply$'):
+        check_script(_nested_not(1000))
+    p = tmp_path / 'deep.smt2'
+    p.write_text(_nested_not(1000))
+    # by path, as fdl-refsolve runs main
+    out = subprocess.run([sys.executable, refsolver.__file__, str(p)],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (1, '')
+    assert out.stderr == 'error: script nested too deeply\n'
+
+
 # (answer, nodes) of every goal below in all three modes with default
 # options, under a node budget of 500, as recorded before refsolve compiled
 # its units to closures and kept its branch cells on a trail. A row may
