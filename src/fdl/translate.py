@@ -452,20 +452,17 @@ class Translator:
 
     # -- lowering, compiled once per node ----------------------------------------
 
-    def _bump(self, var):
-        self.instances += 1
-        if self.instances > self.opts.expansion_budget:
-            raise TranslateError(
-                "expansion budget %d exceeded while expanding quantifier "
-                "over '%s'" % (self.opts.expansion_budget,
-                                self._written.get(var, var)))
-
     def _instances(self, f, slot, env):
         """Write each element of the quantifier f's carrier into env[slot],
         as a literal; each counts against the expansion budget."""
         spec = '0%db' % sort_width(f.ty)
         for i in range(f.ty.size()):
-            self._bump(f.var)
+            self.instances += 1
+            if self.instances > self.opts.expansion_budget:
+                raise TranslateError(
+                    "expansion budget %d exceeded while expanding quantifier "
+                    "over '%s'" % (self.opts.expansion_budget,
+                                    self._written.get(f.var, f.var)))
             env[slot] = '#b' + format(i, spec)  # element i encodes as i
             yield
 
@@ -705,9 +702,10 @@ class Translator:
             self.top(ax, tag)
 
         st = self.stats
-        (st.goal_conjuncts, st.skolem_range_conjuncts,
-         st.choose_axiom_conjuncts, st.type_constraint_conjuncts) = [
-            len(self.asserts[t]) for t in TAGS]
+        st.goal_conjuncts = len(self.asserts['negated-goal'])
+        st.skolem_range_conjuncts = len(self.asserts['skolem-range-axiom'])
+        st.choose_axiom_conjuncts = len(self.asserts['choose-axiom'])
+        st.type_constraint_conjuncts = len(self.asserts['type-constraint'])
         st.expanded_instances = self.instances
         st.estimate_skolem, st.estimate_expansion = estimates
 
