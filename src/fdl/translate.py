@@ -66,6 +66,7 @@ variable of its arguments. Translator._written maps each primed name and
 each _el binder to the name as written, which an exceeded budget reports.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -133,6 +134,12 @@ def predicate_trivial(ty: FiniteType) -> bool:
 
 def bv_lit(v, width: int) -> str:
     return '#b' + format(int(v), '0%db' % width)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)  # bool and int literals apart
+def _lit(value):
+    ty = BOOL if isinstance(value, bool) else FiniteType('nat', value)
+    return True, bv_lit(value, sort_width(ty)), ty, sort_width(ty)
 
 
 def _node(head, *parts):
@@ -612,11 +619,6 @@ class Translator:
 
     # -- terms ----------------------------------------------------------------
 
-    def _lit(self, t):
-        ty = BOOL if isinstance(t.value, bool) else FiniteType('nat', t.value)
-        w = sort_width(ty)
-        return True, bv_lit(t.value, w), ty, w
-
     def _arith(self, t):
         lhs = _LOWER[type(t.lhs)](self, t.lhs)
         rhs = _LOWER[type(t.rhs)](self, t.rhs)
@@ -740,7 +742,7 @@ _LOWER = {
     Forall: Translator._quantifier,
     Exists: Translator._quantifier,
     Var: lambda tr, t: tr.scope[t.name],
-    Lit: Translator._lit,
+    Lit: lambda tr, t: _lit(t.value),
     Add: Translator._arith,
     Mul: Translator._arith,
     AddConst: Translator._add_const,
