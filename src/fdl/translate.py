@@ -62,8 +62,8 @@ variables, and so are those of a lifted contract's ensures; an axiom's
 avoid only the function and declared names, as if it stood alone, then join
 _taken. Fresh _sk/_ch/_el symbols skip _taken and join it. So no binder
 shares a function's or a declared name, and no inlined body captures a
-variable of its arguments. Translator._written maps each primed name and
-each _el binder to the name as written, which an exceeded budget reports.
+variable of its arguments. Translator._written maps a primed or _el binder
+name to its written name for the budget error; contract axioms get their own.
 """
 
 import functools
@@ -288,7 +288,7 @@ class Translator:
             n for n, fd in source.items() if fd is not self.funcs[n]}
         self._taken = set(self.funcs)  # see the module docstring, Names
         self._written = {}  # a primed or _el binder name -> its written name
-        self.queue = []  # (axiom, tag), each normalized and lowered in turn
+        self.queue = []  # (axiom, tag, its _written), lowered in turn
         self._nondet = nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
         self._inlined = {n: fd for n, fd in self.funcs.items()
@@ -422,7 +422,7 @@ class Translator:
                   for a, ty in ctx[1] if a in fv and ty.size() == 1}
         name = self.fresh('_ch')
         folded[c.var] = Apply(name, [Var(a) for a, _ in args])
-        self._declare(name, args, c.ty, subst(c.body, folded))
+        self._declare(name, args, c.ty, subst(c.body, folded), self._written)
         return Apply(name, [Var(a) for a, _ in args])
 
     def _application(self, n, ctx):
@@ -433,7 +433,7 @@ class Translator:
             if n.func not in self.symtab and fd.is_contract():
                 app = Apply(n.func, [Var(p) for p, _ in fd.params])
                 self._declare(n.func, fd.params, fd.result,
-                              subst(fd.ensures, {'result': app}))
+                              subst(fd.ensures, {'result': app}), {})
             return out
         # the arguments are rewritten first: a choice in one has one value
         # in all uses of its parameter
@@ -443,9 +443,9 @@ class Translator:
         mapping = {p: a for (p, _), a in zip(fd.params, args)}
         return self._rewrite(fd.body, (mapping, ctx[1], names))
 
-    def _declare(self, name, params, rty, axiom):
+    def _declare(self, name, params, rty, axiom, written):
         """Declare name: params -> rty; queue axiom and the result's type
-        constraint, each closed over params."""
+        constraint, each closed over params, with written as their _written."""
         self.symtab[name] = ([ty for _, ty in params], rty)
         axioms = [(axiom, 'choose-axiom')]
         if not predicate_trivial(rty):
@@ -455,7 +455,7 @@ class Translator:
         for ax, tag in axioms:
             for p, ty in reversed(params):
                 ax = Forall(p, ty, ax)
-            self.queue.append((ax, tag))
+            self.queue.append((ax, tag, written))
 
     # -- lowering, compiled once per node ----------------------------------------
 
@@ -697,7 +697,7 @@ class Translator:
                                         self.opts.eliminate_choices)
         self.top(neg, 'negated-goal')
         while self.queue:
-            ax, tag = self.queue.pop(0)
+            ax, tag, self._written = self.queue.pop(0)
             # an axiom's binders avoid only the function and declared names
             ax, _ = self.normalize(ax, False,
                                    set(self.funcs).union(self.symtab))

@@ -290,23 +290,30 @@ def test_expansion_budget_failure_names_the_quantifier():
     assert "'x" in str(ei.value)
 
 
-@pytest.mark.parametrize('theorem, flags, written', [
-    ('primed', {}, "y'"),  # the second y' is renamed y''; primes are legal
-    ('inlined', {'inline_definitions': True}, 'x'),  # f's x is renamed x'
-    ('lifted', {'eliminate_choices': True}, 'y'),  # c's y is bound as _el1
+@pytest.mark.parametrize('theorem, budget, flags, written', [
+    ('primed', 20, {}, "y'"),  # the second y' is renamed y''; primes stay
+    ('inlined', 20, {'inline_definitions': True}, 'x'),  # f's x becomes x'
+    ('lifted', 20, {'eliminate_choices': True}, 'y'),  # c's y is bound as _el1
+    ('contract', 4, {}, 'y'),  # the second y is renamed y'
+    ('contract', 9, {}, "y'"),  # h's own y', in h's axiom
 ])
-def test_budget_failure_names_the_binder_as_written(theorem, flags, written):
+def test_budget_failure_names_the_binder_as_written(theorem, budget, flags,
+                                                    written):
     m = resolve_model(parse_model(
         "type D = nat[3];\n"
         "fun f(p: D): nat[1] = if (forall x: D. x <= p) then 0 else 1;\n"
         "fun c(p: D): D = choose y: D with y <= p;\n"
+        "fun h(p: D): D ensures forall y': D. forall z: D. result <= p\n"
+        "                                                  \\/ y' = z;\n"
         "theorem primed <=> (forall y': D. forall x: D. x = y')\n"
         "                   /\\ (forall y': D. y' = y');\n"
         "theorem inlined <=> forall x: D. forall y: D. f(x) = 0;\n"
-        "theorem lifted <=> forall x: D. forall z: D. c(x) <= z;\n"))
+        "theorem lifted <=> forall x: D. forall z: D. c(x) <= z;\n"
+        "theorem contract <=> (forall y: D. y = y)\n"
+        "                     /\\ (forall y: D. h(y) <= 3);\n"))
     with pytest.raises(TranslateError) as ei:
         translate(m.theorems[theorem], m.funcs, SmtOptions(
-            mode='expand-all', expansion_budget=20, **flags))
+            mode='expand-all', expansion_budget=budget, **flags))
     assert str(ei.value).endswith("over '%s'" % written)
 
 
