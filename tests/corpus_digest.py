@@ -15,9 +15,11 @@ The corpus:
   - fdl.randgen.random_goal seeds 0-999.
 
 `--fuzz-seeds A-B` takes fuzztext seeds A to B (inclusive) in place of 1
-and 2, the rest of the corpus unchanged; `--fuzz-seeds 3-7` adds the five
-seeds that a change to the translator is usually checked on beyond the
-default corpus, 120,000 more lines.
+and 2, the rest of the corpus unchanged. Run next to the default,
+`--fuzz-seeds 3-7` digests the five further seeds that a change to the
+translator is usually checked on (120,000 lines of them):
+
+    PYTHONPATH=src python tests/corpus_digest.py --fuzz-seeds 3-7 > change.txt
 
 The translator is the `fdl` on the import path, so one copy of this script
 digests any version:
