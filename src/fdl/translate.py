@@ -66,7 +66,6 @@ variable of its arguments. Translator._written maps a primed or _el binder
 name to its written name for the budget error; contract axioms get their own.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -136,23 +135,17 @@ def bv_lit(v, width: int) -> str:
     return '#b' + format(int(v), '0%db' % width)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)  # bool and int literals apart
-def _lit(value):
-    ty = BOOL if isinstance(value, bool) else FiniteType('nat', value)
-    return True, bv_lit(value, sort_width(ty)), ty, sort_width(ty)
-
-
 def _node(head, *parts):
     """The compiled (head part...) of compiled parts (static, v): static text
     if every part is, else a function of the frame that writes it."""
+    pre = '(%s ' % head
     if len(parts) == 2:
         (ls, lhs), (rs, rhs) = parts
         if ls:
             if rs:
-                return True, '(%s %s %s)' % (head, lhs, rhs)
-            pre = '(%s %s ' % (head, lhs)
+                return True, f'{pre}{lhs} {rhs})'
+            pre += lhs + ' '
             return False, lambda env: f'{pre}{rhs(env)})'
-        pre = '(%s ' % head
         if rs:
             post = ' %s)' % rhs
             return False, lambda env: f'{pre}{lhs(env)}{post}'
@@ -161,12 +154,10 @@ def _node(head, *parts):
         static, v = parts[0]
         if static:
             return True, '(%s %s)' % (head, v)
-        pre = '(%s ' % head
         return False, lambda env: f'{pre}{v(env)})'
     if all(static for static, _ in parts):
         return True, '(%s %s)' % (head, ' '.join([v for _, v in parts]))
     fns = [(lambda env, v=v: v) if static else v for static, v in parts]
-    pre = '(%s ' % head
     return False, lambda env: f"{pre}{' '.join([fn(env) for fn in fns])})"
 
 
@@ -619,6 +610,11 @@ class Translator:
 
     # -- terms ----------------------------------------------------------------
 
+    def _lit(self, t):
+        ty = BOOL if isinstance(t.value, bool) else FiniteType('nat', t.value)
+        w = sort_width(ty)
+        return True, bv_lit(t.value, w), ty, w
+
     def _arith(self, t):
         lhs = _LOWER[type(t.lhs)](self, t.lhs)
         rhs = _LOWER[type(t.rhs)](self, t.rhs)
@@ -742,7 +738,7 @@ _LOWER = {
     Forall: Translator._quantifier,
     Exists: Translator._quantifier,
     Var: lambda tr, t: tr.scope[t.name],
-    Lit: lambda tr, t: _lit(t.value),
+    Lit: Translator._lit,
     Add: Translator._arith,
     Mul: Translator._arith,
     AddConst: Translator._add_const,
