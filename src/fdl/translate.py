@@ -63,7 +63,7 @@ avoid only the function and declared names, as if it stood alone, then join
 _taken. Fresh _sk/_ch/_el symbols skip _taken and join it. So no binder
 shares a function's or a declared name, and no inlined body captures a
 variable of its arguments. Translator._written maps a primed or _el binder
-name to its written name for the budget error; contract axioms get their own.
+name to its written name for the budget error; each queued axiom has a copy.
 """
 
 import math
@@ -303,10 +303,14 @@ class Translator:
             self._as_definitions.discard(name)
             self.stats.contracts_as_definitions += 1
 
-    def _give(self, names, used, free=()):
-        """iter(apart(names, used, free)); notes primed names in _written."""
+    def _give(self, names, used, free=(), given_before=False):
+        """iter(apart(names, used, free)); notes primed names in _written.
+        given_before: names may have been given out before, as a queued
+        axiom's are, and stand for the written name _written holds for them."""
         given = apart(names, used, free)
-        self._written.update([(g, n) for n, g in zip(names, given) if g != n])
+        written = self._written if given_before else {}
+        self._written.update([(g, written.get(n, n))
+                              for n, g in zip(names, given) if g != n])
         return iter(given)
 
     # -- the front end: one rebuild before lowering ---------------------------
@@ -318,7 +322,7 @@ class Translator:
         the names join used and _taken. lift is set for the goal under
         --eliminate-choices."""
         names, estimates = scan(f, neg)
-        names = self._give(names, used)
+        names = self._give(names, used, given_before=True)
         self._taken |= used
         return self._rewrite(f, ({}, [], names), neg, lift), estimates
 
@@ -446,7 +450,7 @@ class Translator:
         for ax, tag in axioms:
             for p, ty in reversed(params):
                 ax = Forall(p, ty, ax)
-            self.queue.append((ax, tag, written))
+            self.queue.append((ax, tag, dict(written)))
 
     # -- lowering, compiled once per node ----------------------------------------
 

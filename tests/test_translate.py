@@ -296,6 +296,7 @@ def test_expansion_budget_failure_names_the_quantifier():
     ('lifted', 20, {'eliminate_choices': True}, 'y'),  # c's y is bound as _el1
     ('contract', 4, {}, 'y'),  # the second y is renamed y'
     ('contract', 9, {}, "y'"),  # h's own y', in h's axiom
+    ('chosen', 8, {}, 'z'),  # the choose's z is z', and z'' in its axiom
 ])
 def test_budget_failure_names_the_binder_as_written(theorem, budget, flags,
                                                     written):
@@ -310,7 +311,9 @@ def test_budget_failure_names_the_binder_as_written(theorem, budget, flags,
         "theorem inlined <=> forall x: D. forall y: D. f(x) = 0;\n"
         "theorem lifted <=> forall x: D. forall z: D. c(x) <= z;\n"
         "theorem contract <=> (forall y: D. y = y)\n"
-        "                     /\\ (forall y: D. h(y) <= 3);\n"))
+        "                     /\\ (forall y: D. h(y) <= 3);\n"
+        "theorem chosen <=> (forall z: D. z = z)\n"
+        "  /\\ (choose y: D with (forall z: D. z <= y) <=> y = 3) <= 3;\n"))
     with pytest.raises(TranslateError) as ei:
         translate(m.theorems[theorem], m.funcs, SmtOptions(
             mode='expand-all', expansion_budget=budget, **flags))
