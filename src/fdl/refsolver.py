@@ -20,8 +20,9 @@ runs out.
 
 Also usable as a command line solver: fdl-refsolve [--budget N] FILE, or
 this file run by path; only main() parses arguments. The solver bridge
-imports this module in a child started as `python -I -S -c ...` and calls
-run(FILE), so the module must stay standalone (no imports from fdl, no
+calls answer(text) in a fork of its caller; a `python -I -S -c ...` child
+that imports this module and calls run(FILE) is the same backend as a
+command. So the module must stay standalone (no imports from fdl, no
 relative imports) and cheap to start: it imports only sys, and main()
 imports argparse only when it is called.
 """
@@ -207,10 +208,16 @@ class Solver:
         return sexpr, fn, width, _names(kids) | {name}
 
     def _junction(self, e):
-        """and/or: outside binders a literal argument decides or is dropped."""
-        fold, stop = not self._scope, e[0] == 'or'  # stop decides the node
+        """and/or: outside binders a literal argument decides or is dropped.
+        A left-nested chain of the same head, (and (and a b) c), is one
+        junction over a b c, gathered in a loop: it takes no frame per level."""
+        head, tails = e[0], []
+        fold, stop = not self._scope, head == 'or'  # stop decides the node
+        while len(e) > 1 and isinstance(e[1], list) and e[1][:1] == [head]:
+            tails.append(e[2:])
+            e = e[1]
         kids = []
-        for x in e[1:]:
+        for x in e[1:] + [x for tail in reversed(tails) for x in tail]:
             kid = self.compile(x)
             if not fold or kid[3] is not None:
                 kids.append(kid)
@@ -227,7 +234,7 @@ class Solver:
             return not stop
         if fold and not stop:
             fn.parts = kids
-        return [e[0]] + [kid[0] for kid in kids], fn, None, _names(kids)
+        return [head] + [kid[0] for kid in kids], fn, None, _names(kids)
 
     def _implies(self, e):
         kids = list(map(self.compile, e[1:]))
@@ -376,20 +383,30 @@ def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
         raise RefsolverError('script nested too deeply') from None
 
 
+def answer(text: str, budget: int = DEFAULT_BUDGET) -> tuple:
+    """(exit code, line) of a script: (0, its answer), or (1, 'error: ...')
+    when it cannot be decided."""
+    try:
+        return 0, check_script(text, budget)
+    except RefsolverError as e:
+        reason = str(e)
+    except Exception as e:  # an internal failure
+        reason = '%s: %s' % (type(e).__name__, e)
+    return 1, 'error: %s' % reason
+
+
 def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
     """Decide the script in a file: print the answer and return 0, or print
     one 'error: ...' line on stderr and return 1."""
     try:
         with open(path) as fh:
             text = fh.read()
-        print(check_script(text, budget))
-        return 0
-    except (RefsolverError, OSError) as e:
-        reason = str(e)
-    except Exception as e:  # an internal failure
-        reason = '%s: %s' % (type(e).__name__, e)
-    print('error: %s' % reason, file=sys.stderr)
-    return 1
+    except OSError as e:
+        code, line = 1, 'error: %s' % e
+    else:
+        code, line = answer(text, budget)
+    print(line, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 def main(argv=None) -> int:

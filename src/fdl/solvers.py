@@ -8,24 +8,22 @@ script path), either from the built-in table below or from an INI file
     command = z3 -smt2 {file}
     quantifiers = true
 
-The built-in refsolve backend runs this package's refsolver.py under the
-current interpreter, as `python -I -S -c <program> {file}`: the program
-imports refsolver from the module's directory and calls its run(FILE), so
-the child parses no arguments, needs no install, always runs the same
-refsolve as its caller and does not depend on the child's import path.
-Importing the module, where running the file by path would not, loads its
-cached bytecode instead of compiling the source on every start. `-I -S`
-skip the environment, the user and site directories and the .pth files;
-refsolver.py imports only sys, so its start-up is about that of a bare
-interpreter. A [refsolve] section in the INI file replaces that command.
-Other backends are looked up on PATH, and one whose executable is not
-there reports 'unavailable' instead of failing. Solvers run in their own
-session; on timeout the whole process group is killed, so children of
-wrapper scripts die too.
+The built-in refsolve command, `python -I -S -c <program> {file}`, imports
+refsolver from the module's directory, whatever the child's import path,
+and calls run(FILE). run_solver does not exec it: it forks the caller,
+where refsolver is already imported, and the child decides the inherited
+text with refsolver.answer, whose line run prints, so a verdict pays no
+interpreter start-up. A [refsolve] section in the INI file replaces the
+command and is exec'd. Other backends are looked up on PATH, and one whose
+executable is not there reports 'unavailable' instead of failing. Every
+solver runs in its own session; on timeout the whole process group is
+killed, so children of wrapper scripts die too.
 """
 
 import configparser
+import gc
 import os
+import select
 import shlex
 import shutil
 import signal
@@ -117,6 +115,8 @@ def run_solver(cfg: SolverConfig, script_text: str,
     if not cfg.available():
         return SolverOutcome('unavailable', 0.0,
                              '%s not on PATH' % cfg.command[0])
+    if cfg.command == _BUILTIN['refsolve'][0]:
+        return _refsolve_in_fork(script_text, limit_ms)
     fd, path = tempfile.mkstemp(suffix='.smt2', prefix='fdl-')
     try:
         with os.fdopen(fd, 'w') as fh:
@@ -128,34 +128,79 @@ def run_solver(cfg: SolverConfig, script_text: str,
                                 start_new_session=True)
         try:
             stdout, stderr = proc.communicate(timeout=limit_ms / 1000.0)
-            timed_out = False
         except subprocess.TimeoutExpired:
-            timed_out = True
-            try:
-                os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                proc.kill()
-            stdout, stderr = proc.communicate()
-        wall_ms = (time.monotonic() - t0) * 1000.0
-        if timed_out:
-            return SolverOutcome('timeout', wall_ms)
-        for line in (stdout or '').splitlines():
-            line = line.strip()
-            if line in ('sat', 'unsat', 'unknown'):
-                return SolverOutcome(line, wall_ms)
-        # The last line names the failure: for a Python child it is the
-        # exception, not the 'Traceback' header. Verdict adds its own
-        # 'error: ' prefix, so the one refsolve writes is dropped.
-        detail = (stderr or stdout or '').strip().splitlines()
-        detail = detail[-1] if detail else 'no answer'
-        if detail.startswith('error: '):
-            detail = detail[len('error: '):]
-        return SolverOutcome('error', wall_ms, detail)
+            _kill_session(proc.pid)
+            proc.communicate()
+            return SolverOutcome('timeout', (time.monotonic() - t0) * 1000.0)
+        return _classify(stdout, stderr, (time.monotonic() - t0) * 1000.0)
     finally:
         try:
             os.unlink(path)
         except OSError:
             pass
+
+
+def _refsolve_in_fork(text: str, limit_ms: int) -> SolverOutcome:
+    """The built-in command's outcome, from a fork of this process: the
+    child starts its own session and, as it ends, writes refsolver.run's
+    line for the text it inherited. It touches no Python I/O object and
+    leaves by os._exit, so no buffer or code of the caller runs twice."""
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    r, w = os.pipe()
+    with open(r, 'rb') as pipe, open(w, 'wb', buffering=0) as sink:
+        t0 = time.monotonic()
+        pid = os.fork()
+        if not pid:
+            code = 1
+            try:
+                os.setsid()
+                gc.freeze()  # the caller's objects: never collected or copied
+                # the exec'd command's headroom, however deep the caller is
+                sys.setrecursionlimit(sys.getrecursionlimit() + depth)
+                code, line = refsolver.answer(text)
+                os.write(w, (line + '\n').encode())
+            finally:
+                os._exit(code)
+        sink.close()
+        answered = False
+        try:  # poll, unlike select, takes any fd
+            poll = select.poll()
+            poll.register(pipe, select.POLLIN)
+            answered = poll.poll(limit_ms)
+            out = pipe.read() if answered else b''
+        finally:
+            if not answered:
+                _kill_session(pid)
+            os.waitpid(pid, 0)
+    wall_ms = (time.monotonic() - t0) * 1000.0
+    if not answered:
+        return SolverOutcome('timeout', wall_ms)
+    return _classify(out.decode(), '', wall_ms)
+
+
+def _kill_session(pid: int) -> None:
+    """SIGKILL the child's process group, or the child before its setsid."""
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        os.kill(pid, signal.SIGKILL)
+
+
+def _classify(stdout: str, stderr: str, wall_ms: float) -> SolverOutcome:
+    for line in stdout.splitlines():
+        line = line.strip()
+        if line in ('sat', 'unsat', 'unknown'):
+            return SolverOutcome(line, wall_ms)
+    # The last line names the failure: for a Python child it is the
+    # exception, not the 'Traceback' header. Verdict adds its own
+    # 'error: ' prefix, so the one refsolve writes is dropped.
+    detail = (stderr or stdout).strip().splitlines()
+    detail = detail[-1] if detail else 'no answer'
+    if detail.startswith('error: '):
+        detail = detail[len('error: '):]
+    return SolverOutcome('error', wall_ms, detail)
 
 
 def decide(goal, funcs, cfg: SolverConfig, opts: Optional[SmtOptions] = None,

@@ -200,6 +200,17 @@ def test_nesting_past_the_recursion_limit_is_an_error(tmp_path):
     assert out.stderr == 'error: script nested too deeply\n'
 
 
+@pytest.mark.parametrize('head', ['and', 'or'])
+def test_left_nested_junction_chains_take_no_depth(head):
+    # the shape the translator emits for /\ and \/, (and (and ... a) b),
+    # with x = 1 innermost and x = 0 at every other level
+    term = '(= x #b1)'
+    for _ in range(900):
+        term = '(%s %s (= x #b0))' % (head, term)
+    text = _script(term, decls=['(declare-fun x () (_ BitVec 1))'])
+    assert check_script(text) == ('unsat' if head == 'and' else 'sat')
+
+
 # (answer, nodes) of every goal below in all three modes with default
 # options, under a node budget of 500, as recorded before refsolve compiled
 # its units to closures and kept its branch cells on a trail. A row may

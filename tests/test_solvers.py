@@ -8,11 +8,13 @@ import time
 import pytest
 
 from fdl import refsolver
+from fdl.bench import make_cases
 from fdl.core import Atom, Forall, Lit, Var, nat
 from fdl.solvers import (
-    SolverConfig, SolverOutcome, decide, load_solver_configs, run_solver,
+    SolverConfig, SolverOutcome, _classify, decide, load_solver_configs,
+    run_solver,
 )
-from fdl.translate import SmtOptions
+from fdl.translate import MODES, SmtOptions, emit_smtlib, translate
 
 
 TRIVIAL = '(set-logic QF_UFBV)\n(assert true)\n(check-sat)\n'
@@ -261,3 +263,91 @@ def test_decide_surfaces_translate_errors():
     assert verdict.status == 'error'
     assert outcome.answer == 'error'
     assert 'budget' in verdict.reason
+
+
+# -- the built-in refsolve in a fork of the caller ------------------------------
+
+
+def _script(case, mode):
+    goal, funcs = case.build()
+    return emit_smtlib(translate(goal, funcs, SmtOptions(mode=mode)))
+
+
+def _nested_not(depth):
+    term = '(= x x)'
+    for _ in range(depth):
+        term = '(not %s)' % term
+    return ('(set-logic QF_UFBV)\n(declare-fun x () (_ BitVec 1))\n'
+            '(assert %s)\n(check-sat)\n' % term)
+
+
+def _exec_builtin(text, tmp_path):
+    """(answer, detail) of the built-in command exec'd on a file, as the
+    bridge classifies an exec'd backend's output."""
+    path = tmp_path / 'script.smt2'
+    path.write_text(text)
+    cmd = [a.replace('{file}', str(path)) for a in _refsolve().command]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    got = _classify(out.stdout, out.stderr, 0.0)
+    return got.answer, got.detail
+
+
+def test_fork_answers_as_the_execd_command(tmp_path):
+    scripts = [_script(case, mode) for case in make_cases(n=2)
+               for mode in MODES]
+    scripts += [TRIVIAL.replace('true', 'ghost'), TRIVIAL + ')',
+                TRIVIAL.replace('(check-sat)', '(get-model)'),
+                _nested_not(1000)]
+    assert len(scripts) == 64 * 3 + 4
+    for text in scripts:
+        out = run_solver(_refsolve(), text)
+        assert (out.answer, out.detail) == _exec_builtin(text, tmp_path)
+    assert [run_solver(_refsolve(), text).detail for text in scripts[-4:]] \
+        == ["unknown symbol 'ghost'", 'unbalanced parenthesis',
+            "unsupported command 'get-model'", 'script nested too deeply']
+
+
+def _deep(frames, fn):
+    return fn() if frames == 0 else _deep(frames - 1, fn)
+
+
+def test_fork_headroom_does_not_depend_on_the_callers_depth():
+    outcomes = _deep(150, lambda: [run_solver(_refsolve(), _nested_not(d))
+                                   for d in (900, 1000)])
+    assert [(o.answer, o.detail) for o in outcomes] == [
+        ('sat', ''), ('error', 'script nested too deeply')]
+
+
+def test_fork_is_killed_on_timeout_and_reaped():
+    case, = [c for c in make_cases(n=5)
+             if (c.family, c.pattern) == ('contract-f-eq1', 'a4e0')]
+    text = _script(case, 'eliminate')  # about 4 s of search for refsolve
+    t0 = time.monotonic()
+    out = run_solver(_refsolve(), text, limit_ms=300)
+    assert out.answer == 'timeout'
+    assert (time.monotonic() - t0) * 1000.0 < 300 + 500
+    with pytest.raises(ChildProcessError):  # no child, no zombie left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_does_not_flush_the_callers_stdout_again():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(refsolver.__file__)))
+    code = ('import sys; sys.path.insert(0, %r)\n'
+            'from fdl.solvers import load_solver_configs, run_solver\n'
+            'print("marker", end="")\n'
+            'for _ in range(3):\n'
+            '    run_solver(load_solver_configs()["refsolve"], %r)\n'
+            % (src, TRIVIAL))
+    env = {k: v for k, v in os.environ.items() if k != 'PYTHONUNBUFFERED'}
+    out = subprocess.run([sys.executable, '-c', code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == 'marker'
+
+
+def test_fork_reports_an_internal_failure(monkeypatch):
+    def broken(text, budget):
+        raise ValueError('x')
+    monkeypatch.setattr(refsolver, 'check_script', broken)
+    out = run_solver(_refsolve(), TRIVIAL)
+    assert (out.answer, out.detail) == ('error', 'ValueError: x')
