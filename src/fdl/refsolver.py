@@ -209,8 +209,8 @@ class Solver:
 
     def _junction(self, e):
         """and/or: outside binders a literal argument decides or is dropped.
-        A left-nested chain of the same head, (and (and a b) c), is one
-        junction over a b c, gathered in a loop: it takes no frame per level."""
+        A left-nested chain of one head, (and (and a b) c), is one junction
+        over a b c, gathered in a loop: it takes no frame per level."""
         head, tails = e[0], []
         fold, stop = not self._scope, head == 'or'  # stop decides the node
         while len(e) > 1 and isinstance(e[1], list) and e[1][:1] == [head]:

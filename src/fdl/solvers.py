@@ -165,8 +165,8 @@ def _refsolve_in_fork(text: str, limit_ms: int) -> SolverOutcome:
                 os._exit(code)
         sink.close()
         answered = False
-        try:  # poll, unlike select, takes any fd
-            poll = select.poll()
+        try:
+            poll = select.poll()  # unlike select, it takes any fd
             poll.register(pipe, select.POLLIN)
             answered = poll.poll(limit_ms)
             out = pipe.read() if answered else b''

@@ -265,7 +265,7 @@ def test_decide_surfaces_translate_errors():
     assert 'budget' in verdict.reason
 
 
-# -- the built-in refsolve in a fork of the caller ------------------------------
+# -- the built-in refsolve in a fork of the caller ---------------------------------
 
 
 def _script(case, mode):
