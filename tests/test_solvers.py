@@ -268,7 +268,7 @@ def test_decide_surfaces_translate_errors():
 # -- the built-in refsolve in a fork of the caller ---------------------------------
 
 
-def _script(case, mode):
+def _cell_script(case, mode):
     goal, funcs = case.build()
     return emit_smtlib(translate(goal, funcs, SmtOptions(mode=mode)))
 
@@ -293,18 +293,18 @@ def _exec_builtin(text, tmp_path):
 
 
 def test_fork_answers_as_the_execd_command(tmp_path):
-    scripts = [_script(case, mode) for case in make_cases(n=2)
+    scripts = [_cell_script(case, mode) for case in make_cases(n=2)
                for mode in MODES]
     scripts += [TRIVIAL.replace('true', 'ghost'), TRIVIAL + ')',
                 TRIVIAL.replace('(check-sat)', '(get-model)'),
                 _nested_not(1000)]
     assert len(scripts) == 64 * 3 + 4
-    for text in scripts:
-        out = run_solver(_refsolve(), text)
-        assert (out.answer, out.detail) == _exec_builtin(text, tmp_path)
-    assert [run_solver(_refsolve(), text).detail for text in scripts[-4:]] \
-        == ["unknown symbol 'ghost'", 'unbalanced parenthesis',
-            "unsupported command 'get-model'", 'script nested too deeply']
+    forked = [run_solver(_refsolve(), text) for text in scripts]
+    assert [(out.answer, out.detail) for out in forked] == [
+        _exec_builtin(text, tmp_path) for text in scripts]
+    assert [out.detail for out in forked[-4:]] == [
+        "unknown symbol 'ghost'", 'unbalanced parenthesis',
+        "unsupported command 'get-model'", 'script nested too deeply']
 
 
 def _deep(frames, fn):
@@ -321,7 +321,7 @@ def test_fork_headroom_does_not_depend_on_the_callers_depth():
 def test_fork_is_killed_on_timeout_and_reaped():
     case, = [c for c in make_cases(n=5)
              if (c.family, c.pattern) == ('contract-f-eq1', 'a4e0')]
-    text = _script(case, 'eliminate')  # about 4 s of search for refsolve
+    text = _cell_script(case, 'eliminate')  # about 4 s of refsolve search
     t0 = time.monotonic()
     out = run_solver(_refsolve(), text, limit_ms=300)
     assert out.answer == 'timeout'
