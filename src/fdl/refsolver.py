@@ -20,11 +20,12 @@ runs out.
 
 Also usable as a command line solver: fdl-refsolve [--budget N] FILE, or
 this file run by path; only main() parses arguments. The solver bridge
-calls answer(text) in a fork of its caller; a `python -I -S -c ...` child
-that imports this module and calls run(FILE) is the same backend as a
-command. So the module must stay standalone (no imports from fdl, no
-relative imports) and cheap to start: it imports only sys, and main()
-imports argparse only when it is called.
+starts one `python -I -S -c ...` process that imports this module and
+calls serve(), which decides script after script read from stdin; the
+same program calling run(FILE) is the built-in backend as a command. So
+the module must stay standalone (no imports from fdl, no relative
+imports) and cheap to start: it imports only sys, and main() imports
+argparse only when it is called.
 """
 
 import sys
@@ -409,8 +410,24 @@ def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
     return code
 
 
+def serve() -> int:
+    """Decide the scripts that arrive on stdin, each as its length in bytes
+    on one line and then its UTF-8 text, until EOF. Each answer leaves on
+    stdout as one line: the exit code run would return, a space and run's
+    line, newlines in it turned to spaces. Nothing is kept from one script
+    to the next: answer() builds a new Solver for each."""
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    while True:
+        head = stdin.readline()
+        if not head:
+            return 0
+        code, line = answer(stdin.read(int(head)).decode())
+        stdout.write(b'%d %s\n' % (code, line.replace('\n', ' ').encode()))
+        stdout.flush()
+
+
 def main(argv=None) -> int:
-    import argparse  # here, not at the top: the bridge's child calls run()
+    import argparse  # here, not at the top: the bridge's worker never parses
     ap = argparse.ArgumentParser(
         prog='fdl-refsolve',
         description='reference solver for the emitted SMT-LIB fragment')

@@ -1,8 +1,8 @@
-"""Running external SMT solvers on translated goals.
+"""Running SMT solvers on translated goals.
 
-Backends are configured as argv templates ('{file}' is replaced by the
-script path), either from the built-in table below or from an INI file
-(--solvers-config or $FDL_SOLVERS_CONFIG):
+Backends are argv templates ('{file}' is replaced by the script path),
+from the built-in table below or an INI file (--solvers-config or
+$FDL_SOLVERS_CONFIG):
 
     [z3]
     command = z3 -smt2 {file}
@@ -10,18 +10,17 @@ script path), either from the built-in table below or from an INI file
 
 The built-in refsolve command, `python -I -S -c <program> {file}`, imports
 refsolver from the module's directory, whatever the child's import path,
-and calls run(FILE). run_solver does not exec it: it forks the caller,
-where refsolver is already imported, and the child decides the inherited
-text with refsolver.answer, whose line run prints, so a verdict pays no
-interpreter start-up. A [refsolve] section in the INI file replaces the
-command and is exec'd. Other backends are looked up on PATH, and one whose
-executable is not there reports 'unavailable' instead of failing. Every
-solver runs in its own session; on timeout the whole process group is
-killed, so children of wrapper scripts die too.
+and calls run(FILE). run_solver does not exec it per verdict: one worker,
+the same program calling refsolver.serve(), is started by the first
+verdict and decides script after script over a pipe. A timeout kills its
+session, a crash is an error, and the next verdict starts a new worker.
+Every other backend, and a [refsolve] section of the INI file, is exec'd
+per verdict in its own session, whose whole process group a timeout
+kills; one whose executable is not on PATH reports 'unavailable'.
 """
 
+import atexit
 import configparser
-import gc
 import os
 import select
 import shlex
@@ -40,22 +39,24 @@ from .translate import SmtOptions, TranslateError, emit_smtlib, translate
 
 DEFAULT_TIMEOUT_MS = 60_000
 
-# The module's directory leaves sys.path again before run() is called, so
-# this package's modules (parser.py, ...) cannot shadow standard ones.
-_REFSOLVE_PROGRAM = ('import sys; sys.path.insert(0, %r); import refsolver; '
-                     'del sys.path[0]; sys.exit(refsolver.run(sys.argv[1]))'
-                     % os.path.dirname(os.path.abspath(refsolver.__file__)))
+# The built-in program up to its refsolver call. The module's directory
+# leaves sys.path first, so this package's modules shadow no standard one.
+_PROGRAM = ('import sys; sys.path.insert(0, %r); import refsolver; '
+            'del sys.path[0]; sys.exit(refsolver.'
+            % os.path.dirname(os.path.abspath(refsolver.__file__)))
 
 # name -> (argv template, whether the backend takes quantified scripts)
 _BUILTIN = {
-    'refsolve': ([sys.executable, '-I', '-S', '-c', _REFSOLVE_PROGRAM,
-                  '{file}'], True),
+    'refsolve': ([sys.executable, '-I', '-S', '-c',
+                  _PROGRAM + 'run(sys.argv[1]))', '{file}'], True),
     'z3': (['z3', '-smt2', '{file}'], True),
     'cvc4': (['cvc4', '--lang', 'smt2', '{file}'], True),
     'cvc5': (['cvc5', '--lang', 'smt2', '{file}'], True),
     'yices': (['yices-smt2', '{file}'], False),
     'boolector': (['boolector', '--smt2', '{file}'], False),
 }
+_WORKER_ARGV = _BUILTIN['refsolve'][0][:4] + [_PROGRAM + 'serve())']
+_worker = None  # the refsolve worker's Popen, from its first verdict on
 
 
 @dataclass
@@ -116,12 +117,11 @@ def run_solver(cfg: SolverConfig, script_text: str,
         return SolverOutcome('unavailable', 0.0,
                              '%s not on PATH' % cfg.command[0])
     if cfg.command == _BUILTIN['refsolve'][0]:
-        return _refsolve_in_fork(script_text, limit_ms)
-    fd, path = tempfile.mkstemp(suffix='.smt2', prefix='fdl-')
-    try:
-        with os.fdopen(fd, 'w') as fh:
-            fh.write(script_text)
-        argv = [a.replace('{file}', path) for a in cfg.command]
+        return _ask_worker(script_text, limit_ms)
+    with tempfile.NamedTemporaryFile('w', suffix='.smt2', prefix='fdl-') as fh:
+        fh.write(script_text)
+        fh.flush()
+        argv = [a.replace('{file}', fh.name) for a in cfg.command]
         t0 = time.monotonic()
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True,
@@ -129,63 +129,67 @@ def run_solver(cfg: SolverConfig, script_text: str,
         try:
             stdout, stderr = proc.communicate(timeout=limit_ms / 1000.0)
         except subprocess.TimeoutExpired:
-            _kill_session(proc.pid)
-            proc.communicate()
+            _end(proc)
             return SolverOutcome('timeout', (time.monotonic() - t0) * 1000.0)
         return _classify(stdout, stderr, (time.monotonic() - t0) * 1000.0)
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
 
-def _refsolve_in_fork(text: str, limit_ms: int) -> SolverOutcome:
-    """The built-in command's outcome, from a fork of this process: the
-    child starts its own session and, as it ends, writes refsolver.run's
-    line for the text it inherited. It touches no Python I/O object and
-    leaves by os._exit, so no buffer or code of the caller runs twice."""
-    depth, frame = 0, sys._getframe()
-    while frame:
-        depth, frame = depth + 1, frame.f_back
-    r, w = os.pipe()
-    with open(r, 'rb') as pipe, open(w, 'wb', buffering=0) as sink:
-        t0 = time.monotonic()
-        pid = os.fork()
-        if not pid:
-            code = 1
-            try:
-                os.setsid()
-                gc.freeze()  # the caller's objects: never collected or copied
-                # the exec'd command's headroom, however deep the caller is
-                sys.setrecursionlimit(sys.getrecursionlimit() + depth)
-                code, line = refsolver.answer(text)
-                os.write(w, (line + '\n').encode())
-            finally:
-                os._exit(code)
-        sink.close()
-        answered = False
-        try:
-            poll = select.poll()  # unlike select, it takes any fd
-            poll.register(pipe, select.POLLIN)
-            answered = poll.poll(limit_ms)
-            out = pipe.read() if answered else b''
-        finally:
-            if not answered:
-                _kill_session(pid)
-            os.waitpid(pid, 0)
-    wall_ms = (time.monotonic() - t0) * 1000.0
-    if not answered:
-        return SolverOutcome('timeout', wall_ms)
-    return _classify(out.decode(), '', wall_ms)
-
-
-def _kill_session(pid: int) -> None:
-    """SIGKILL the child's process group, or the child before its setsid."""
+def _ask_worker(text: str, limit_ms: int) -> SolverOutcome:
+    """The built-in command's outcome from the worker, started anew if it
+    has ended: refsolver.serve reads the script, answers as run would."""
+    global _worker
+    t0 = time.monotonic()
+    if _worker is None or _worker.poll() is not None:
+        _stop_worker()
+        _worker = subprocess.Popen(
+            _WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, start_new_session=True)
+    code, line = 'timeout', ''
     try:
-        os.killpg(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        os.kill(pid, signal.SIGKILL)
+        data = text.encode()
+        _worker.stdin.write(b'%d\n%s' % (len(data), data))
+        _worker.stdin.flush()
+        poll = select.poll()  # unlike select, it takes any fd
+        poll.register(_worker.stdout, select.POLLIN)
+        if poll.poll(max(0.0, limit_ms - (time.monotonic() - t0) * 1000.0)):
+            code, _, line = _worker.stdout.readline().decode().partition(' ')
+    except BrokenPipeError:
+        code = 'crash'
+    finally:
+        if code not in ('0', '1'):  # also at EOF, or on an exception here
+            line = _stop_worker()  # the last line it wrote is the detail
+    wall_ms = (time.monotonic() - t0) * 1000.0
+    if code == 'timeout':
+        return SolverOutcome('timeout', wall_ms)
+    return _classify(line, '', wall_ms)
+
+
+@atexit.register
+def _stop_worker() -> str:
+    """End the worker, if there is one; what it wrote on stderr."""
+    global _worker
+    proc, _worker = _worker, None
+    return _end(proc).decode(errors='replace') if proc else ''
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker is not the child's to use or
+    end; closing its pipes here lets it see EOF when the parent ends."""
+    global _worker
+    proc, _worker = _worker, None
+    for pipe in (proc.stdin, proc.stdout, proc.stderr) if proc else ():
+        pipe.close()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _end(proc: subprocess.Popen):
+    """Reap a solver, SIGKILLing its process group first unless it has been
+    reaped already; what it wrote on stderr."""
+    if proc.returncode is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+    return proc.communicate()[1]
 
 
 def _classify(stdout: str, stderr: str, wall_ms: float) -> SolverOutcome:
@@ -193,9 +197,8 @@ def _classify(stdout: str, stderr: str, wall_ms: float) -> SolverOutcome:
         line = line.strip()
         if line in ('sat', 'unsat', 'unknown'):
             return SolverOutcome(line, wall_ms)
-    # The last line names the failure: for a Python child it is the
-    # exception, not the 'Traceback' header. Verdict adds its own
-    # 'error: ' prefix, so the one refsolve writes is dropped.
+    # The last line names the failure: for Python, the exception, not the
+    # 'Traceback' header. Verdict adds 'error: ', so refsolve's is dropped.
     detail = (stderr or stdout).strip().splitlines()
     detail = detail[-1] if detail else 'no answer'
     if detail.startswith('error: '):
@@ -213,18 +216,15 @@ def decide(goal, funcs, cfg: SolverConfig, opts: Optional[SmtOptions] = None,
     """
     t0 = time.monotonic()
     try:
-        script = translate(goal, funcs, opts)
-        text = emit_smtlib(script)
+        text = emit_smtlib(translate(goal, funcs, opts))
     except TranslateError as e:
         return (Verdict('error', reason=str(e)),
                 SolverOutcome('error', 0.0, str(e)),
                 (time.monotonic() - t0) * 1000.0)
     translate_ms = (time.monotonic() - t0) * 1000.0
     outcome = run_solver(cfg, text, limit_ms)
-    if outcome.answer == 'unsat':
-        v = Verdict('valid')
-    elif outcome.answer == 'sat':
-        v = Verdict('invalid')
+    if outcome.answer in ('unsat', 'sat'):
+        v = Verdict('valid' if outcome.answer == 'unsat' else 'invalid')
     elif outcome.answer in ('unknown', 'timeout'):
         v = Verdict('undecided', reason=outcome.answer)
     else:

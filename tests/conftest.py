@@ -1,11 +1,14 @@
-"""Shared fixtures: throwaway shell-script backends, model sources and the
-goals of the recorded result tables."""
+"""Shared fixtures: throwaway shell-script backends, model sources, the
+goals of the recorded result tables, and a check at the end of the session
+that no solver process is left."""
 
+import os
 import pathlib
 import stat
 
 import pytest
 
+from fdl import solvers
 from fdl.bench import make_cases
 from fdl.core import resolve_model
 from fdl.parser import parse_model
@@ -75,3 +78,13 @@ def fake_solver(tmp_path):
         return SolverConfig(name=name, command=[str(exe), '{file}'])
 
     return make
+
+
+@pytest.fixture(scope='session', autouse=True)
+def no_process_left():
+    """Stop the refsolve worker when the session ends; then this process
+    must have no child left, running or unreaped."""
+    yield
+    solvers._stop_worker()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

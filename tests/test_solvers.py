@@ -1,13 +1,17 @@
 """Backend bridge: config loading, subprocess runs, kills, verdict mapping."""
 
+import functools
 import os
+import random
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from fdl import refsolver
+from fdl import refsolver, solvers
 from fdl.bench import make_cases
 from fdl.core import Atom, Forall, Lit, Var, nat
 from fdl.solvers import (
@@ -126,22 +130,27 @@ def test_builtin_refsolve_leaves_the_child_import_path_as_it_was():
 
 
 def test_builtin_refsolve_child_imports_no_argparse_and_no_fdl(tmp_path):
-    """The child calls refsolver.run and parses no arguments, so it pays
-    neither for argparse nor for the fdl package."""
+    """The command calls refsolver.run and the worker refsolver.serve;
+    neither parses arguments, so neither pays for argparse or the fdl
+    package."""
     script = tmp_path / 'trivial.smt2'
     script.write_text(TRIVIAL)
-    cmd = [a.replace('{file}', str(script))
-           for a in load_solver_configs()['refsolve'].command]
-    out = subprocess.run(cmd[:1] + ['-X', 'importtime'] + cmd[1:],
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == 'sat\n'
-    imported = {line.rpartition('|')[2].strip()
-                for line in out.stderr.splitlines()
-                if line.startswith('import time:')}
-    assert 'refsolver' in imported
-    assert not {m for m in imported
-                if m == 'argparse' or m.split('.')[0] == 'fdl'}
+    command = [a.replace('{file}', str(script))
+               for a in load_solver_configs()['refsolve'].command]
+    for cmd, feed, answer in [
+            (command, '', 'sat\n'),
+            (solvers._WORKER_ARGV, '%d\n%s' % (len(TRIVIAL), TRIVIAL),
+             '0 sat\n')]:
+        out = subprocess.run(cmd[:1] + ['-X', 'importtime'] + cmd[1:],
+                             input=feed, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == answer
+        imported = {line.rpartition('|')[2].strip()
+                    for line in out.stderr.splitlines()
+                    if line.startswith('import time:')}
+        assert 'refsolver' in imported
+        assert not {m for m in imported
+                    if m == 'argparse' or m.split('.')[0] == 'fdl'}
 
 
 def test_availability_checks_path():
@@ -265,7 +274,11 @@ def test_decide_surfaces_translate_errors():
     assert 'budget' in verdict.reason
 
 
-# -- the built-in refsolve in a fork of the caller ---------------------------------
+# -- the resident refsolve worker -------------------------------------------------
+#
+# The test_fork_* tests pin the hazards of deciding outside the caller's
+# process (answers, depth, kill, output, failures); the names are kept from
+# the design that forked the caller per verdict.
 
 
 def _cell_script(case, mode):
@@ -281,6 +294,19 @@ def _nested_not(depth):
             '(assert %s)\n(check-sat)\n' % term)
 
 
+BAD_LITERAL = '(set-logic QF_UFBV)\n(assert (= #bxyz #b1))\n(check-sat)\n'
+
+
+@functools.lru_cache(maxsize=None)
+def _scripts():
+    """The 64 grid cells at N=2 in every mode, then four that fail."""
+    scripts = [_cell_script(case, mode) for case in make_cases(n=2)
+               for mode in MODES]
+    return tuple(scripts + [TRIVIAL.replace('true', 'ghost'), TRIVIAL + ')',
+                            TRIVIAL.replace('(check-sat)', '(get-model)'),
+                            _nested_not(1000)])
+
+
 def _exec_builtin(text, tmp_path):
     """(answer, detail) of the built-in command exec'd on a file, as the
     bridge classifies an exec'd backend's output."""
@@ -292,19 +318,45 @@ def _exec_builtin(text, tmp_path):
     return got.answer, got.detail
 
 
+def _ask(texts):
+    return [(out.answer, out.detail)
+            for out in (run_solver(_refsolve(), text) for text in texts)]
+
+
+def _worker_pid():
+    run_solver(_refsolve(), TRIVIAL)
+    return solvers._worker.pid
+
+
+def _ended(pid):
+    """No process with this pid runs (Linux): there is none, or it is a
+    zombie that its new parent, not this process, has yet to reap."""
+    try:
+        with open('/proc/%d/stat' % pid) as fh:
+            return fh.read().rpartition(')')[2].split()[0] == 'Z'
+    except FileNotFoundError:
+        return True
+
+
 def test_fork_answers_as_the_execd_command(tmp_path):
-    scripts = [_cell_script(case, mode) for case in make_cases(n=2)
-               for mode in MODES]
-    scripts += [TRIVIAL.replace('true', 'ghost'), TRIVIAL + ')',
-                TRIVIAL.replace('(check-sat)', '(get-model)'),
-                _nested_not(1000)]
+    scripts = _scripts()
     assert len(scripts) == 64 * 3 + 4
-    forked = [run_solver(_refsolve(), text) for text in scripts]
-    assert [(out.answer, out.detail) for out in forked] == [
-        _exec_builtin(text, tmp_path) for text in scripts]
-    assert [out.detail for out in forked[-4:]] == [
+    answers = _ask(scripts)
+    assert answers == [_exec_builtin(text, tmp_path) for text in scripts]
+    assert [detail for _, detail in answers[-4:]] == [
         "unknown symbol 'ghost'", 'unbalanced parenthesis',
         "unsupported command 'get-model'", 'script nested too deeply']
+
+
+def test_worker_keeps_no_state_between_scripts():
+    scripts = list(_scripts())
+    order = list(range(len(scripts)))
+    random.Random(2021).shuffle(order)
+    pid = _worker_pid()
+    in_order = _ask(scripts)
+    shuffled = _ask([scripts[i] for i in order])
+    assert solvers._worker.pid == pid  # one worker decided them all
+    assert [shuffled[order.index(i)] for i in range(len(scripts))] == in_order
 
 
 def _deep(frames, fn):
@@ -312,22 +364,29 @@ def _deep(frames, fn):
 
 
 def test_fork_headroom_does_not_depend_on_the_callers_depth():
-    outcomes = _deep(150, lambda: [run_solver(_refsolve(), _nested_not(d))
-                                   for d in (900, 1000)])
-    assert [(o.answer, o.detail) for o in outcomes] == [
-        ('sat', ''), ('error', 'script nested too deeply')]
+    for frames in (0, 150):
+        assert _deep(frames, lambda: _ask([_nested_not(900),
+                                           _nested_not(1000)])) == [
+            ('sat', ''), ('error', 'script nested too deeply')]
+
+
+def _slow_script():
+    case, = [c for c in make_cases(n=5)
+             if (c.family, c.pattern) == ('contract-f-eq1', 'a4e0')]
+    return _cell_script(case, 'eliminate')  # about 4 s of refsolve search
 
 
 def test_fork_is_killed_on_timeout_and_reaped():
-    case, = [c for c in make_cases(n=5)
-             if (c.family, c.pattern) == ('contract-f-eq1', 'a4e0')]
-    text = _cell_script(case, 'eliminate')  # about 4 s of refsolve search
+    pid = _worker_pid()
     t0 = time.monotonic()
-    out = run_solver(_refsolve(), text, limit_ms=300)
+    out = run_solver(_refsolve(), _slow_script(), limit_ms=300)
     assert out.answer == 'timeout'
     assert (time.monotonic() - t0) * 1000.0 < 300 + 500
+    assert solvers._worker is None and _ended(pid)
     with pytest.raises(ChildProcessError):  # no child, no zombie left
         os.waitpid(-1, os.WNOHANG)
+    assert _ask([TRIVIAL]) == [('sat', '')]  # from a new worker
+    assert solvers._worker.pid != pid
 
 
 def test_fork_does_not_flush_the_callers_stdout_again():
@@ -345,9 +404,94 @@ def test_fork_does_not_flush_the_callers_stdout_again():
     assert out.stdout == 'marker'
 
 
-def test_fork_reports_an_internal_failure(monkeypatch):
+def test_fork_reports_an_internal_failure(monkeypatch, tmp_path):
+    """An exception that is not a RefsolverError is reported, not raised:
+    in process, and from the worker, as the exec'd command reports it."""
+    assert _ask([BAD_LITERAL]) == [_exec_builtin(BAD_LITERAL, tmp_path)] == [
+        ('error', "ValueError: invalid literal for int() with base 2: 'xyz'")]
+
     def broken(text, budget):
         raise ValueError('x')
     monkeypatch.setattr(refsolver, 'check_script', broken)
-    out = run_solver(_refsolve(), TRIVIAL)
-    assert (out.answer, out.detail) == ('error', 'ValueError: x')
+    assert refsolver.answer(TRIVIAL) == (1, 'error: ValueError: x')
+
+
+def test_worker_killed_during_a_verdict_is_an_error_and_replaced():
+    pid = _worker_pid()
+    killer = threading.Timer(0.3, os.kill, (pid, signal.SIGKILL))
+    killer.start()
+    try:
+        out = run_solver(_refsolve(), _slow_script())
+    finally:
+        killer.join()
+    assert (out.answer, out.detail) == ('error', 'no answer')
+    assert solvers._worker is None and _ended(pid)
+    assert _ask([TRIVIAL]) == [('sat', '')]
+
+
+def test_worker_killed_between_verdicts_is_replaced():
+    pid = _worker_pid()
+    os.kill(pid, signal.SIGKILL)
+    while not _ended(pid):
+        time.sleep(0.01)
+    assert _ask([TRIVIAL, _nested_not(3)]) == [('sat', ''), ('unsat', '')]
+    assert solvers._worker.pid != pid
+
+
+@pytest.mark.parametrize('ending, reaped', [('', True),
+                                            ('import os; os._exit(0)', False)])
+def test_no_worker_is_left_when_the_caller_ends(ending, reaped):
+    """At a normal exit an atexit hook kills and reaps the worker, so no
+    process has its pid. After os._exit the worker ends at EOF of its
+    input, and its new parent may not have reaped it yet."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(refsolver.__file__)))
+    code = ('import sys; sys.path.insert(0, %r)\n'
+            'from fdl import solvers\n'
+            'solvers.run_solver(solvers.load_solver_configs()["refsolve"], '
+            '%r)\n'
+            'print(solvers._worker.pid, flush=True)\n%s\n'
+            % (src, TRIVIAL, ending))
+    out = subprocess.run([sys.executable, '-c', code],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    pid = int(out.stdout)
+    time.sleep(1.0)
+    assert _ended(pid)
+    if reaped:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_forked_child_starts_its_own_worker():
+    pid = _worker_pid()
+    r, w = os.pipe()
+    child = os.fork()
+    if not child:
+        code = 1
+        try:
+            signal.alarm(30)  # a child stuck on the parent's pipes fails
+            os.close(r)
+            fresh = solvers._worker is None
+            answers = _ask([TRIVIAL, _nested_not(2)])
+            mine = solvers._worker.pid
+            solvers._stop_worker()
+            os.write(w, repr((fresh, answers, mine)).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with open(r) as fh:
+        reply = fh.read()
+    assert os.waitpid(child, 0)[1] == 0
+    fresh, answers, mine = eval(reply)
+    assert fresh and mine != pid
+    assert answers == [('sat', ''), ('sat', '')]
+    assert _ask([TRIVIAL]) == [('sat', '')]  # the parent's pipes unused
+    assert solvers._worker.pid == pid
+
+
+def test_worker_pipes_are_not_inherited():
+    _worker_pid()
+    proc = solvers._worker
+    assert not any(os.get_inheritable(pipe.fileno())
+                   for pipe in (proc.stdin, proc.stdout, proc.stderr))
