@@ -236,7 +236,7 @@ def render_chart(records, family, n, limit_ms=DEFAULT_TIMEOUT_MS) -> str:
     for r in rows:
         if r['mechanism'] not in mechs:
             mechs.append(r['mechanism'])
-    top = math.log10(limit_ms)
+    top = math.log10(limit_ms) or 1.0  # a 1 ms limit spans no decade
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 

@@ -102,6 +102,15 @@ def _goal_flags(p):
                    help='override a model parameter')
 
 
+def _check_floors(args, **floors):
+    """A numeric option below its floor can only fail: a usage error."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            raise CliError('--%s must be at least %d, got %d'
+                           % (name.replace('_', '-'), floor, value))
+
+
 def _solver_configs(path) -> dict:
     try:
         return load_solver_configs(path)
@@ -172,8 +181,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise CliError('--repeats must be at least 1, got %d' % args.repeats)
+    _check_floors(args, repeats=1, size=0, timeout_ms=1)
     configs = _solver_configs(args.solvers_config)
     if args.mechanisms:
         mechs = args.mechanisms
@@ -207,6 +215,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    _check_floors(args, count=0, max_depth=0, max_bound=1)
     rng = random.Random(args.seed)
     gen = GoalGen(rng, args.max_depth, args.max_bound)
     for i in range(args.count):

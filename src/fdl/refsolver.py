@@ -5,9 +5,10 @@ define-fun macros, uninterpreted functions and (in UFBV) forall/exists.
 
 A script is read flat: comments dropped, parentheses padded, the text split
 on whitespace and the forms built on an explicit stack. `Solver.check`
-compiles each assertion once, bottom-up, into a folded s-expression and a
-closure (Feeley & Lapalme, "Using Closures for Code Generation", 1987).
-Outside binders a node whose value needs no cell is folded to a literal.
+compiles each assertion once, bottom-up, into closures alone (Feeley &
+Lapalme, "Using Closures for Code Generation", 1987). Outside binders a
+node whose value needs no cell is folded to a literal. An implication
+(=> a ... b) is read as (or (not a) ... b).
 
 Satisfiability is decided by backtracking over "cells": a cell is the value
 of an uninterpreted function at one concrete argument tuple (constants are
@@ -84,16 +85,15 @@ def _literal(tok):
 
 
 def _names(kids) -> set:
-    """The declared function names in the sexprs of the nodes kids."""
-    return set().union(*[kid[3] for kid in kids if kid[3]])
+    """The declared function names that the nodes kids read."""
+    return set().union(*[kid[2] for kid in kids if kid[2]])
 
 
 class Script:
     def __init__(self):
         self.decls = {}  # name -> (arg_widths, result_width)
-        self.defs = {}  # name -> (params [(name, width)], result_width, body)
+        self.defs = {}  # name -> (params [(name, width)], body)
         self.asserts = []
-        self.logic = None
 
     @classmethod
     def parse(cls, text: str) -> 'Script':
@@ -102,18 +102,15 @@ class Script:
             if not isinstance(form, list) or not form:
                 raise RefsolverError('bad command %r' % (form,))
             head = form[0]
-            if head == 'set-logic':
-                s.logic = form[1]
-            elif head == 'declare-fun':
+            if head == 'declare-fun':
                 s.decls[form[1]] = ([_sort_width(a) for a in form[2]],
                                     _sort_width(form[3]))
             elif head == 'define-fun':
                 s.defs[form[1]] = ([(p[0], _sort_width(p[1]))
-                                    for p in form[2]],
-                                   _sort_width(form[3]), form[4])
+                                    for p in form[2]], form[4])
             elif head == 'assert':
                 s.asserts.append(form[1])
-            elif head not in ('check-sat', 'exit'):
+            elif head not in ('set-logic', 'check-sat', 'exit'):
                 raise RefsolverError('unsupported command %r' % head)
         return s
 
@@ -124,17 +121,16 @@ class Solver:
         self.cells = {}  # (name, argvals) -> value
         self.budget = budget
         self.nodes = 0
-        self.units = []  # folded conjuncts of the assertions, in search order
         self._reads = set()  # cells consulted by the evaluation in flight
         self._bodies = {}  # define-fun name -> (closure, width, frame padding)
         self._literals = {}  # token or (value, width) -> literal node or None
         self._scope, self._size = {}, 0  # name -> (slot, width); frame size
 
     def compile(self, e):
-        """The node (sexpr, fn, width, names) of expression e: e folded,
-        its closure over the frame of its binders, its bit width (None for
-        a boolean) and the declared function names in sexpr (None when
-        sexpr is a literal). A conjunction's fn has its nodes as `parts`."""
+        """The node (fn, width, names) of expression e: its closure over
+        the frame of its binders, its bit width (None for a boolean) and
+        the declared function names it reads, None when the node is a
+        literal. A conjunction's fn has its nodes as `parts`."""
         if isinstance(e, str):
             if e not in self._literals:
                 lit = _literal(e)
@@ -143,56 +139,53 @@ class Solver:
                 return self._literals[e]
             if e in self._scope:
                 slot, width = self._scope[e]
-                return e, lambda env: env[slot], width, set()
-            return self._apply(e, [], e)
+                return lambda env: env[slot], width, set()
+            return self._apply(e, [])
         head = e[0]
         op = tuple(head[:2]) if isinstance(head, list) else head
         if op in _OPERATORS:
             kids = list(map(self.compile, e[1:]))
-            fn, width = _OPERATORS[op](kids[0][2], head,
-                                       *[kid[1] for kid in kids])
-            return self._fold([head] + [k[0] for k in kids], kids, fn, width)
+            fn, width = _OPERATORS[op](kids[0][1], head,
+                                       *[kid[0] for kid in kids])
+            return self._fold(kids, fn, width)
         if isinstance(head, list):
             raise RefsolverError('unsupported operator %r' % (head,))
         if head in _COMPILE:
             return _COMPILE[head](self, e)
-        return self._apply(head, e[1:], None)
+        return self._apply(head, e[1:])
 
     def _lit(self, value, width):
         key = value, width
         if key not in self._literals:
-            text = ('true' if value else 'false') if width is None \
-                else '#b' + format(value, '0%db' % width)
-            self._literals[key] = text, lambda env: value, width, None
+            self._literals[key] = lambda env: value, width, None
         return self._literals[key]
 
-    def _fold(self, sexpr, kids, fn, width):
+    def _fold(self, kids, fn, width):
         """The node of an operator or define-fun application, a literal
         outside binders when its arguments are and it reads no cell."""
-        if not self._scope and all(kid[3] is None for kid in kids):
+        if not self._scope and all(kid[2] is None for kid in kids):
             try:
                 return self._lit(fn(None), width)
             except _Blocked:
                 pass
-        return sexpr, fn, width, _names(kids)
+        return fn, width, _names(kids)
 
-    def _apply(self, name, args, leaf):
-        """name applied to args; leaf is the bare name of a constant."""
+    def _apply(self, name, args):
+        """name applied to args: a define-fun's body or a cell read."""
         kids = list(map(self.compile, args))
-        fns = [kid[1] for kid in kids]
-        sexpr = leaf or [name] + [kid[0] for kid in kids]
+        fns = [kid[0] for kid in kids]
         if name in self.s.defs:
             if name not in self._bodies:  # its own frame: params, binders
-                params, _, body = self.s.defs[name]
+                params, body = self.s.defs[name]
                 outer = self._scope, self._size
                 self._scope = {p: (i, w) for i, (p, w) in enumerate(params)}
                 self._size = len(params)
-                _, fn, width, _ = self.compile(body)
+                fn, width, _ = self.compile(body)
                 pad = [0] * (self._size - len(params))
                 self._bodies[name] = fn, width, pad
                 self._scope, self._size = outer
             body, width, pad = self._bodies[name]
-            return self._fold(sexpr, kids,
+            return self._fold(kids,
                               lambda env: body([f(env) for f in fns] + pad),
                               width)
         if name not in self.s.decls:
@@ -206,12 +199,16 @@ class Solver:
                 raise _Blocked(key, width)
             reads.add(key)
             return value
-        return sexpr, fn, width, _names(kids) | {name}
+        return fn, width, _names(kids) | {name}
 
     def _junction(self, e):
-        """and/or: outside binders a literal argument decides or is dropped.
-        A left-nested chain of one head, (and (and a b) c), is one junction
-        over a b c, gathered in a loop: it takes no frame per level."""
+        """and/or, and => read as or: (=> a b) is (or (not a) b). Outside
+        binders a literal argument decides or is dropped. A left-nested
+        chain of one head, (and (and a b) c), is one junction over a b c,
+        gathered in a loop: it takes no frame per level."""
+        if e[0] == '=>':
+            *first, last = e[1:]
+            e = ['or'] + [['not', a] for a in first] + [last]
         head, tails = e[0], []
         fold, stop = not self._scope, head == 'or'  # stop decides the node
         while len(e) > 1 and isinstance(e[1], list) and e[1][:1] == [head]:
@@ -220,13 +217,13 @@ class Solver:
         kids = []
         for x in e[1:] + [x for tail in reversed(tails) for x in tail]:
             kid = self.compile(x)
-            if not fold or kid[3] is not None:
+            if not fold or kid[2] is not None:
                 kids.append(kid)
-            elif kid[1](None) == stop:
+            elif kid[0](None) == stop:
                 return self._lit(stop, None)
         if fold and len(kids) < 2:
             return kids[0] if kids else self._lit(not stop, None)
-        fns = [kid[1] for kid in kids]
+        fns = [kid[0] for kid in kids]
 
         def fn(env):
             for f in fns:
@@ -235,35 +232,15 @@ class Solver:
             return not stop
         if fold and not stop:
             fn.parts = kids
-        return [head] + [kid[0] for kid in kids], fn, None, _names(kids)
-
-    def _implies(self, e):
-        kids = list(map(self.compile, e[1:]))
-        *first, last = [kid[1] for kid in kids]
-
-        def fn(env):
-            for f in first:
-                if not f(env):
-                    return True
-            return last(env)
-        if not self._scope:
-            for j, kid in enumerate(kids):
-                if kid[3] is not None:  # evaluation would block on a cell
-                    break
-                if j < len(kids) - 1 and not kid[1](None):
-                    return self._lit(True, None)
-            else:
-                return kids[-1]
-        return ['=>'] + [kid[0] for kid in kids], fn, None, _names(kids)
+        return fn, None, _names(kids)
 
     def _ite(self, e):
         cond = self.compile(e[1])
-        if cond[3] is None and not self._scope:
-            return self.compile(e[2] if cond[1](None) else e[3])
+        if cond[2] is None and not self._scope:
+            return self.compile(e[2] if cond[0](None) else e[3])
         kids = [cond, self.compile(e[2]), self.compile(e[3])]
-        c, a, b = [kid[1] for kid in kids]
-        return (['ite'] + [kid[0] for kid in kids],
-                lambda env: a(env) if c(env) else b(env), kids[1][2],
+        c, a, b = [kid[0] for kid in kids]
+        return (lambda env: a(env) if c(env) else b(env), kids[1][1],
                 _names(kids))
 
     def _quantifier(self, e):
@@ -273,7 +250,7 @@ class Solver:
                  for j, p in enumerate(e[1])]
         self._scope = {**outer, **{p[0]: sw for p, sw in zip(e[1], slots)}}
         self._size += len(slots)
-        _, fn, _, names = self.compile(e[2])
+        fn, _, names = self.compile(e[2])
         self._scope = outer
         for slot, width in reversed(slots):  # the first binder outermost
             fn = _loop(slot, range(1 << width), fn, want)
@@ -282,7 +259,7 @@ class Solver:
                 return self._lit(fn([0] * self._size), None)
             except _Blocked:
                 pass
-        return e, fn, None, names or set()
+        return fn, None, names or set()
 
     def check(self) -> str:
         units = []
@@ -290,14 +267,13 @@ class Solver:
             stack = [self.compile(a)]
             while stack:
                 node = stack.pop()
-                if hasattr(node[1], 'parts'):
-                    stack.extend(node[1].parts)
-                elif node[0] != 'true':
+                if hasattr(node[0], 'parts'):
+                    stack.extend(node[0].parts)
+                elif node[2] is not None or node[0](None) is not True:
                     units.append(node)
         # few-name units first: cheap constraints prune the cell search early
-        units.sort(key=lambda u: len(u[3] or ()))
-        self.units = [u[0] for u in units]
-        return self._search([u[1] for u in units])
+        units.sort(key=lambda u: len(u[2] or ()))
+        return self._search([u[0] for u in units])
 
     def _search(self, fns) -> str:
         """The trail holds [cell, width, unit, conflict] per branch cell;
@@ -370,7 +346,7 @@ _OPERATORS = {
 }
 
 _COMPILE = {'and': Solver._junction, 'or': Solver._junction,
-            '=>': Solver._implies, 'ite': Solver._ite,
+            '=>': Solver._junction, 'ite': Solver._ite,
             'forall': Solver._quantifier, 'exists': Solver._quantifier}
 
 
@@ -413,16 +389,16 @@ def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
 def serve() -> int:
     """Decide the scripts that arrive on stdin, each as its length in bytes
     on one line and then its UTF-8 text, until EOF. Each answer leaves on
-    stdout as one line: the exit code run would return, a space and run's
-    line, newlines in it turned to spaces. Nothing is kept from one script
-    to the next: answer() builds a new Solver for each."""
+    stdout as one line, the line run would print, newlines in it turned to
+    spaces. Nothing is kept from one script to the next: answer() builds a
+    new Solver for each."""
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     while True:
         head = stdin.readline()
         if not head:
             return 0
-        code, line = answer(stdin.read(int(head)).decode())
-        stdout.write(b'%d %s\n' % (code, line.replace('\n', ' ').encode()))
+        line = answer(stdin.read(int(head)).decode())[1]
+        stdout.write(line.replace('\n', ' ').encode() + b'\n')
         stdout.flush()
 
 

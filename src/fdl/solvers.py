@@ -12,9 +12,9 @@ The built-in refsolve command, `python -I -S -c <program> {file}`, imports
 refsolver from the module's directory, whatever the child's import path,
 and calls run(FILE). run_solver does not exec it per verdict: one worker,
 the same program calling refsolver.serve(), is started by the first
-verdict and decides script after script over a pipe. A timeout kills its
-session, a crash is an error, and the next verdict starts a new worker.
-Every other backend, and a [refsolve] section of the INI file, is exec'd
+verdict and decides script after script: length and text in, run's line
+out. A timeout kills its session, EOF (a crash) is an error, and the
+next verdict starts a new worker. Every other backend, and a [refsolve] section of the INI file, is exec'd
 per verdict in its own session, whose whole process group a timeout
 kills; one whose executable is not on PATH reports 'unavailable'.
 """
@@ -144,7 +144,7 @@ def _ask_worker(text: str, limit_ms: int) -> SolverOutcome:
         _worker = subprocess.Popen(
             _WORKER_ARGV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, start_new_session=True)
-    code, line = 'timeout', ''
+    line, stderr = None, ''  # None: no line within the limit
     try:
         data = text.encode()
         _worker.stdin.write(b'%d\n%s' % (len(data), data))
@@ -152,16 +152,16 @@ def _ask_worker(text: str, limit_ms: int) -> SolverOutcome:
         poll = select.poll()  # unlike select, it takes any fd
         poll.register(_worker.stdout, select.POLLIN)
         if poll.poll(max(0.0, limit_ms - (time.monotonic() - t0) * 1000.0)):
-            code, _, line = _worker.stdout.readline().decode().partition(' ')
+            line = _worker.stdout.readline().decode()
     except BrokenPipeError:
-        code = 'crash'
+        line = ''
     finally:
-        if code not in ('0', '1'):  # also at EOF, or on an exception here
-            line = _stop_worker()  # the last line it wrote is the detail
+        if not line:  # a timeout or EOF, or an exception here
+            stderr = _stop_worker()  # its last line is the detail
     wall_ms = (time.monotonic() - t0) * 1000.0
-    if code == 'timeout':
+    if line is None:
         return SolverOutcome('timeout', wall_ms)
-    return _classify(line, '', wall_ms)
+    return _classify(line, stderr, wall_ms)
 
 
 @atexit.register

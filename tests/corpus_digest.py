@@ -1,5 +1,5 @@
-"""Digests of the translator's output and of the parser's trees over fixed
-corpora.
+"""Digests of the translator's output, of refsolve's answers and of the
+parser's trees over fixed corpora.
 
 For every goal of the corpus, in each translation mode and each of the four
 combinations of eliminate_choices and inline_definitions (expansion budget
@@ -39,6 +39,17 @@ a diff also lists every text that moved between accepted and rejected:
 
 `--fuzz-seeds A-B` picks the fuzztext seeds of the parse corpus too.
 
+With the argument `refsolve`, it digests refsolve on the translator's
+output: one line per (goal, mode, flags) of the translate corpus above,
+holding refsolve's answer and Solver.nodes under a node budget of 20000,
+or the RefsolverError text (a TranslateError line stays as it is). Both
+the translator and refsolve are the ones on the import path, so a diff of
+two versions' digests lists every script whose answer or search changed:
+
+    PYTHONPATH=src python tests/corpus_digest.py refsolve > change.txt
+
+`--fuzz-seeds A-B` applies as for the translator.
+
 pytest does not collect this file (its name does not start with test_).
 tests/test_parse_table.py pins dump() on a smaller parse corpus.
 """
@@ -60,6 +71,7 @@ from fdl.core import resolve_model  # noqa: E402
 from fdl.parser import (KEYWORDS, SYMBOLS, ParseError,  # noqa: E402
                         parse_model, print_formula, tokenize)
 from fdl.randgen import random_goal  # noqa: E402
+from fdl.refsolver import RefsolverError, Script, Solver  # noqa: E402
 from fdl.translate import (MODES, SmtOptions, TranslateError,  # noqa: E402
                            emit_smtlib, translate)
 
@@ -68,6 +80,7 @@ FLAGS = {'default': {},
          'eliminate': {'eliminate_choices': True},
          'inline': {'inline_definitions': True}}
 BUDGET = 20000
+SOLVE_BUDGET = 20000
 FUZZ_SEEDS = (1, 2)
 FUZZ_COUNT = 2000
 RANDGEN_SEEDS = range(1000)
@@ -104,16 +117,28 @@ def corpus(fuzz_seeds=FUZZ_SEEDS):
         yield 'randgen/%d' % seed, random_goal(seed), None
 
 
-def digest_line(key, goal, funcs, mode, label):
+def digest_line(key, goal, funcs, mode, label, solve=False):
+    """The line of one (goal, mode, flags): its script's digest, or with
+    solve, refsolve's answer and node count on it."""
     opts = SmtOptions(mode=mode, expansion_budget=BUDGET, **FLAGS[label])
     try:
         script = translate(goal, funcs, opts)
     except TranslateError as e:
         return '%s %s %s error %s' % (key, mode, label, e)
     text = emit_smtlib(script)
+    if solve:
+        return '%s %s %s %s' % (key, mode, label, solve_digest(text))
     return '%s %s %s %s %d %s' % (
         key, mode, label, hashlib.sha256(text.encode()).hexdigest(),
         len(text), dataclasses.astuple(script.stats))
+
+
+def solve_digest(text) -> str:
+    try:
+        solver = Solver(Script.parse(text), SOLVE_BUDGET)
+        return '%s %d' % (solver.check(), solver.nodes)
+    except (RefsolverError, RecursionError) as e:
+        return 'refsolve-error %s' % e
 
 
 def dump(node) -> str:
@@ -188,7 +213,7 @@ def seed_range(text):
 
 def main(argv):
     ap = argparse.ArgumentParser(prog='corpus_digest.py')
-    ap.add_argument('what', nargs='?', choices=['parse'])
+    ap.add_argument('what', nargs='?', choices=['parse', 'refsolve'])
     ap.add_argument('--fuzz-seeds', type=seed_range, default=FUZZ_SEEDS,
                     metavar='A-B')
     args = ap.parse_args(argv)
@@ -196,7 +221,8 @@ def main(argv):
         lines = ['%s %s' % (key, parse_digest(text))
                  for key, text in parse_corpus(args.fuzz_seeds, mutate=5)]
     else:
-        lines = [digest_line(key, goal, funcs, mode, label)
+        lines = [digest_line(key, goal, funcs, mode, label,
+                             args.what == 'refsolve')
                  for key, goal, funcs in corpus(args.fuzz_seeds)
                  for mode in MODES for label in FLAGS]
     sys.stdout.write(''.join(line + '\n' for line in sorted(lines)))

@@ -343,6 +343,40 @@ def test_bench_rejects_repeats_below_one(tmp_path, capsys, repeats):
     assert not out.exists()
 
 
+@pytest.mark.parametrize('argv', [
+    ['fuzz', '--max-bound', '0'], ['fuzz', '--max-depth', '-1'],
+    ['fuzz', '--count', '-3'], ['bench', '-N', '-1'],
+    ['bench', '--timeout-ms', '0'], ['bench', '--timeout-ms', '-1']])
+def test_numeric_options_that_can_only_fail_are_usage_errors(
+        tmp_path, capsys, argv):
+    out = tmp_path / 'report'
+    if argv[0] == 'bench':
+        argv = argv + ['--families', 'cycle4-valid', '--patterns', 'e4a0',
+                       '--mechanisms', 'RISCAL', '--out', str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    option = {'-N': '--size'}.get(argv[1], argv[1])
+    assert captured.out == ''
+    assert captured.err == 'error: %s must be at least %d, got %s\n' % (
+        option, {'--max-bound': 1, '--timeout-ms': 1}.get(option, 0), argv[2])
+    assert not out.exists()
+
+
+def test_bench_draws_its_chart_at_a_one_ms_limit(tmp_path):
+    out = tmp_path / 'report'
+    assert main(['bench', '--families', 'cycle4-valid', '--patterns', 'e4a0',
+                 '-N', '1', '--mechanisms', 'RISCAL', '--timeout-ms', '1',
+                 '--out', str(out)]) == 0
+    assert (out / 'cycle4-valid-N1.svg').read_text().startswith('<svg')
+
+
+def test_fuzz_runs_at_the_option_floors(capsys):
+    assert main(['fuzz', '--count', '0']) == 0
+    assert main(['fuzz', '--count', '5', '--max-depth', '0',
+                 '--max-bound', '1']) == 0
+    assert capsys.readouterr().out.startswith('ok: 0 goals agree')
+
+
 def test_bench_rejects_a_bad_solvers_config(tmp_path, capsys):
     ini = tmp_path / 'solvers.ini'
     ini.write_text('[ghost]\nquantifiers = false\n')

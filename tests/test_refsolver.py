@@ -143,12 +143,79 @@ def test_node_count_grows_with_search():
     assert s.nodes > 16
 
 
+def _solve(text):
+    s = Solver(Script.parse(text))
+    return s.check(), s.nodes
+
+
 def test_ground_subtrees_fold_before_search():
+    # the search sees what it sees for the hand-folded (= c #b1): one unit
     decls = ['(declare-fun c () (_ BitVec 1))']
-    s = Solver(Script.parse(_script(
-        '(and (bvule #b00 #b11) (= c (ite false #b0 #b1)))', decls=decls)))
-    assert s.check() == 'sat'
-    assert s.units == [['=', 'c', '#b1']]
+    folded = _solve(_script('(= c #b1)', decls=decls))
+    assert folded == ('sat', 3)
+    assert _solve(_script('(and (bvule #b00 #b11) (= c (ite false #b0 #b1)))',
+                          decls=decls)) == folded
+
+
+# (=> a ... b), the same written (or (not a) ... b), further asserts and
+# the answer: n-ary, literal premises, premises that block on a cell, and
+# each inside a binder
+IMPLICATIONS = [
+    ('(=> (= c #b1) (= d #b0))', '(or (not (= c #b1)) (= d #b0))',
+     ['(= d #b1)'], 'sat'),
+    ('(=> (= c #b1) (= d #b0))', '(or (not (= c #b1)) (= d #b0))',
+     ['(= d #b1)', '(= c #b1)'], 'unsat'),
+    ('(=> (= c #b1) (= d #b1) (= (f c) #b0))',
+     '(or (not (= c #b1)) (not (= d #b1)) (= (f c) #b0))',
+     ['(= c #b1)', '(= d #b1)', '(= (f #b1) #b1)'], 'unsat'),
+    ('(=> (= c #b1) (= d #b1) (= (f c) #b0))',
+     '(or (not (= c #b1)) (not (= d #b1)) (= (f c) #b0))',
+     ['(= c #b1)', '(= (f #b1) #b1)'], 'sat'),
+    ('(=> true (bvult c c))', '(or (not true) (bvult c c))', [], 'unsat'),
+    ('(=> false (bvult c c))', '(or (not false) (bvult c c))', [], 'sat'),
+    ('(=> true (= c #b1) true false)',
+     '(or (not true) (not (= c #b1)) (not true) false)', ['(= c #b1)'],
+     'unsat'),
+    ('(=> (= c #b1) false (= d #b1))',
+     '(or (not (= c #b1)) (not false) (= d #b1))', ['(= d #b0)'], 'sat'),
+    ('(=> (= c #b1) true)', '(or (not (= c #b1)) true)', ['(= c #b1)'],
+     'sat'),
+    ('(forall ((x (_ BitVec 1))) (=> (= x #b1) (= (f x) #b0)))',
+     '(forall ((x (_ BitVec 1))) (or (not (= x #b1)) (= (f x) #b0)))',
+     ['(= (f #b1) #b1)'], 'unsat'),
+    ('(forall ((x (_ BitVec 1))) (=> (= x d) (= (f x) #b0)))',
+     '(forall ((x (_ BitVec 1))) (or (not (= x d)) (= (f x) #b0)))',
+     ['(= (f #b1) #b1)'], 'sat'),
+    ('(forall ((x (_ BitVec 1))) (=> (= x c) (= x d) (= (f x) #b1)))',
+     '(forall ((x (_ BitVec 1))) (or (not (= x c)) (not (= x d)) '
+     '(= (f x) #b1)))', ['(= c d)', '(= (f c) #b0)'], 'unsat'),
+    ('(forall ((x (_ BitVec 1))) (=> false (bvult x x)))',
+     '(forall ((x (_ BitVec 1))) (or (not false) (bvult x x)))', [], 'sat'),
+    ('(forall ((x (_ BitVec 1))) (=> true (= x x) (bvult x x)))',
+     '(forall ((x (_ BitVec 1))) (or (not true) (not (= x x)) '
+     '(bvult x x)))', [], 'unsat'),
+    ('(exists ((x (_ BitVec 1))) (=> (= (f x) x) false))',
+     '(exists ((x (_ BitVec 1))) (or (not (= (f x) x)) false))',
+     ['(= (f #b0) #b0)'], 'sat'),
+]
+
+
+@pytest.mark.parametrize('implication, disjunction, rest, answer',
+                         IMPLICATIONS)
+def test_implication_means_its_disjunction(implication, disjunction, rest,
+                                           answer):
+    decls = ['(declare-fun c () (_ BitVec 1))',
+             '(declare-fun d () (_ BitVec 1))',
+             '(declare-fun f ((_ BitVec 1)) (_ BitVec 1))']
+    got = [_solve(_script(a, *rest, decls=decls, logic='UFBV'))
+           for a in (implication, disjunction)]
+    assert got[0][0] == answer
+    assert got[0] == got[1]
+
+
+def test_an_implication_without_arguments_is_an_error():
+    code, line = refsolver.answer(_script('(=>)'))
+    assert code == 1 and line.startswith('error: ')
 
 
 def test_irrelevant_cells_are_backjumped():
