@@ -126,6 +126,7 @@ def _report(verdict: Verdict, stats_lines=()) -> int:
 
 
 def _cmd_check(args) -> int:
+    _check_floors(args, timeout_ms=1)
     model = _load_model(args.model, args.param)
     name, goal = _pick_goal(model, args.goal)
     if args.mechanism == 'evaluator':
@@ -205,6 +206,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_floors(args, cap=1)
     model = _load_model(args.model, args.param)
     name, goal = _pick_goal(model, args.goal)
     try:

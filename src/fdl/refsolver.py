@@ -3,12 +3,13 @@ emits: QF_UFBV / UFBV scripts built from bit-vector literals, bvadd, bvmul,
 bvult, bvule, =, zero_extend, extract, the boolean connectives, ite,
 define-fun macros, uninterpreted functions and (in UFBV) forall/exists.
 
-A script is read flat: comments dropped, parentheses padded, the text split
-on whitespace and the forms built on an explicit stack. `Solver.check`
-compiles each assertion once, bottom-up, into closures alone (Feeley &
-Lapalme, "Using Closures for Code Generation", 1987). Outside binders a
-node whose value needs no cell is folded to a literal. An implication
-(=> a ... b) is read as (or (not a) ... b).
+`Script.parse` only tokenizes. `Solver.check` builds one command at a time
+on an explicit stack and compiles each assertion as it reads it, bottom-up,
+into closures alone (Feeley & Lapalme, "Using Closures for Code Generation",
+1987): an assertion sees the declarations above it, a define-fun body those
+above its first use. Outside binders a node whose value needs no cell is
+folded to a literal; (=> a ... b) is read as (or (not a) ... b). Reading
+ends at an assertion folded to false: no error after it is reported.
 
 Satisfiability is decided by backtracking over "cells": a cell is the value
 of an uninterpreted function at one concrete argument tuple (constants are
@@ -32,6 +33,7 @@ argparse only when it is called.
 import sys
 
 DEFAULT_BUDGET = 2_000_000
+_NO_NAMES = frozenset()  # the names of a node that reads no cell
 
 
 class RefsolverError(Exception):
@@ -48,9 +50,10 @@ def tokenize(text: str) -> list:
     return text.replace('(', ' ( ').replace(')', ' ) ').split()
 
 
-def parse_sexprs(text: str) -> list:
+def read_forms(toks: list):
+    """The top-level forms of a token list, each as soon as it is closed."""
     top, stack = [], []
-    for tok in tokenize(text):
+    for tok in toks:
         if tok == '(':
             stack.append(top)
             top = []
@@ -58,12 +61,16 @@ def parse_sexprs(text: str) -> list:
             if not stack:
                 raise RefsolverError('unbalanced parenthesis')
             form, top = top, stack.pop()
-            top.append(form)
-        else:
+            if stack:
+                top.append(form)
+            else:
+                yield form
+        elif stack:
             top.append(tok)
+        else:
+            yield tok
     if stack:
         raise RefsolverError('unbalanced parenthesis')
-    return top
 
 
 def _sort_width(sort) -> int:
@@ -84,35 +91,45 @@ def _literal(tok):
     return None
 
 
-def _names(kids) -> set:
-    """The declared function names that the nodes kids read."""
-    return set().union(*[kid[2] for kid in kids if kid[2]])
+def _names(kids):
+    """The declared function names that the nodes kids read: a set that
+    may be a kid's own, so no caller changes it."""
+    sets = [kid[2] for kid in kids if kid[2]]
+    if len(sets) > 1:
+        return set().union(*sets)
+    return sets[0] if sets else _NO_NAMES
 
 
 class Script:
-    def __init__(self):
+    """A script's tokens, and the declarations and definitions that
+    `assertions` has read from them so far."""
+
+    def __init__(self, toks: list):
+        self.toks = toks
         self.decls = {}  # name -> (arg_widths, result_width)
         self.defs = {}  # name -> (params [(name, width)], body)
-        self.asserts = []
 
     @classmethod
     def parse(cls, text: str) -> 'Script':
-        s = cls()
-        for form in parse_sexprs(text):
+        return cls(tokenize(text))
+
+    def assertions(self):
+        """Each asserted term in the order of the text, read one command at
+        a time; a declare-fun or define-fun is recorded when it is read."""
+        for form in read_forms(self.toks):
             if not isinstance(form, list) or not form:
                 raise RefsolverError('bad command %r' % (form,))
             head = form[0]
             if head == 'declare-fun':
-                s.decls[form[1]] = ([_sort_width(a) for a in form[2]],
-                                    _sort_width(form[3]))
+                self.decls[form[1]] = ([_sort_width(a) for a in form[2]],
+                                       _sort_width(form[3]))
             elif head == 'define-fun':
-                s.defs[form[1]] = ([(p[0], _sort_width(p[1]))
-                                    for p in form[2]], form[4])
+                self.defs[form[1]] = ([(p[0], _sort_width(p[1]))
+                                       for p in form[2]], form[4])
             elif head == 'assert':
-                s.asserts.append(form[1])
+                yield form[1]
             elif head not in ('set-logic', 'check-sat', 'exit'):
                 raise RefsolverError('unsupported command %r' % head)
-        return s
 
 
 class Solver:
@@ -123,7 +140,7 @@ class Solver:
         self.nodes = 0
         self._reads = set()  # cells consulted by the evaluation in flight
         self._bodies = {}  # define-fun name -> (closure, width, frame padding)
-        self._literals = {}  # token or (value, width) -> literal node or None
+        self._nodes = {}  # literal or constant token, (value, width) -> node
         self._scope, self._size = {}, 0  # name -> (slot, width); frame size
 
     def compile(self, e):
@@ -132,21 +149,22 @@ class Solver:
         the declared function names it reads, None when the node is a
         literal. A conjunction's fn has its nodes as `parts`."""
         if isinstance(e, str):
-            if e not in self._literals:
-                lit = _literal(e)
-                self._literals[e] = lit and self._lit(*lit)
-            if self._literals[e]:
-                return self._literals[e]
             if e in self._scope:
                 slot, width = self._scope[e]
-                return lambda env: env[slot], width, set()
-            return self._apply(e, [])
+                return lambda env: env[slot], width, _NO_NAMES
+            node = self._nodes.get(e)
+            if node is None:
+                lit = _literal(e)
+                if lit is None:
+                    return self._apply(e, [])
+                node = self._nodes[e] = self._lit(*lit)
+            return node
         head = e[0]
-        op = tuple(head[:2]) if isinstance(head, list) else head
-        if op in _OPERATORS:
+        make = _OPERATORS.get(tuple(head[:2]) if isinstance(head, list)
+                              else head)
+        if make:
             kids = list(map(self.compile, e[1:]))
-            fn, width = _OPERATORS[op](kids[0][1], head,
-                                       *[kid[0] for kid in kids])
+            fn, width = make(kids[0][1], head, *[kid[0] for kid in kids])
             return self._fold(kids, fn, width)
         if isinstance(head, list):
             raise RefsolverError('unsupported operator %r' % (head,))
@@ -156,14 +174,14 @@ class Solver:
 
     def _lit(self, value, width):
         key = value, width
-        if key not in self._literals:
-            self._literals[key] = lambda env: value, width, None
-        return self._literals[key]
+        if key not in self._nodes:
+            self._nodes[key] = lambda env: value, width, None
+        return self._nodes[key]
 
     def _fold(self, kids, fn, width):
         """The node of an operator or define-fun application, a literal
         outside binders when its arguments are and it reads no cell."""
-        if not self._scope and all(kid[2] is None for kid in kids):
+        if not self._scope and not [1 for kid in kids if kid[2] is not None]:
             try:
                 return self._lit(fn(None), width)
             except _Blocked:
@@ -191,15 +209,19 @@ class Solver:
         if name not in self.s.decls:
             raise RefsolverError('unknown symbol %r' % name)
         width, cells, reads = self.s.decls[name][1], self.cells, self._reads
+        const = name, ()
 
         def fn(env):
-            key = name, (tuple([f(env) for f in fns]) if fns else ())
+            key = (name, tuple([f(env) for f in fns])) if fns else const
             value = cells.get(key)
             if value is None:
                 raise _Blocked(key, width)
             reads.add(key)
             return value
-        return fn, width, _names(kids) | {name}
+        if fns:
+            return fn, width, _names(kids) | {name}
+        node = self._nodes[name] = fn, width, {name}  # one per constant
+        return node
 
     def _junction(self, e):
         """and/or, and => read as or: (=> a b) is (or (not a) b). Outside
@@ -259,12 +281,20 @@ class Solver:
                 return self._lit(fn([0] * self._size), None)
             except _Blocked:
                 pass
-        return fn, None, names or set()
+        return fn, None, names or _NO_NAMES
 
     def check(self) -> str:
+        """Compile each assertion as it is read into units, then search. A
+        unit folded to false ends the reading: it sorts before every later
+        unit and fails where the search reaches it, so those units could
+        change neither the answer nor the nodes searched."""
         units = []
-        for a in self.s.asserts:
-            stack = [self.compile(a)]
+        for a in self.s.assertions():
+            node = self.compile(a)
+            if node[2] is None and node[0](None) is False:
+                units.append(node)
+                break
+            stack = [node]
             while stack:
                 node = stack.pop()
                 if hasattr(node[0], 'parts'):

@@ -346,19 +346,26 @@ def test_bench_rejects_repeats_below_one(tmp_path, capsys, repeats):
 @pytest.mark.parametrize('argv', [
     ['fuzz', '--max-bound', '0'], ['fuzz', '--max-depth', '-1'],
     ['fuzz', '--count', '-3'], ['bench', '-N', '-1'],
-    ['bench', '--timeout-ms', '0'], ['bench', '--timeout-ms', '-1']])
+    ['bench', '--timeout-ms', '0'], ['bench', '--timeout-ms', '-1'],
+    ['check', '--timeout-ms', '-5'], ['check', '--timeout-ms', '0'],
+    ['check', '--timeout-ms', '0', '--mechanism', 'refsolve'],
+    ['oracle', '--cap', '0'], ['oracle', '--cap', '-1']])
 def test_numeric_options_that_can_only_fail_are_usage_errors(
         tmp_path, capsys, argv):
     out = tmp_path / 'report'
+    option, value = {'-N': '--size'}.get(argv[1], argv[1]), argv[2]
     if argv[0] == 'bench':
         argv = argv + ['--families', 'cycle4-valid', '--patterns', 'e4a0',
                        '--mechanisms', 'RISCAL', '--out', str(out)]
+    elif argv[0] in ('check', 'oracle'):
+        argv = argv + [os.path.join(ROOT, 'models', 'cycle4.fdl'),
+                       '--param', 'N=1']
     assert main(argv) == 3
     captured = capsys.readouterr()
-    option = {'-N': '--size'}.get(argv[1], argv[1])
     assert captured.out == ''
     assert captured.err == 'error: %s must be at least %d, got %s\n' % (
-        option, {'--max-bound': 1, '--timeout-ms': 1}.get(option, 0), argv[2])
+        option, {'--max-bound': 1, '--timeout-ms': 1, '--cap': 1}.get(
+            option, 0), value)
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from fdl import refsolver
 from fdl.core import resolve_model
 from fdl.parser import parse_model
 from fdl.refsolver import (
-    RefsolverError, Script, Solver, check_script, parse_sexprs, tokenize,
+    RefsolverError, Script, Solver, check_script, read_forms, tokenize,
 )
 from fdl.translate import MODES, SmtOptions, emit_smtlib, translate
 
@@ -26,6 +26,11 @@ def _script(*asserts, decls=(), logic='QF_UFBV'):
     return '\n'.join(lines)
 
 
+def _solve(text):
+    s = Solver(Script.parse(text))
+    return s.check(), s.nodes
+
+
 # -- front end ----------------------------------------------------------------
 
 
@@ -35,21 +40,52 @@ def test_tokenize_strips_comments():
     assert toks[0] == '(' and 'assert' in toks
 
 
-def test_parse_sexprs_nests():
-    (e,) = parse_sexprs('(a (b c) #b01)')
+def test_read_forms_nests():
+    (e,) = read_forms(tokenize('(a (b c) #b01)'))
     assert e == ['a', ['b', 'c'], '#b01']
 
 
-def test_script_parse_collects_sections():
+def test_script_reads_its_sections_as_it_yields_assertions():
+    # parse only tokenizes; the declaration is recorded when it is read
     s = Script.parse(_script('(= x #b1)', decls=['(declare-fun x () (_ BitVec 1))']))
-    assert 'x' in s.decls and len(s.asserts) == 1
+    assert s.decls == {}
+    assert list(s.assertions()) == [['=', 'x', '#b1']]
+    assert s.decls == {'x': ([], 1)}
 
 
 def test_unbalanced_input_is_an_error():
     with pytest.raises(RefsolverError):
-        parse_sexprs('(assert (= x')
+        list(read_forms(tokenize('(assert (= x')))
     with pytest.raises(RefsolverError):
-        parse_sexprs('(assert true))')
+        list(read_forms(tokenize('(assert true))')))
+
+
+@pytest.mark.parametrize('text', [
+    '(assert true))', '(assert (= x', '(assert true) (push 1)',
+    '(assert (= c #b1)) (declare-fun c () (_ BitVec 1))'])
+def test_an_error_after_the_assertions_is_reported(text):
+    # without an assertion folded to false every command is read, and a
+    # symbol is known only from its declaration on
+    with pytest.raises(RefsolverError):
+        check_script(text)
+
+
+@pytest.mark.parametrize('rest', [
+    '(assert (= (h #b0) #b1))', '(push 1)', ')'])
+def test_reading_stops_at_an_assertion_folded_to_false(rest):
+    # the text after (assert false) is not read, so the undeclared h, the
+    # unsupported command and the stray parenthesis are not reported
+    text = '(set-logic QF_UFBV)\n(assert false)\n%s\n(check-sat)' % rest
+    assert _solve(text) == ('unsat', 1)
+
+
+def test_units_before_a_false_assertion_are_searched_as_before():
+    # (g #b1) blocks on c ahead of false and costs 3 nodes, as when
+    # (g #b0) after false was read too: the answer and nodes are unchanged
+    decls = ['(declare-fun c () (_ BitVec 1))',
+             '(define-fun g ((p (_ BitVec 1))) Bool (= c p))']
+    assert _solve(_script('(g #b1)', 'false', '(g #b0)', decls=decls)) == \
+        ('unsat', 4)
 
 
 def test_comment_after_an_assertion_is_ignored():
@@ -59,8 +95,8 @@ def test_comment_after_an_assertion_is_ignored():
 
 def test_reader_does_not_recurse_on_nesting():
     depth = 100_000
-    (form,) = parse_sexprs('(assert %strue%s)' % ('(not ' * depth,
-                                                   ')' * depth))
+    (form,) = read_forms(tokenize('(assert %strue%s)' % ('(not ' * depth,
+                                                          ')' * depth)))
     e, levels = form[1], 0
     while isinstance(e, list):
         assert e[0] == 'not' and len(e) == 2
@@ -141,11 +177,6 @@ def test_node_count_grows_with_search():
     s = Solver(Script.parse(_script('(= c #b1111)', decls=decls)))
     assert s.check() == 'sat'
     assert s.nodes > 16
-
-
-def _solve(text):
-    s = Solver(Script.parse(text))
-    return s.check(), s.nodes
 
 
 def test_ground_subtrees_fold_before_search():
