@@ -32,7 +32,12 @@ class EvalError(FdlError):
 
 @dataclass(frozen=True)
 class FiniteType:
-    """A finite carrier: kind is 'nat' (carrier {0..bound}) or 'bool'."""
+    """A finite carrier: kind is 'nat' (carrier {0..bound}) or 'bool'.
+
+    Its size and the width of its bit-vector sort (width) are computed
+    once, at construction, and nat() interns the nat types, so each
+    distinct bound is constructed once per process. Equality and hashing
+    read kind and bound only."""
 
     kind: str
     bound: int = 0
@@ -40,13 +45,16 @@ class FiniteType:
     def __post_init__(self):
         assert self.kind in ('nat', 'bool')
         assert self.bound >= 0
+        size = 2 if self.kind == 'bool' else self.bound + 1
+        object.__setattr__(self, '_size', size)
+        object.__setattr__(self, 'width', max(1, self.bit_width()))
 
     def size(self) -> int:
-        return 2 if self.kind == 'bool' else self.bound + 1
+        return self._size
 
     def bit_width(self) -> int:
         """Bits needed to encode the carrier; 0 for singletons."""
-        return (self.size() - 1).bit_length()
+        return (self._size - 1).bit_length()
 
     def value_at(self, i: int):
         """The i-th carrier element in enumeration order."""
@@ -64,10 +72,14 @@ class FiniteType:
 
 
 BOOL = FiniteType('bool')
+_NATS = {}  # bound -> its interned nat type
 
 
 def nat(bound: int) -> FiniteType:
-    return FiniteType('nat', bound)
+    ty = _NATS.get(bound)
+    if ty is None:
+        ty = _NATS[bound] = FiniteType('nat', bound)
+    return ty
 
 
 def enumerate_domain(ty: FiniteType) -> Iterator:
@@ -296,7 +308,8 @@ class Model:
 
     params: dict = field(default_factory=dict)  # name -> default value or None
     types: dict = field(default_factory=dict)  # name -> TypeRef
-    funcs: dict = field(default_factory=dict)  # name -> FuncDecl
+    # name -> FuncDecl; resolve_model makes it a FuncTable
+    funcs: dict = field(default_factory=dict)
     theorems: dict = field(default_factory=dict)  # name -> Formula
 
 
@@ -439,6 +452,35 @@ def _pinned_term(fd: FuncDecl, funcs: dict):
     return t
 
 
+class FuncTable(dict):
+    """name -> FuncDecl, as resolve_model returns Model.funcs. What the
+    translator derives from the whole table, definitional_funcs and the
+    nondeterministic_funcs of that, is computed on first use and kept, so
+    the table is filled before its first use and not changed after."""
+
+    __slots__ = ('_derived',)
+
+    def derived(self) -> tuple:
+        """(definitional_funcs(self), the nondeterministic_funcs of that)."""
+        try:
+            return self._derived
+        except AttributeError:
+            defs = definitional_funcs(self)
+            self._derived = defs, nondeterministic_funcs(defs)
+            return self._derived
+
+
+_NO_FUNCS = FuncTable()
+
+
+def func_table(funcs) -> FuncTable:
+    """funcs itself if it is a FuncTable, else a table of its entries; no
+    functions share one empty table."""
+    if isinstance(funcs, FuncTable):
+        return funcs
+    return FuncTable(funcs) if funcs else _NO_FUNCS
+
+
 def binders(node) -> list:
     """The names of node's binders, in pre-order."""
     return [n.var for n in walk(node) if isinstance(n, BINDERS)]
@@ -555,7 +597,7 @@ def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
         for name in overrides:
             if name not in m.params:
                 raise TypeError_('unknown parameter %r' % name)
-    out = Model(params=dict(params))
+    out = Model(params=dict(params), funcs=FuncTable())
     env = (m.types, params)
     for name, ref in m.types.items():
         out.types[name] = resolve_type(ref, m.types, params)

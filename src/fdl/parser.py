@@ -16,6 +16,7 @@ the printer reads too; type bounds have their own four-level grammar.
 Nesting deeper than Python's recursion limit is a parse error.
 """
 
+import re
 from dataclasses import dataclass
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, Diagnostic,
@@ -71,53 +72,52 @@ class Token:
     pos: tuple
 
 
+# One alternative per token kind, tried in this order at each position: a
+# symbol's longer spellings come first, and the last group catches any other
+# character. \w is a character for which str.isalnum() holds, or _.
+_TOKEN = re.compile('|'.join([
+    r'(?P<newline>\n)',
+    r'(?P<space>[ \t\r]+|(?:#|//)[^\n]*)',
+    r'(?P<number>\d+)',
+    r"(?P<word>[^\W\d][\w']*)",
+    '(?P<symbol>%s)' % '|'.join(map(re.escape, SYMBOLS)),
+    r'(?P<other>.)',
+]))
+
+
 def tokenize(text: str) -> list:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == '\n':
-            i += 1
+    line, start = 1, 0  # start: the offset of the line's first character
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == 'space':
+            continue
+        if kind == 'newline':
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if c in ' \t\r':
-            i += 1
-            col += 1
-            continue
-        if c == '#' or text.startswith('//', i):
-            while i < n and text[i] != '\n':
-                i += 1
-            continue
-        pos = (line, col)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token('number', text[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == '_':
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = 'keyword' if word in KEYWORDS else 'ident'
-            toks.append(Token(kind, word, pos))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, pos))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError([Diagnostic('unexpected character %r' % c, pos)])
-    toks.append(Token('eof', '', (line, col)))
+        tok = m.group()
+        pos = (line, m.start() - start + 1)
+        if kind == 'word':
+            if tok in KEYWORDS:
+                kind = 'keyword'
+            elif tok[0] == '_' or tok[0].isalpha():
+                kind = 'ident'
+            else:  # a digit or numeric character that is not a decimal
+                raise ParseError([Diagnostic('unexpected character %r'
+                                             % tok[0], pos)])
+        elif kind == 'symbol':
+            kind = tok
+        elif kind == 'other':
+            raise ParseError([Diagnostic('unexpected character %r' % tok,
+                                         pos)])
+        toks.append(Token(kind, tok, pos))
+    end = 0
+    if m is not None:  # the columns count no comment, which ends the text
+        comment = m.lastgroup == 'space' and m.group()[0] in '#/'
+        end = m.start() if comment else m.end()
+    toks.append(Token('eof', '', (line, end - start + 1)))
     return toks
 
 

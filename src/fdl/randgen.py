@@ -9,7 +9,7 @@ produced formula typechecks by construction.
 import random
 
 from .core import (Add, AddConst, And, Atom, Exists, FalseF, Forall, Iff,
-                   Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, nat)
+                   Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, func_table, nat)
 from .evaluator import check_validity
 from .oracle import oracle_check
 from .refsolver import check_script
@@ -102,7 +102,9 @@ def random_goal(seed: int, max_depth: int = 4, max_bound: int = 3):
 def differential(goal, funcs=None) -> dict:
     """Each mechanism's status for the closed goal, all in process: the
     oracle, the evaluator in both modes and refsolve on the script of each
-    translation mode (sat -> invalid, unsat -> valid, else its answer)."""
+    translation mode (sat -> invalid, unsat -> valid, else its answer).
+    A plain dict of functions is wrapped once, for all three translations."""
+    funcs = func_table(funcs)
     got = {'oracle': oracle_check(goal, funcs)}
     for mode in ('nondeterministic', 'deterministic'):
         got['evaluator/' + mode] = check_validity(goal, funcs, mode)[0].status

@@ -45,8 +45,10 @@ class _Blocked(Exception):
 
 
 def tokenize(text: str) -> list:
-    if ';' in text:
-        text = '\n'.join(line.partition(';')[0] for line in text.split('\n'))
+    pieces = text.split(';')
+    if len(pieces) > 1:  # each comment runs from its ';' to the line's end
+        text = pieces[0] + ''.join([p[p.find('\n'):] for p in pieces[1:]
+                                    if '\n' in p])
     return text.replace('(', ' ( ').replace(')', ' ) ').split()
 
 

@@ -64,6 +64,16 @@ _taken. Fresh _sk/_ch/_el symbols skip _taken and join it. So no binder
 shares a function's or a declared name, and no inlined body captures a
 variable of its arguments. Translator._written maps a primed or _el binder
 name to its written name for the budget error; each queued axiom has a copy.
+
+Computed once, not per translation: what depends only on a type, a
+literal, the option set or the function table. A FiniteType's size and
+sort width (core.nat interns nat types by bound); a literal's compiled
+(static, text, type, width), in _LITS by (value, type(value)), since
+True == 1 has the same hash as 1; the header line, in _HEADERS by the
+options it prints; and definitional_funcs with the nondeterministic_funcs
+of that, kept by the core.FuncTable that resolve_model returns (translate
+wraps a plain dict per call). Nothing derived from a goal or a script is
+kept between calls.
 """
 
 import math
@@ -73,8 +83,8 @@ from operator import itemgetter
 from .core import (_LAYOUT, Add, AddConst, And, Apply, Atom, BOOL, Choose,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula, Iff,
                    Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, _children,
-                   _rebuild, apart, binders, definitional_funcs, enter_binder,
-                   free_vars, has_choose, nondeterministic_funcs, subst)
+                   _rebuild, apart, binders, enter_binder, free_vars,
+                   func_table, has_choose, nat, subst)
 
 MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
@@ -123,12 +133,12 @@ class SmtScript:
 
 def sort_width(ty: FiniteType) -> int:
     """Bit-vector width used for this carrier's sort (at least 1)."""
-    return max(1, ty.bit_width())
+    return ty.width
 
 
 def predicate_trivial(ty: FiniteType) -> bool:
     """True when every bit pattern of the sort is a carrier element."""
-    return ty.size() == 2 ** sort_width(ty)
+    return ty.size() == 1 << ty.width
 
 
 def bv_lit(v, width: int) -> str:
@@ -138,25 +148,27 @@ def bv_lit(v, width: int) -> str:
 def _node(head, *parts):
     """The compiled (head part...) of compiled parts (static, v): static text
     if every part is, else a function of the frame that writes it."""
-    pre = '(%s ' % head
     if len(parts) == 2:
         (ls, lhs), (rs, rhs) = parts
+        if ls and rs:
+            return True, f'({head} {lhs} {rhs})'
         if ls:
-            if rs:
-                return True, f'{pre}{lhs} {rhs})'
-            pre += lhs + ' '
+            pre = f'({head} {lhs} '
             return False, lambda env: f'{pre}{rhs(env)})'
+        pre = f'({head} '
         if rs:
-            post = ' %s)' % rhs
+            post = f' {rhs})'
             return False, lambda env: f'{pre}{lhs(env)}{post}'
         return False, lambda env: f'{pre}{lhs(env)} {rhs(env)})'
     if len(parts) == 1:
         static, v = parts[0]
         if static:
-            return True, '(%s %s)' % (head, v)
+            return True, f'({head} {v})'
+        pre = f'({head} '
         return False, lambda env: f'{pre}{v(env)})'
     if all(static for static, _ in parts):
         return True, '(%s %s)' % (head, ' '.join([v for _, v in parts]))
+    pre = f'({head} '
     fns = [(lambda env, v=v: v) if static else v for static, v in parts]
     return False, lambda env: f"{pre}{' '.join([fn(env) for fn in fns])})"
 
@@ -256,9 +268,9 @@ def _replace(node, hit):
 
 class Translator:
     def __init__(self, funcs=None, opts=None):
-        source = funcs or {}
+        source = func_table(funcs)
         # functional contracts read as definitions from here on
-        self.funcs = definitional_funcs(source)
+        self.funcs, self._nondet = source.derived()
         self.opts = opts or SmtOptions()
         assert self.opts.mode in MODES
         self.symtab = {}  # smt name -> (arg_types, result_type)
@@ -280,11 +292,10 @@ class Translator:
         self._taken = set(self.funcs)  # see the module docstring, Names
         self._written = {}  # a primed or _el binder name -> its written name
         self.queue = []  # (axiom, tag, its _written), lowered in turn
-        self._nondet = nondet = nondeterministic_funcs(self.funcs)
         # definitions that are inlined instead of emitted as define-fun
-        self._inlined = {n: fd for n, fd in self.funcs.items()
-                         if fd.body is not None and (
-                             self.opts.inline_definitions or n in nondet)}
+        self._inlined = () if not self.funcs else {
+            n for n, fd in self.funcs.items() if fd.body is not None and (
+                self.opts.inline_definitions or n in self._nondet)}
 
     # -- fresh symbols -------------------------------------------------------
 
@@ -307,6 +318,8 @@ class Translator:
         """iter(apart(names, used, free)); notes primed names in _written.
         given_before: names may have been given out before, as a queued
         axiom's are, and stand for the written name _written holds for them."""
+        if not names:
+            return iter(names)
         given = apart(names, used, free)
         written = self._written if given_before else {}
         self._written.update([(g, written.get(n, n))
@@ -457,7 +470,7 @@ class Translator:
     def _instances(self, f, slot, env):
         """Write each element of the quantifier f's carrier into env[slot],
         as a literal; each counts against the expansion budget."""
-        spec = '0%db' % sort_width(f.ty)
+        spec = '0%db' % f.ty.width
         for i in range(f.ty.size()):
             self.instances += 1
             if self.instances > self.opts.expansion_budget:
@@ -482,7 +495,7 @@ class Translator:
         otherwise it reads a new frame slot, and a universal joins the
         expanded universals that Skolem witnesses below take as arguments
         (an expanded existential needs none: one disjunct has to hold)."""
-        w = sort_width(f.ty)
+        w = f.ty.width
         if f.ty.size() == 1:
             lit = bv_lit(f.ty.value_at(0), w)
             return None, self._scoped(f.var, (True, lit, f.ty, w),
@@ -538,7 +551,7 @@ class Translator:
         many = f.ty.size() > 1
         if self.opts.mode == 'preserve' and not self.concrete and many:
             sym = smt_sym(f.var)
-            w = sort_width(f.ty)
+            w = f.ty.width
             body = self._scoped(f.var, (True, sym, f.ty, w), self._lower,
                                 f.body)
             if not predicate_trivial(f.ty):
@@ -578,7 +591,7 @@ class Translator:
         enclosing expanded universals, for its variable. The first use of
         each application asserts its range."""
         slots = [slot for slot, _ in self.uvars]
-        w = sort_width(f.ty)
+        w = f.ty.width
         bound = None if predicate_trivial(f.ty) else bv_lit(f.ty.bound, w)
         done, axioms = self.range_done, self.asserts['skolem-range-axiom']
         if slots:
@@ -615,26 +628,30 @@ class Translator:
     # -- terms ----------------------------------------------------------------
 
     def _lit(self, t):
-        ty = BOOL if isinstance(t.value, bool) else FiniteType('nat', t.value)
-        w = sort_width(ty)
-        return True, bv_lit(t.value, w), ty, w
+        v = t.value
+        # True == 1 and hash(True) == hash(1): the key tells them apart
+        lit = _LITS.get((v, type(v)))
+        if lit is None:
+            ty = BOOL if isinstance(v, bool) else nat(v)
+            lit = _LITS[v, type(v)] = True, bv_lit(v, ty.width), ty, ty.width
+        return lit
 
     def _arith(self, t):
         lhs = _LOWER[type(t.lhs)](self, t.lhs)
         rhs = _LOWER[type(t.rhs)](self, t.rhs)
         if isinstance(t, Add):
-            ty = FiniteType('nat', lhs[2].bound + rhs[2].bound)
+            ty = nat(lhs[2].bound + rhs[2].bound)
             op = 'bvadd'
         else:
-            ty = FiniteType('nat', lhs[2].bound * rhs[2].bound)
+            ty = nat(lhs[2].bound * rhs[2].bound)
             op = 'bvmul'
-        w = sort_width(ty)
+        w = ty.width
         return (*_node(op, _widen(lhs, w), _widen(rhs, w)), ty, w)
 
     def _add_const(self, t):
         lhs = _LOWER[type(t.lhs)](self, t.lhs)
-        ty = FiniteType('nat', lhs[2].bound + t.const)
-        w = sort_width(ty)
+        ty = nat(lhs[2].bound + t.const)
+        w = ty.width
         return (*_node('bvadd', _widen(lhs, w), (True, bv_lit(t.const, w))),
                 ty, w)
 
@@ -646,8 +663,8 @@ class Translator:
         els = _LOWER[type(t.els)](self, t.els)
         if then[2].kind == 'bool':
             return (*_node('ite', cond, then[:2], els[:2]), BOOL, 1)
-        ty = FiniteType('nat', max(then[2].bound, els[2].bound))
-        w = sort_width(ty)
+        ty = nat(max(then[2].bound, els[2].bound))
+        w = ty.width
         return (*_node('ite', cond, _widen(then, w), _widen(els, w)), ty, w)
 
     def _apply(self, t):
@@ -658,11 +675,11 @@ class Translator:
             self._ensure_define(t.func)
             arg_tys = [ty for _, ty in fd.params]
             rty = fd.result
-        args = [_widen(_LOWER[type(a)](self, a), sort_width(pty))
+        args = [_widen(_LOWER[type(a)](self, a), pty.width)
                 for a, pty in zip(t.args, arg_tys)]
         name = smt_sym(t.func)
         return (*(_node(name, *args) if args else (True, name)), rty,
-                sort_width(rty))
+                rty.width)
 
     def _unaxiomatized(self, t):
         raise AssertionError('choices must be axiomatized before lowering: %r'
@@ -680,15 +697,15 @@ class Translator:
         params = [(p, smt_sym(apart([p], taken)[0] if p in self.funcs else p),
                    ty) for p, ty in fd.params]
         outer = self.scope, self.uvars, self.size
-        self.scope = {p: (True, q, ty, sort_width(ty)) for p, q, ty in params}
+        self.scope = {p: (True, q, ty, ty.width) for p, q, ty in params}
         self.uvars, self.size = [], 0
-        static, body = _widen(self._lower(fd.body), sort_width(fd.result))
+        static, body = _widen(self._lower(fd.body), fd.result.width)
         if not static:  # a condition in the body expands a quantifier
             body = body([None] * self.size)
         self.scope, self.uvars, self.size = outer
         self.defines.append((smt_sym(name),
-                             [(q, sort_width(ty)) for _, q, ty in params],
-                             sort_width(fd.result), body))
+                             [(q, ty.width) for _, q, ty in params],
+                             fd.result.width, body))
 
     # -- entry point ------------------------------------------------------------
 
@@ -712,21 +729,31 @@ class Translator:
         st.estimate_skolem, st.estimate_expansion = estimates
 
         opts = self.opts
-        header = ['mode: %s  heuristic-factor: %g  eliminate-choices: %s'
-                  '  inline-definitions: %s'
-                  % (opts.mode, opts.heuristic_factor,
-                     'on' if opts.eliminate_choices else 'off',
-                     'on' if opts.inline_definitions else 'off')]
+        key = (opts.mode, opts.heuristic_factor, opts.eliminate_choices,
+               opts.inline_definitions)
+        line = _HEADERS.get(key)
+        if line is None:
+            line = _HEADERS[key] = (
+                'mode: %s  heuristic-factor: %g  eliminate-choices: %s'
+                '  inline-definitions: %s' % (
+                    opts.mode, opts.heuristic_factor,
+                    'on' if opts.eliminate_choices else 'off',
+                    'on' if opts.inline_definitions else 'off'))
+        header = [line]
         if opts.goal_name:
             header.append('goal: %s' % opts.goal_name)
-        decls = [(smt_sym(n), [sort_width(t) for t in tys], sort_width(r))
+        decls = [(smt_sym(n), [t.width for t in tys], r.width)
                  for n, (tys, r) in self.symtab.items()]
         logic = 'UFBV' if opts.mode == 'preserve' else 'QF_UFBV'
-        return SmtScript(logic=logic, header=header, defines=self.defines,
-                         decls=decls, asserts=self.asserts, stats=st)
+        return SmtScript(logic, header, self.defines, decls, self.asserts, st)
 
 
 _REL = {'=': '=', '<': 'bvult', '<=': 'bvule'}
+# compiled literals by (value, type(value)), as Translator._lit returns them
+_LITS = {}
+# the header line of each option set, by every option but the budget and
+# the goal name
+_HEADERS = {}
 _CONNECTIVE = {And: 'and', Or: 'or', Implies: '=>', Iff: '='}
 # node type -> compiling method; methods look their children up here
 # directly, so each nested connective or term costs one Python frame
@@ -780,7 +807,12 @@ def emit_smtlib(script: SmtScript) -> str:
     for name, argws, rw in script.decls:
         lines.append('(declare-fun %s (%s) %s)'
                      % (name, ' '.join(map(_sort, argws)), _sort(rw)))
-    for tag in TAGS:
-        lines += ['(assert %s) ; %s' % (e, tag) for e in script.asserts[tag]]
-    lines.append('(check-sat)')
-    return '\n'.join(lines) + '\n'
+    for tag, end in _ASSERT_ENDS:
+        asserts = script.asserts[tag]
+        if asserts:
+            lines += ['(assert ' + e + end for e in asserts]
+    lines.append('(check-sat)\n')
+    return '\n'.join(lines)
+
+
+_ASSERT_ENDS = [(tag, ') ; ' + tag) for tag in TAGS]

@@ -39,6 +39,36 @@ def test_tokenize_rejects_stray_character():
     assert 'unexpected character' in str(ei.value)
 
 
+def test_tokenize_keeps_unicode_words_and_decimal_digits():
+    toks = tokenize("\u00e9t\u00e9' \u0663\u0661")  # ete', Arabic-Indic 31
+    assert [(t.kind, t.text, t.pos) for t in toks] == [
+        ('ident', "\u00e9t\u00e9'", (1, 1)),
+        ('number', '\u0663\u0661', (1, 6)), ('eof', '', (1, 8))]
+    assert parse_model('theorem t <=> \u0663 = 3;').theorems['t'] == Atom(
+        '=', Lit(3), Lit(3))
+
+
+@pytest.mark.parametrize('text, pos', [
+    ('1\u00b2', (1, 2)),  # a superscript digit, which int() cannot read
+    ('x \u00bd', (1, 3)),  # a vulgar fraction, numeric but not a digit
+])
+def test_tokenize_rejects_a_digit_that_is_not_decimal(text, pos):
+    with pytest.raises(ParseError) as ei:
+        tokenize(text)
+    assert ei.value.diagnostics[0].pos == pos
+    assert 'unexpected character' in str(ei.value)
+
+
+@pytest.mark.parametrize('text, pos', [
+    ('x', (1, 2)), ('x  ', (1, 4)), ('x  # note', (1, 4)),
+    ('x // note', (1, 3)), ('x\n', (2, 1)), ('x\n\t// note', (2, 2)),
+    ('', (1, 1)), ('\\/', (1, 3)),
+])
+def test_tokenize_end_is_after_the_last_character_outside_comments(text,
+                                                                    pos):
+    assert tokenize(text)[-1].pos == pos
+
+
 # -- formula grammar ------------------------------------------------------------
 
 

@@ -40,6 +40,11 @@ def test_tokenize_strips_comments():
     assert toks[0] == '(' and 'assert' in toks
 
 
+def test_tokenize_drops_each_comment_to_its_line_end():
+    text = '(a) ; one ; two\n(b) ;; three\n;four\n(c);five'
+    assert tokenize(text) == ['(', 'a', ')', '(', 'b', ')', '(', 'c', ')']
+
+
 def test_read_forms_nests():
     (e,) = read_forms(tokenize('(a (b c) #b01)'))
     assert e == ['a', ['b', 'c'], '#b01']

@@ -1,15 +1,20 @@
 """Bit-vector translation: NNF, Skolemization, expansion, axioms, estimates."""
 
+import dataclasses
 import hashlib
+import importlib
 import json
 import re
 
 import pytest
 
+from fdl import core, randgen
 from fdl.core import (
-    Add, And, Atom, Exists, FalseF, Forall, Iff, Implies, Lit, Mul, Not, Or,
-    TrueF, Var, nat, resolve_model, walk,
+    BOOL, Add, And, Atom, Exists, FalseF, FiniteType, Forall, Formula,
+    FuncDecl, Iff, Implies, Lit, Mul, Not, Or, Term, TrueF, Var, nat,
+    resolve_model, walk,
 )
+from fdl.evaluator import check_validity
 from fdl.oracle import oracle_check
 from fdl.parser import parse_formula, parse_model
 from fdl.randgen import random_goal
@@ -981,3 +986,124 @@ def test_lifted_scripts_match_the_recorded_table():
             assert got == want, '%s/%s' % (key, name)
             checked += 1
     assert checked == len(goals)
+
+
+# -- what is computed once per type, literal, option set or function table ---
+
+
+# True == 1 and hash(True) == hash(1), so a literal table keyed by the value
+# alone would hand 1 the bool type here, or true the type nat[1]
+BOOL_ONE_SRC = """
+fun f(b: bool): nat[1] = if b = true then 1 else 0;
+theorem t <=> f(true) = 1 * f(false) + 1;
+theorem warmTrue <=> true = true;
+theorem warmOne <=> 1 = 1;
+"""
+
+# sha256 of the script of BOOL_ONE_SRC's t, recorded before literals were
+# compiled once per process
+BOOL_ONE_SHA256 = {
+    (False, 'eliminate'):
+        '2c6e083d1f425b1686d7e094ba902a05caf01caa17e2115448d86a31126aa3d2',
+    (False, 'preserve'):
+        'f8f248e56f5105789eaa65ff710c629e52b0d7c640b9b657bf603a35e0142d35',
+    (False, 'expand-all'):
+        'd12e94b90f60fc665c5c9e61b9ce0eb0aa00909f44ac65d956d5865d817b7e26',
+    (True, 'eliminate'):
+        'aaa92a9526d44d7b4feab7fc949069acbfc79355d4664d0ed57400418e9cc16b',
+    (True, 'preserve'):
+        '3f7f6b40713b0c4b2603588924b65b4ad13740933d404fd40cd55f410d1f4d34',
+    (True, 'expand-all'):
+        '52a00e076daab92b6df8cd664809ff1b0476503a0a53e514ec68389711e00157',
+}
+
+
+@pytest.mark.parametrize('inline', [False, True])
+@pytest.mark.parametrize('mode', MODES)
+@pytest.mark.parametrize('warm', [('warmTrue',), ('warmOne',),
+                                  ('warmTrue', 'warmOne'),
+                                  ('warmOne', 'warmTrue')])
+def test_literal_table_tells_true_from_one(monkeypatch, warm, mode, inline):
+    # the package's name `translate` is the function, not the module
+    monkeypatch.setattr(importlib.import_module('fdl.translate'), '_LITS', {})
+    m = resolve_model(parse_model(BOOL_ONE_SRC))
+    for name in warm + ('t',):
+        text = _emit(m.theorems[name], m.funcs, mode=mode,
+                     inline_definitions=inline)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == BOOL_ONE_SHA256[inline, mode])
+
+
+# a functional contract (inc), a contract (h), a definition with a choice
+# (pick) and a plain definition (twice)
+FOUR_FUNCTIONS_SRC = """
+type D = nat[2];
+fun inc(x: D): nat[3] ensures result = x + 1;
+fun h(p: D): D ensures result <= p;
+fun pick(x: D): D = choose y: D with y <= x;
+fun twice(x: D): nat[4] = x + x;
+theorem t <=> forall x: D. inc(x) <= twice(x) + 1 \\/ h(x) <= pick(x);
+"""
+
+
+def test_function_table_is_derived_once_for_every_translation(monkeypatch):
+    calls = {'definitional_funcs': 0, 'nondeterministic_funcs': 0}
+    for name in calls:
+        def counted(*args, _real=getattr(core, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(core, name, counted)
+    m = resolve_model(parse_model(FOUR_FUNCTIONS_SRC))
+    assert isinstance(m.funcs, core.FuncTable) and calls == dict.fromkeys(
+        calls, 0)
+    first = None
+    for inline in (False, True):
+        for mode in MODES:
+            _emit(m.theorems['t'], m.funcs, mode=mode,
+                  inline_definitions=inline)
+            first = first or dict(calls)
+    assert first['definitional_funcs'] == 1
+    assert first['nondeterministic_funcs'] >= 1
+    assert calls == first
+
+
+def _fields_rebuilt(node):
+    """node rebuilt through dataclasses.fields, as perfbench's determinize
+    rebuilds a goal and its functions, into plain dataclasses and dicts."""
+    if not isinstance(node, (Term, Formula)):
+        return node
+    return type(node)(**{
+        f.name: ([_fields_rebuilt(x) for x in getattr(node, f.name)]
+                 if isinstance(getattr(node, f.name), list)
+                 else _fields_rebuilt(getattr(node, f.name)))
+        for f in dataclasses.fields(node)})
+
+
+def test_plain_and_rebuilt_function_dicts_decide_as_the_table():
+    m = resolve_model(parse_model(FOUR_FUNCTIONS_SRC))
+    goal = m.theorems['t']
+    rebuilt = {n: FuncDecl(fd.name, fd.params, fd.result,
+                           body=_fields_rebuilt(fd.body),
+                           ensures=_fields_rebuilt(fd.ensures))
+               for n, fd in m.funcs.items()}
+    want = {mode: _emit(goal, m.funcs, mode=mode) for mode in MODES}
+    verdicts = randgen.differential(goal, m.funcs)
+    assert verdicts['oracle'] == 'valid'
+    for g, funcs in ((goal, dict(m.funcs)), (_fields_rebuilt(goal), rebuilt)):
+        assert type(funcs) is dict
+        assert {mode: _emit(g, funcs, mode=mode) for mode in MODES} == want
+        assert oracle_check(g, funcs) == 'valid'
+        for mode in ('nondeterministic', 'deterministic'):
+            assert check_validity(g, funcs, mode)[0].status == verdicts[
+                'evaluator/' + mode]
+        assert randgen.differential(g, funcs) == verdicts
+
+
+def test_types_are_interned_and_carry_their_widths():
+    assert nat(3) is nat(3)
+    assert FiniteType('nat', 3) == nat(3) and hash(FiniteType('nat', 3)) == \
+        hash(nat(3))
+    assert FiniteType('nat', 3) != BOOL and repr(nat(3)) == \
+        "FiniteType(kind='nat', bound=3)"
+    for ty in (nat(0), nat(1), nat(4), BOOL, FiniteType('nat', 255)):
+        assert ty.width == sort_width(ty) == max(1, ty.bit_width())
