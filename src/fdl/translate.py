@@ -797,6 +797,9 @@ def _sort(width: int) -> str:
     return '(_ BitVec %d)' % width
 
 
+_ASSERT_ENDS = [(tag, ') ; ' + tag) for tag in TAGS]
+
+
 def emit_smtlib(script: SmtScript) -> str:
     lines = ['(set-logic %s)' % script.logic]
     lines += ['; ' + h for h in script.header]
@@ -813,6 +816,3 @@ def emit_smtlib(script: SmtScript) -> str:
             lines += ['(assert ' + e + end for e in asserts]
     lines.append('(check-sat)\n')
     return '\n'.join(lines)
-
-
-_ASSERT_ENDS = [(tag, ') ; ' + tag) for tag in TAGS]
