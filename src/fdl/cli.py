@@ -213,7 +213,9 @@ def _cmd_oracle(args) -> int:
         status = oracle_check(goal, model.funcs, cap=args.cap)
     except FdlError as e:
         raise CliError(str(e), code=2)
-    return _report(Verdict(status))
+    # 'error' means that no resolution of the choices reached gives a value
+    return _report(Verdict(status, reason='no admissible choice'
+                           if status == 'error' else None))
 
 
 def _cmd_fuzz(args) -> int:

@@ -3,13 +3,16 @@ emits: QF_UFBV / UFBV scripts built from bit-vector literals, bvadd, bvmul,
 bvult, bvule, =, zero_extend, extract, the boolean connectives, ite,
 define-fun macros, uninterpreted functions and (in UFBV) forall/exists.
 
-`Script.parse` only tokenizes. `Solver.check` builds one command at a time
-on an explicit stack and compiles each assertion as it reads it, bottom-up,
-into closures alone (Feeley & Lapalme, "Using Closures for Code Generation",
-1987): an assertion sees the declarations above it, a define-fun body those
-above its first use. Outside binders a node whose value needs no cell is
-folded to a literal; (=> a ... b) is read as (or (not a) ... b). Reading
-ends at an assertion folded to false: no error after it is reported.
+`Script.parse` only tokenizes. `Solver.check` reads the tokens in one pass,
+one command at a time, compiling each assertion as it reads it on a stack
+of open frames: an assertion sees the declarations above it, a define-fun
+body those above its first use. Outside binders a frame of literals closes
+to the literal of the operator's value rule, and and/or/ite pass over what
+a literal decides away uncompiled; only nodes that read a cell or a bound
+variable become closures (Feeley & Lapalme, "Using Closures for Code
+Generation", 1987). (=> a ... b) is read as (or (not a) ... b). Reading
+ends at an assertion folded to false: no error after it is reported. The
+literal nodes, in _LITS, are all that is kept from one script to the next.
 
 Satisfiability is decided by backtracking over "cells": a cell is the value
 of an uninterpreted function at one concrete argument tuple (constants are
@@ -34,6 +37,11 @@ import sys
 
 DEFAULT_BUDGET = 2_000_000
 _NO_NAMES = frozenset()  # the names of a node that reads no cell
+# literal token or (value, width) -> the literal's node, for every script;
+# cleared when full, so that a resident worker keeps it bounded
+_LITS, _LITS_MAX = {}, 1024
+# the kinds of open frame; the first three only collect their kids
+_OP, _APP, _QUANTIFIER, _JUNCTION, _ITE = range(5)
 
 
 class RefsolverError(Exception):
@@ -52,45 +60,37 @@ def tokenize(text: str) -> list:
     return text.replace('(', ' ( ').replace(')', ' ) ').split()
 
 
-def read_forms(toks: list):
-    """The top-level forms of a token list, each as soon as it is closed."""
-    top, stack = [], []
-    for tok in toks:
+def _skip(toks, i, depth=0):
+    """The index past the term at toks[i], or past the depth-th unmatched
+    ')' from toks[i] on."""
+    while True:
+        tok = toks[i]
+        i += 1
         if tok == '(':
-            stack.append(top)
-            top = []
+            depth += 1
         elif tok == ')':
-            if not stack:
-                raise RefsolverError('unbalanced parenthesis')
-            form, top = top, stack.pop()
-            if stack:
-                top.append(form)
-            else:
-                yield form
-        elif stack:
-            top.append(tok)
-        else:
-            yield tok
-    if stack:
-        raise RefsolverError('unbalanced parenthesis')
+            depth -= 1
+            if depth < 0:
+                raise RefsolverError('missing term')
+        if not depth:
+            return i
 
 
-def _sort_width(sort) -> int:
-    if isinstance(sort, list) and len(sort) == 3 and sort[0] == '_' \
-            and sort[1] == 'BitVec':
-        return int(sort[2])
-    raise RefsolverError('unsupported sort %r' % (sort,))
+def _sort(toks, i) -> int:
+    """The width of the sort (_ BitVec n), five tokens from toks[i] on."""
+    if toks[i:i + 3] != ['(', '_', 'BitVec'] or toks[i + 4] != ')':
+        raise RefsolverError('unsupported sort %r' % toks[i])
+    return int(toks[i + 3])
 
 
-def _literal(tok):
-    """(value, width) of a literal token, width None for a boolean."""
-    if tok == 'true' or tok == 'false':
-        return tok == 'true', None
-    if tok[:2] == '#b':
-        return int(tok[2:], 2), len(tok) - 2
-    if tok[:2] == '#x':
-        return int(tok[2:], 16), 4 * (len(tok) - 2)
-    return None
+def _lit(value, width):
+    """The shared node (closure, width, None, value) of a literal."""
+    node = _LITS.get((value, width))
+    if node is None:
+        if len(_LITS) >= _LITS_MAX:
+            _LITS.clear()
+        node = _LITS[value, width] = lambda env: value, width, None, value
+    return node
 
 
 def _names(kids):
@@ -103,35 +103,17 @@ def _names(kids):
 
 
 class Script:
-    """A script's tokens, and the declarations and definitions that
-    `assertions` has read from them so far."""
+    """A script's tokens, and the declarations and definitions that a
+    Solver has read from them so far."""
 
     def __init__(self, toks: list):
         self.toks = toks
         self.decls = {}  # name -> (arg_widths, result_width)
-        self.defs = {}  # name -> (params [(name, width)], body)
+        self.defs = {}  # name -> (params [(name, width)], body's token index)
 
     @classmethod
     def parse(cls, text: str) -> 'Script':
         return cls(tokenize(text))
-
-    def assertions(self):
-        """Each asserted term in the order of the text, read one command at
-        a time; a declare-fun or define-fun is recorded when it is read."""
-        for form in read_forms(self.toks):
-            if not isinstance(form, list) or not form:
-                raise RefsolverError('bad command %r' % (form,))
-            head = form[0]
-            if head == 'declare-fun':
-                self.decls[form[1]] = ([_sort_width(a) for a in form[2]],
-                                       _sort_width(form[3]))
-            elif head == 'define-fun':
-                self.defs[form[1]] = ([(p[0], _sort_width(p[1]))
-                                       for p in form[2]], form[4])
-            elif head == 'assert':
-                yield form[1]
-            elif head not in ('set-logic', 'check-sat', 'exit'):
-                raise RefsolverError('unsupported command %r' % head)
 
 
 class Solver:
@@ -142,72 +124,172 @@ class Solver:
         self.nodes = 0
         self._reads = set()  # cells consulted by the evaluation in flight
         self._bodies = {}  # define-fun name -> (closure, width, frame padding)
-        self._nodes = {}  # literal or constant token, (value, width) -> node
+        self._consts = {}  # declared constant -> its node
         self._scope, self._size = {}, 0  # name -> (slot, width); frame size
 
-    def compile(self, e):
-        """The node (fn, width, names) of expression e: its closure over
-        the frame of its binders, its bit width (None for a boolean) and
-        the declared function names it reads, None when the node is a
-        literal. A conjunction's fn has its nodes as `parts`."""
-        if isinstance(e, str):
-            if e in self._scope:
-                slot, width = self._scope[e]
-                return lambda env: env[slot], width, _NO_NAMES
-            node = self._nodes.get(e)
-            if node is None:
-                lit = _literal(e)
-                if lit is None:
-                    return self._apply(e, [])
-                node = self._nodes[e] = self._lit(*lit)
-            return node
-        head = e[0]
-        make = _OPERATORS.get(tuple(head[:2]) if isinstance(head, list)
-                              else head)
-        if make:
-            kids = list(map(self.compile, e[1:]))
-            fn, width = make(kids[0][1], head, *[kid[0] for kid in kids])
-            return self._fold(kids, fn, width)
-        if isinstance(head, list):
-            raise RefsolverError('unsupported operator %r' % (head,))
-        if head in _COMPILE:
-            return _COMPILE[head](self, e)
-        return self._apply(head, e[1:])
+    def _assertions(self):
+        """The node of each assertion in the order of the text, read one
+        command at a time; a declare-fun or define-fun is recorded when it
+        is read. A node is (fn, width, names): its closure over the frame
+        of its binders, its bit width (None for a boolean) and the declared
+        function names it reads, None for a literal, whose value follows.
+        A conjunction's fn has its nodes as `parts`."""
+        s, toks, i = self.s, self.s.toks, 0
+        while i < len(toks):
+            if toks[i] != '(':
+                raise RefsolverError('unbalanced parenthesis' if toks[i] == ')'
+                                     else 'bad command %r' % toks[i])
+            head, name, i = toks[i + 1], toks[i + 2], i + 2
+            if head == 'assert':
+                node, i = self._term(i)
+                i = _skip(toks, i, 1)
+                yield node
+                continue
+            if head == 'declare-fun':  # name (sort ...) sort
+                args, i = [], i + 2
+                while toks[i] != ')':
+                    args.append(_sort(toks, i))
+                    i += 5
+                s.decls[name] = args, _sort(toks, i + 1)
+                i += 6
+            elif head == 'define-fun':  # name ((param sort) ...) sort body
+                params, i = [], i + 2
+                while toks[i] == '(':
+                    params.append((toks[i + 1], _sort(toks, i + 2)))
+                    i += 8
+                s.defs[name] = params, _skip(toks, i + 1)
+                i = _skip(toks, s.defs[name][1])
+            elif head not in ('set-logic', 'check-sat', 'exit'):
+                raise RefsolverError('unsupported command %r' % head)
+            i = _skip(toks, i, 1)
 
-    def _lit(self, value, width):
-        key = value, width
-        if key not in self._nodes:
-            self._nodes[key] = lambda env: value, width, None
-        return self._nodes[key]
+    def _term(self, i):
+        """The node of the term at token i and the index past it, read on a
+        stack of open frames [kind, kids, ...]. A junction closes at its
+        deciding literal, an ite at the branch a literal condition takes."""
+        toks, stack = self.s.toks, []
+        while True:
+            tok = toks[i]
+            i += 1
+            if tok == '(':
+                head = toks[i]
+                i += 1
+                row = _OPERATORS.get(head)
+                if head == '(':  # (_ zero_extend n), (_ extract hi lo)
+                    j = toks.index(')', i)
+                    head, i = toks[i:j], j + 1
+                    row = '(' not in head and _OPERATORS.get(tuple(head[:2]))
+                    if not row:
+                        raise RefsolverError('unsupported operator %r' % head)
+                if row:
+                    stack.append([_OP, [], row, head])
+                elif head == 'and' or head == 'or' or head == '=>':
+                    if toks[i - 3] == head != '=>' and toks[i - 4] == '(':
+                        stack[-1][3] += 1  # (and (and a b) c): one junction
+                    elif head == '=>' and toks[i] == ')':
+                        raise RefsolverError('=> without arguments')
+                    else:
+                        stack.append([_JUNCTION, [], head, 0])
+                elif head == 'ite':
+                    stack.append([_ITE, [], False])
+                elif head == 'forall' or head == 'exists':
+                    i = self._binders(stack, head == 'exists', i)
+                else:
+                    stack.append([_APP, [], head])
+                continue
+            if tok == ')':
+                frame = stack.pop()
+                kind, kids = frame[0], frame[1]
+                if kind == _JUNCTION and frame[3]:  # a link of a chain ends
+                    frame[3] -= 1
+                    stack.append(frame)
+                    continue
+                node = (self._operator(frame[2], frame[3], kids) if kind == _OP
+                        else self._application(frame[2], kids) if kind == _APP
+                        else self._quantified(kids[0], *frame[2:])
+                        if kind == _QUANTIFIER else _ite(kids) if kind == _ITE
+                        else self._junction(frame[2], kids))
+            else:
+                node = _LITS.get(tok)
+                if node is None or tok in self._scope:
+                    node = self._atom(tok)
+            while stack:  # hand the node to the frame on top
+                frame = stack[-1]
+                kind = frame[0]
+                if kind <= _QUANTIFIER:
+                    frame[1].append(node)
+                    break
+                if kind == _JUNCTION:
+                    stop = frame[2] != 'and'
+                    if frame[2] == '=>' and toks[i] != ')':  # a premise
+                        node = self._operator(_OPERATORS['not'], 'not', [node])
+                    if node[2] is not None or self._scope:
+                        frame[1].append(node)
+                        break
+                    if node[3] != stop:  # a neutral literal is dropped
+                        break
+                    i, node = _skip(toks, i, frame[3] + 1), _lit(stop, None)
+                elif frame[2]:  # the branch a literal condition took
+                    i = _skip(toks, i, 1)
+                elif frame[1] or node[2] is not None or self._scope:
+                    frame[1].append(node)
+                    break
+                else:  # a literal condition; false passes over one branch
+                    i = i if node[3] else _skip(toks, i)
+                    frame[2] = True
+                    break
+                stack.pop()
+            else:
+                return node, i
 
-    def _fold(self, kids, fn, width):
-        """The node of an operator or define-fun application, a literal
-        outside binders when its arguments are and it reads no cell."""
+    def _atom(self, tok):
+        """The node of a bound variable, a literal not yet in the table, a
+        constant or a define-fun without parameters."""
+        if tok in self._scope:
+            slot, width = self._scope[tok]
+            return lambda env: env[slot], width, _NO_NAMES
+        if tok == 'true' or tok == 'false':
+            node = _lit(tok == 'true', None)
+        elif tok[:2] == '#b':
+            node = _lit(int(tok[2:], 2), len(tok) - 2)
+        elif tok[:2] == '#x':
+            node = _lit(int(tok[2:], 16), 4 * (len(tok) - 2))
+        else:
+            return self._consts.get(tok) or self._application(tok, [])
+        _LITS[tok] = node
+        return node
+
+    def _operator(self, row, head, kids):
+        """An operator's node: outside binders with literal kids, the
+        literal of the row's value rule; else the row's closure."""
         if not self._scope and not [1 for kid in kids if kid[2] is not None]:
-            try:
-                return self._lit(fn(None), width)
-            except _Blocked:
-                pass
+            return _lit(*row[0](kids[0][1], head, *[kid[3] for kid in kids]))
+        fn, width = row[1](kids[0][1], head, *[kid[0] for kid in kids])
         return fn, width, _names(kids)
 
-    def _apply(self, name, args):
-        """name applied to args: a define-fun's body or a cell read."""
-        kids = list(map(self.compile, args))
+    def _application(self, name, kids):
+        """name applied to kids: a define-fun's body, a literal outside
+        binders when its arguments are and it reads no cell, or a cell
+        read."""
         fns = [kid[0] for kid in kids]
         if name in self.s.defs:
             if name not in self._bodies:  # its own frame: params, binders
-                params, body = self.s.defs[name]
+                params, start = self.s.defs[name]
                 outer = self._scope, self._size
                 self._scope = {p: (i, w) for i, (p, w) in enumerate(params)}
                 self._size = len(params)
-                fn, width, _ = self.compile(body)
+                node = self._term(start)[0]
                 pad = [0] * (self._size - len(params))
-                self._bodies[name] = fn, width, pad
+                self._bodies[name] = node[0], node[1], pad
                 self._scope, self._size = outer
             body, width, pad = self._bodies[name]
-            return self._fold(kids,
-                              lambda env: body([f(env) for f in fns] + pad),
-                              width)
+            if not self._scope and not [1 for k in kids if k[2] is not None]:
+                try:
+                    return _lit(body([kid[3] for kid in kids] + pad), width)
+                except _Blocked:
+                    pass
+            return (lambda env: body([f(env) for f in fns] + pad), width,
+                    _names(kids))
         if name not in self.s.decls:
             raise RefsolverError('unknown symbol %r' % name)
         width, cells, reads = self.s.decls[name][1], self.cells, self._reads
@@ -222,31 +304,15 @@ class Solver:
             return value
         if fns:
             return fn, width, _names(kids) | {name}
-        node = self._nodes[name] = fn, width, {name}  # one per constant
+        node = self._consts[name] = fn, width, {name}
         return node
 
-    def _junction(self, e):
-        """and/or, and => read as or: (=> a b) is (or (not a) b). Outside
-        binders a literal argument decides or is dropped. A left-nested
-        chain of one head, (and (and a b) c), is one junction over a b c,
-        gathered in a loop: it takes no frame per level."""
-        if e[0] == '=>':
-            *first, last = e[1:]
-            e = ['or'] + [['not', a] for a in first] + [last]
-        head, tails = e[0], []
-        fold, stop = not self._scope, head == 'or'  # stop decides the node
-        while len(e) > 1 and isinstance(e[1], list) and e[1][:1] == [head]:
-            tails.append(e[2:])
-            e = e[1]
-        kids = []
-        for x in e[1:] + [x for tail in reversed(tails) for x in tail]:
-            kid = self.compile(x)
-            if not fold or kid[2] is not None:
-                kids.append(kid)
-            elif kid[0](None) == stop:
-                return self._lit(stop, None)
+    def _junction(self, head, kids):
+        """and/or, and => read as or. Outside binders a literal kid has
+        decided the junction or been dropped."""
+        stop, fold = head != 'and', not self._scope
         if fold and len(kids) < 2:
-            return kids[0] if kids else self._lit(not stop, None)
+            return kids[0] if kids else _lit(not stop, None)
         fns = [kid[0] for kid in kids]
 
         def fn(env):
@@ -258,32 +324,31 @@ class Solver:
             fn.parts = kids
         return fn, None, _names(kids)
 
-    def _ite(self, e):
-        cond = self.compile(e[1])
-        if cond[2] is None and not self._scope:
-            return self.compile(e[2] if cond[0](None) else e[3])
-        kids = [cond, self.compile(e[2]), self.compile(e[3])]
-        c, a, b = [kid[0] for kid in kids]
-        return (lambda env: a(env) if c(env) else b(env), kids[1][1],
-                _names(kids))
-
-    def _quantifier(self, e):
-        """Folded outside binders when its closure reads no cell."""
-        want, outer = e[0] == 'exists', self._scope
-        slots = [(self._size + j, _sort_width(p[1]))
-                 for j, p in enumerate(e[1])]
-        self._scope = {**outer, **{p[0]: sw for p, sw in zip(e[1], slots)}}
+    def _binders(self, stack, want, i):
+        """Push the frame of a quantifier over the binders at token i, and
+        open its scope; returns the index past the binders."""
+        toks, outer, slots = self.s.toks, self._scope, []
+        self._scope = dict(outer)
+        while toks[i + 1] == '(':
+            slots.append((self._size + len(slots), _sort(toks, i + 3)))
+            self._scope[toks[i + 2]] = slots[-1]
+            i += 8
         self._size += len(slots)
-        fn, _, names = self.compile(e[2])
-        self._scope = outer
+        stack.append([_QUANTIFIER, [], want, slots, outer])
+        return i + 2
+
+    def _quantified(self, body, want, slots, outer):
+        """The quantifier's node over its body, in the outer scope again: a
+        literal outside binders when its closure reads no cell."""
+        self._scope, fn = outer, body[0]
         for slot, width in reversed(slots):  # the first binder outermost
             fn = _loop(slot, range(1 << width), fn, want)
         if not outer:
             try:
-                return self._lit(fn([0] * self._size), None)
+                return _lit(fn([0] * self._size), None)
             except _Blocked:
                 pass
-        return fn, None, names or _NO_NAMES
+        return fn, None, body[2] or _NO_NAMES
 
     def check(self) -> str:
         """Compile each assertion as it is read into units, then search. A
@@ -291,18 +356,20 @@ class Solver:
         unit and fails where the search reaches it, so those units could
         change neither the answer nor the nodes searched."""
         units = []
-        for a in self.s.assertions():
-            node = self.compile(a)
-            if node[2] is None and node[0](None) is False:
-                units.append(node)
-                break
-            stack = [node]
-            while stack:
-                node = stack.pop()
-                if hasattr(node[0], 'parts'):
-                    stack.extend(node[0].parts)
-                elif node[2] is not None or node[0](None) is not True:
+        try:  # the tokens running out inside a command
+            for node in self._assertions():
+                if node[2] is None and node[3] is False:
                     units.append(node)
+                    break
+                stack = [node]
+                while stack:
+                    node = stack.pop()
+                    if hasattr(node[0], 'parts'):
+                        stack.extend(node[0].parts)
+                    elif node[2] is not None or node[3] is not True:
+                        units.append(node)
+        except IndexError:
+            raise RefsolverError('unbalanced parenthesis') from None
         # few-name units first: cheap constraints prune the cell search early
         units.sort(key=lambda u: len(u[2] or ()))
         return self._search([u[0] for u in units])
@@ -360,32 +427,44 @@ def _loop(slot, values, body, want):
     return fn
 
 
-# (closure, width) of an operator that evaluates all its arguments, from the
-# width of the first argument, the head and the argument closures
-_OPERATORS = {
-    'not': lambda w, h, a: (lambda env: not a(env), None),
-    '=': lambda w, h, a, b: (lambda env: a(env) == b(env), None),
-    'bvult': lambda w, h, a, b: (lambda env: a(env) < b(env), None),
-    'bvule': lambda w, h, a, b: (lambda env: a(env) <= b(env), None),
-    'bvadd': lambda w, h, a, b: (
-        lambda env, m=(1 << w) - 1: (a(env) + b(env)) & m, w),
-    'bvmul': lambda w, h, a, b: (
-        lambda env, m=(1 << w) - 1: (a(env) * b(env)) & m, w),
-    ('_', 'zero_extend'): lambda w, h, a: (a, w + int(h[2])),
-    ('_', 'extract'): lambda w, h, a: (
-        lambda env, lo=int(h[3]), m=(2 << int(h[2]) - int(h[3])) - 1:
-        (a(env) >> lo) & m, int(h[2]) - int(h[3]) + 1),
-}
+def _ite(kids):
+    c, a, b = [kid[0] for kid in kids]
+    return (lambda env: a(env) if c(env) else b(env), kids[1][1],
+            _names(kids))
 
-_COMPILE = {'and': Solver._junction, 'or': Solver._junction,
-            '=>': Solver._junction, 'ite': Solver._ite,
-            'forall': Solver._quantifier, 'exists': Solver._quantifier}
+
+# head -> (value rule, closure maker) of an operator that evaluates all its
+# arguments. Each takes the width of the first argument, the head and then
+# the argument values or closures, and gives (value or closure, width).
+_OPERATORS = {
+    'not': (lambda w, h, a: (not a, None),
+            lambda w, h, a: (lambda env: not a(env), None)),
+    '=': (lambda w, h, a, b: (a == b, None),
+          lambda w, h, a, b: (lambda env: a(env) == b(env), None)),
+    'bvult': (lambda w, h, a, b: (a < b, None),
+              lambda w, h, a, b: (lambda env: a(env) < b(env), None)),
+    'bvule': (lambda w, h, a, b: (a <= b, None),
+              lambda w, h, a, b: (lambda env: a(env) <= b(env), None)),
+    'bvadd': (lambda w, h, a, b: ((a + b) & (1 << w) - 1, w),
+              lambda w, h, a, b: (
+                  lambda env, m=(1 << w) - 1: (a(env) + b(env)) & m, w)),
+    'bvmul': (lambda w, h, a, b: ((a * b) & (1 << w) - 1, w),
+              lambda w, h, a, b: (
+                  lambda env, m=(1 << w) - 1: (a(env) * b(env)) & m, w)),
+    ('_', 'zero_extend'): (lambda w, h, a: (a, w + int(h[2])),) * 2,
+    ('_', 'extract'): (
+        lambda w, h, a: ((a >> int(h[3])) & (2 << int(h[2]) - int(h[3])) - 1,
+                         int(h[2]) - int(h[3]) + 1),
+        lambda w, h, a: (
+            lambda env, lo=int(h[3]), m=(2 << int(h[2]) - int(h[3])) - 1:
+            (a(env) >> lo) & m, int(h[2]) - int(h[3]) + 1)),
+}
 
 
 def check_script(text: str, budget: int = DEFAULT_BUDGET) -> str:
-    """Decide a script; returns 'sat', 'unsat' or 'unknown'. A term nested
-    too deeply for the recursive compile and its closures is a
-    RefsolverError."""
+    """Decide a script; returns 'sat', 'unsat' or 'unknown'. A term that
+    reads a cell nested too deeply for its closures, or define-funs that
+    use each other too deeply, is a RefsolverError."""
     try:
         return Solver(Script.parse(text), budget).check()
     except RecursionError:
@@ -422,8 +501,8 @@ def serve() -> int:
     """Decide the scripts that arrive on stdin, each as its length in bytes
     on one line and then its UTF-8 text, until EOF. Each answer leaves on
     stdout as one line, the line run would print, newlines in it turned to
-    spaces. Nothing is kept from one script to the next: answer() builds a
-    new Solver for each."""
+    spaces. answer() builds a new Solver for each: only the literal nodes
+    are kept from one script to the next, cleared once _LITS_MAX are."""
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     while True:
         head = stdin.readline()

@@ -295,6 +295,18 @@ def test_oracle_cap_exits_two(cycle4, capsys):
     assert 'exceeds cap' in capsys.readouterr().err
 
 
+def test_oracle_gives_the_reason_of_a_reached_empty_choice(tmp_path, capsys):
+    # the empty choice is reached before `false`: both the evaluator and
+    # the oracle end with an evaluation error, and say why
+    p = tmp_path / 'empty.fdl'
+    p.write_text('type D = nat[1];\n'
+                 'theorem t <=> (choose y: D with y < 0) = 0 /\\ false;\n')
+    assert main(['check', str(p)]) == 2
+    assert capsys.readouterr().out == 'error: no admissible choice\n'
+    assert main(['oracle', str(p)]) == 2
+    assert capsys.readouterr().out == 'error: no admissible choice\n'
+
+
 # -- fuzz --------------------------------------------------------------------------
 
 

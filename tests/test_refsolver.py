@@ -13,8 +13,9 @@ from fdl import refsolver
 from fdl.core import resolve_model
 from fdl.parser import parse_model
 from fdl.refsolver import (
-    RefsolverError, Script, Solver, check_script, read_forms, tokenize,
+    RefsolverError, Script, Solver, check_script, tokenize,
 )
+from fdl.solvers import load_solver_configs, run_solver
 from fdl.translate import MODES, SmtOptions, emit_smtlib, translate
 
 
@@ -45,24 +46,29 @@ def test_tokenize_drops_each_comment_to_its_line_end():
     assert tokenize(text) == ['(', 'a', ')', '(', 'b', ')', '(', 'c', ')']
 
 
-def test_read_forms_nests():
-    (e,) = read_forms(tokenize('(a (b c) #b01)'))
-    assert e == ['a', ['b', 'c'], '#b01']
+def test_reader_nests():
+    # a term nested in a term: folded where ground, a closure where it
+    # reads the cell c, both read to the end of their assertion
+    decls = ['(declare-fun c () (_ BitVec 2))']
+    assert _solve(_script('(= (bvadd #b01 (bvmul #b10 #b11)) #b11)')) == \
+        ('sat', 0)
+    assert _solve(_script('(= (bvadd c (bvmul #b10 #b11)) #b11)',
+                          decls=decls)) == ('sat', 3)
 
 
-def test_script_reads_its_sections_as_it_yields_assertions():
+def test_script_records_its_sections_as_the_solver_reads_them():
     # parse only tokenizes; the declaration is recorded when it is read
     s = Script.parse(_script('(= x #b1)', decls=['(declare-fun x () (_ BitVec 1))']))
     assert s.decls == {}
-    assert list(s.assertions()) == [['=', 'x', '#b1']]
+    assert Solver(s).check() == 'sat'
     assert s.decls == {'x': ([], 1)}
 
 
 def test_unbalanced_input_is_an_error():
-    with pytest.raises(RefsolverError):
-        list(read_forms(tokenize('(assert (= x')))
-    with pytest.raises(RefsolverError):
-        list(read_forms(tokenize('(assert true))')))
+    with pytest.raises(RefsolverError, match='^unbalanced parenthesis$'):
+        check_script('(assert (= #b1 #b1')
+    with pytest.raises(RefsolverError, match='^unbalanced parenthesis$'):
+        check_script('(assert true))')
 
 
 @pytest.mark.parametrize('text', [
@@ -99,14 +105,45 @@ def test_comment_after_an_assertion_is_ignored():
 
 
 def test_reader_does_not_recurse_on_nesting():
+    # a ground term takes no Python frame per level, to read or to fold:
+    # in process and in the bridge's worker
     depth = 100_000
-    (form,) = read_forms(tokenize('(assert %strue%s)' % ('(not ' * depth,
-                                                          ')' * depth)))
-    e, levels = form[1], 0
-    while isinstance(e, list):
-        assert e[0] == 'not' and len(e) == 2
-        e, levels = e[1], levels + 1
-    assert (e, levels) == ('true', depth)
+    text = _script('%strue%s' % ('(not ' * depth, ')' * depth))
+    assert _solve(text) == ('sat', 0)
+    assert run_solver(load_solver_configs()['refsolve'], text).answer == 'sat'
+
+
+@pytest.mark.parametrize('term', [
+    '(or true (h #b0))', '(not (and false (h #b0)))',
+    '(= (ite true #b1 (h #b0)) #b1)', '(or (or true (h #b0)) (h #b1))',
+    '(=> false (h #b0))', '(= (ite false (h #b0) #b1) #b1)'])
+def test_what_a_literal_decides_is_not_compiled(term):
+    # outside binders the parts after a deciding literal, and the branch
+    # an ite does not take, are skipped: the undeclared h is not reported
+    assert check_script(_script(term)) == 'sat'
+
+
+def test_inside_a_binder_every_part_is_compiled():
+    term = '(forall ((x (_ BitVec 1))) (or true (h #b0)))'
+    with pytest.raises(RefsolverError, match="^unknown symbol 'h'$"):
+        check_script(_script(term, logic='UFBV'))
+
+
+def test_literal_table_is_bounded(monkeypatch):
+    # the literal nodes are shared by every script and cleared when the
+    # table fills; what it holds changes no answer and no node count
+    decls = ['(declare-fun c () (_ BitVec 4))']
+    texts = [_script('(= (bvadd c #b%s) (bvmul #b%s #b0011))'
+                     % (format(a, '04b'), format(b, '04b')), decls=decls)
+             for a in range(16) for b in range(16)]
+    want = [_solve(text) for text in texts]
+    monkeypatch.setattr(refsolver, '_LITS_MAX', 8)
+    refsolver._LITS.clear()
+    sizes = []
+    for text, pair in zip(texts, want):
+        assert _solve(text) == pair
+        sizes.append(len(refsolver._LITS))
+    assert max(sizes) <= 9 and min(sizes) < 8
 
 
 # -- evaluation ---------------------------------------------------------------
