@@ -501,8 +501,8 @@ def serve() -> int:
     """Decide the scripts that arrive on stdin, each as its length in bytes
     on one line and then its UTF-8 text, until EOF. Each answer leaves on
     stdout as one line, the line run would print, newlines in it turned to
-    spaces. answer() builds a new Solver for each: only the literal nodes
-    are kept from one script to the next, cleared once _LITS_MAX are."""
+    spaces. answer() builds a new Solver for each; only the literal nodes
+    are kept from one script to the next, in a table cleared when full."""
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     while True:
         head = stdin.readline()
