@@ -21,14 +21,13 @@ existentially. Mechanisms: RISCAL (the evaluator), and per backend <s>-S
 quantifiers), <s>-E (expand-all).
 """
 
-import csv
+import functools
 import math
 import os
 import time
-from dataclasses import dataclass
 
-from .core import (And, Apply, Atom, AddConst, Exists, Forall, FuncDecl, Ite,
-                   Lit, Not, Var, nat)
+from .core import (And, Apply, Atom, AddConst, Exists, Forall, FuncDecl,
+                   FuncTable, Ite, Lit, Not, Record, Var, nat)
 from .evaluator import EvalTimeout, check_validity
 from .solvers import (DEFAULT_TIMEOUT_MS, SolverOutcome, decide,
                       load_solver_configs)
@@ -76,7 +75,11 @@ def _quantify(pattern: str, ty, matrix):
     return f
 
 
-def _contract_funcs(n: int) -> dict:
+@functools.cache
+def _contract_funcs(n: int) -> FuncTable:
+    """The contract functions at n, built once per n, so that the table's
+    derived definitions are computed once too. Goals are built anew for
+    each verdict: the typechecker writes their terms' types."""
     ty = nat(2 ** n - 1)
     params = [(v, ty) for v in VARS]
     f = FuncDecl('f', params, nat(1), ensures=Atom(
@@ -85,14 +88,14 @@ def _contract_funcs(n: int) -> dict:
         '=', Var('result'),
         Ite(And(Atom('=', Var('x1'), Var('x2')),
                 Atom('=', Var('x3'), Var('x4'))), Lit(0), Lit(1))))
-    return {'f': f, 'g': g}
+    return FuncTable(f=f, g=g)
 
 
-@dataclass
-class BenchCase:
-    family: str
-    pattern: str
-    n: int
+class BenchCase(Record):
+    __match_args__ = ('family', 'pattern', 'n')
+
+    def __init__(self, family: str, pattern: str, n: int):
+        self.family, self.pattern, self.n = family, pattern, n
 
     def build(self):
         """Returns (goal formula, function declarations)."""
@@ -200,6 +203,7 @@ def run_suite(cases, mechanisms, configs=None, limit_ms=DEFAULT_TIMEOUT_MS,
 
 
 def write_csv(records, path):
+    import csv  # here: a process that writes no report does not load it
     with open(path, 'w', newline='') as fh:
         w = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         w.writeheader()

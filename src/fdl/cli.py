@@ -2,21 +2,18 @@
 
 Exit codes: 0 valid, 1 invalid, 2 undecided, evaluation failure or an
 internal error, 3 parse/type diagnostics or usage errors.
+
+Each command imports the modules that only it uses, so that `fdl check`
+with the evaluator loads no translator, solver bridge or benchmark.
 """
 
 import argparse
-import random
 import sys
 
-from . import bench as benchmod
-from .core import FdlError, TypeError_, resolve_model, typecheck_model
-from .evaluator import EvalTimeout, Verdict, check_validity
-from .oracle import DEFAULT_CAP, oracle_check
+from .core import (TRANSLATE_MODES, FdlError, TypeError_, resolve_model,
+                   typecheck_model)
+from .evaluator import DEFAULT_TIMEOUT_MS, EvalTimeout, Verdict, check_validity
 from .parser import ParseError, parse_model, print_formula
-from .randgen import GoalGen, differential
-from .solvers import DEFAULT_TIMEOUT_MS, decide, load_solver_configs
-from .translate import (MODES, SmtOptions, TranslateError, emit_smtlib,
-                        translate)
 
 
 class CliError(Exception):
@@ -72,7 +69,8 @@ def _pick_goal(model, name):
     return name, model.theorems[name]
 
 
-def _smt_options(args, goal_name='') -> SmtOptions:
+def _smt_options(args, goal_name=''):
+    from .translate import SmtOptions
     return SmtOptions(mode=args.mode,
                       heuristic_factor=args.heuristic_factor,
                       eliminate_choices=args.eliminate_choices,
@@ -82,7 +80,7 @@ def _smt_options(args, goal_name='') -> SmtOptions:
 
 
 def _translate_flags(p):
-    p.add_argument('--mode', choices=MODES, default='eliminate',
+    p.add_argument('--mode', choices=TRANSLATE_MODES, default='eliminate',
                    help='quantifier handling in the emitted script')
     p.add_argument('--heuristic-factor', type=float, default=2.0,
                    help='expand an existential when instantiating it costs '
@@ -112,6 +110,7 @@ def _check_floors(args, **floors):
 
 
 def _solver_configs(path) -> dict:
+    from .solvers import load_solver_configs
     try:
         return load_solver_configs(path)
     except ValueError as e:
@@ -140,6 +139,7 @@ def _cmd_check(args) -> int:
             lines = ['bodyEvals=%d chooseYields=%d'
                      % (st.body_evals, st.choose_yields)]
         return _report(verdict, lines)
+    from .solvers import decide
     configs = _solver_configs(args.solvers_config)
     if args.mechanism not in configs:
         raise CliError('unknown mechanism %r (have: evaluator, %s)'
@@ -155,6 +155,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .translate import TranslateError, emit_smtlib, translate
     model = _load_model(args.model, args.param)
     name, goal = _pick_goal(model, args.goal)
     try:
@@ -182,6 +183,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as benchmod
     _check_floors(args, repeats=1, size=0, timeout_ms=1)
     configs = _solver_configs(args.solvers_config)
     if args.mechanisms:
@@ -206,6 +208,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_check
     _check_floors(args, cap=1)
     model = _load_model(args.model, args.param)
     name, goal = _pick_goal(model, args.goal)
@@ -219,6 +222,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    import random
+    from .randgen import GoalGen, differential
     _check_floors(args, count=0, max_depth=0, max_bound=1)
     rng = random.Random(args.seed)
     gen = GoalGen(rng, args.max_depth, args.max_bound)
@@ -238,12 +243,53 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
+def _bench_flags(p):
+    from . import bench as benchmod
+    p.add_argument('--families', nargs='+', default=list(benchmod.FAMILIES),
+                   choices=list(benchmod.FAMILIES), metavar='FAMILY')
+    p.add_argument('--patterns', nargs='+', default=list(benchmod.PATTERNS),
+                   choices=list(benchmod.PATTERNS), metavar='PATTERN')
+    p.add_argument('-N', '--size', type=int, default=None,
+                   help='domain bound exponent (default per family)')
+    p.add_argument('--mechanisms', nargs='+', metavar='MECH',
+                   help='default: RISCAL plus -S/-Q/-E per available backend')
+    p.add_argument('--timeout-ms', type=int, default=DEFAULT_TIMEOUT_MS)
+    p.add_argument('--repeats', type=int, default=1)
+    p.add_argument('--expansion-budget', type=int, default=None)
+    p.add_argument('--solvers-config', help='INI file overriding backends')
+    p.add_argument('--out', default='bench-out',
+                   help='directory for bench.csv and the charts')
+
+
+def _oracle_flags(p):
+    from .oracle import DEFAULT_CAP
+    _goal_flags(p)
+    p.add_argument('--cap', type=int, default=DEFAULT_CAP,
+                   help='refuse assignment spaces larger than this')
+
+
+class _Command(argparse.ArgumentParser):
+    """A command's parser that calls flags(itself) when the command is
+    chosen, so that building the parser imports no module that only one
+    command needs."""
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, *args):
+        flags, self._flags = self._flags, None
+        if flags:
+            flags(self)
+        return super().parse_known_args(*args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog='fdl',
         description='check validity of first-order formulas over finite '
                     'domains, by direct evaluation or via SMT backends')
-    sub = ap.add_subparsers(dest='cmd', required=True)
+    sub = ap.add_subparsers(dest='cmd', required=True, parser_class=_Command)
 
     p = sub.add_parser('check', help='decide a goal')
     _goal_flags(p)
@@ -267,28 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help='print conjunct counts to stderr')
     p.set_defaults(fn=_cmd_translate)
 
-    p = sub.add_parser('bench', help='run the benchmark suite')
-    p.add_argument('--families', nargs='+', default=list(benchmod.FAMILIES),
-                   choices=list(benchmod.FAMILIES), metavar='FAMILY')
-    p.add_argument('--patterns', nargs='+', default=list(benchmod.PATTERNS),
-                   choices=list(benchmod.PATTERNS), metavar='PATTERN')
-    p.add_argument('-N', '--size', type=int, default=None,
-                   help='domain bound exponent (default per family)')
-    p.add_argument('--mechanisms', nargs='+', metavar='MECH',
-                   help='default: RISCAL plus -S/-Q/-E per available backend')
-    p.add_argument('--timeout-ms', type=int, default=DEFAULT_TIMEOUT_MS)
-    p.add_argument('--repeats', type=int, default=1)
-    p.add_argument('--expansion-budget', type=int, default=None)
-    p.add_argument('--solvers-config', help='INI file overriding backends')
-    p.add_argument('--out', default='bench-out',
-                   help='directory for bench.csv and the charts')
+    p = sub.add_parser('bench', help='run the benchmark suite',
+                       flags=_bench_flags)
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser('oracle',
-                       help='decide a goal by exhaustive truth sets')
-    _goal_flags(p)
-    p.add_argument('--cap', type=int, default=DEFAULT_CAP,
-                   help='refuse assignment spaces larger than this')
+    p = sub.add_parser('oracle', help='decide a goal by exhaustive truth sets',
+                       flags=_oracle_flags)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser('fuzz',

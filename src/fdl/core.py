@@ -8,10 +8,26 @@ rewrites (subst, resolve_node, the translator's passes) recurse through
 _rebuild, which passes each subnode and the pass's context straight to the
 pass, two frames per nesting level: rewrites on an explicit stack measured
 slower per pass (ROADMAP item 8).
+
+Records are declared so that importing this module compiles no __init__,
+__eq__ or __repr__ from source. The node classes, FuncDecl, Model,
+TypeExpr and FiniteType stay dataclasses, because code outside the
+package reads them through dataclasses.fields (perfbench rebuilds goals
+by their fields, and the parse digests dump them), but @record asks for
+no generated method: each class writes its constructor, or shares one
+with the classes of its field layout, and takes == and repr from Record.
+(FiniteType is declared frozen, which still generates its __setattr__
+and __delattr__, and hashes by kind and bound.) Other records are plain
+Record subclasses that list their fields in __match_args__.
 """
 
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
+
+
+# The translator's quantifier modes (translate.MODES), kept here so that the
+# command line offers them without importing the translator.
+TRANSLATE_MODES = ('eliminate', 'preserve', 'expand-all')
 
 
 class FdlError(Exception):
@@ -27,11 +43,41 @@ class EvalError(FdlError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of fdl's records: == holds between records of one class whose
+    fields other than pos are equal, and repr shows those fields. The fields
+    are __match_args__, which @dataclass sets and a plain record lists. A
+    record is unhashable unless its class defines __hash__."""
+
+    def _values(self):
+        return [getattr(self, n) for n in self.__match_args__ if n != 'pos']
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return '%s(%s)' % (type(self).__qualname__, ', '.join(
+            '%s=%r' % (n, getattr(self, n))
+            for n in self.__match_args__ if n != 'pos'))
+
+
+# Declares a dataclass with no generated method: its constructor is written
+# by hand, and == and repr come from Record. A class declared so needs a
+# docstring, or @dataclass computes one from its signature.
+record = dataclass(init=False, repr=False, eq=False)
+
+
+# ---------------------------------------------------------------------------
 # types
 
 
-@dataclass(frozen=True)
-class FiniteType:
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class FiniteType(Record):
     """A finite carrier: kind is 'nat' (carrier {0..bound}) or 'bool'.
 
     Its size and the width of its bit-vector sort (width) are computed
@@ -42,12 +88,22 @@ class FiniteType:
     kind: str
     bound: int = 0
 
-    def __post_init__(self):
-        assert self.kind in ('nat', 'bool')
-        assert self.bound >= 0
-        size = 2 if self.kind == 'bool' else self.bound + 1
+    def __init__(self, kind, bound=0):
+        assert kind in ('nat', 'bool')
+        assert bound >= 0
+        size = 2 if kind == 'bool' else bound + 1
+        object.__setattr__(self, 'kind', kind)
+        object.__setattr__(self, 'bound', bound)
         object.__setattr__(self, '_size', size)
-        object.__setattr__(self, 'width', max(1, self.bit_width()))
+        object.__setattr__(self, 'width', max(1, (size - 1).bit_length()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.bound == other.bound
+
+    def __hash__(self):
+        return hash((self.kind, self.bound))
 
     def size(self) -> int:
         return self._size
@@ -92,8 +148,8 @@ def enumerate_domain(ty: FiniteType) -> Iterator:
 # unresolved type expressions (as written in source, before parameters are known)
 
 
-@dataclass
-class TypeExpr:
+@record
+class TypeExpr(Record):
     """A type as written: a name, bool, or nat[e] with a bound expression.
 
     Bound expressions are tuples: ('num', k), ('var', name), or
@@ -103,6 +159,9 @@ class TypeExpr:
     kind: str  # 'name' | 'bool' | 'nat'
     name: str = ''
     bound_expr: Optional[tuple] = None
+
+    def __init__(self, kind, name='', bound_expr=None):
+        self.kind, self.name, self.bound_expr = kind, name, bound_expr
 
 
 def eval_bound(expr: tuple, params: dict) -> int:
@@ -135,144 +194,211 @@ TypeRef = Union[FiniteType, TypeExpr]
 Pos = Optional[tuple]  # (line, col), 1-based
 
 
-@dataclass
-class Term:
-    pass
+# the constructors that node classes share, one per field layout; four
+# fields are set one by one, since assigning four at once builds a tuple
+def _binary(self, lhs, rhs, pos=None):
+    self.lhs, self.rhs, self.pos = lhs, rhs, pos
 
 
-@dataclass
+def _binder(self, var, ty, body, pos=None):
+    self.var = var
+    self.ty = ty
+    self.body = body
+    self.pos = pos
+
+
+def _constant(self, pos=None):
+    self.pos = pos
+
+
+@record
+class Term(Record):
+    """A term: its value is a carrier element."""
+
+
+@record
 class Var(Term):
+    """A variable."""
     name: str
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, name, pos=None):
+        self.name, self.pos = name, pos
 
-@dataclass
+
+@record
 class Lit(Term):
+    """A literal."""
     value: int  # int or bool
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, value, pos=None):
+        self.value, self.pos = value, pos
 
-@dataclass
+
+@record
 class Add(Term):
+    """lhs + rhs"""
     lhs: Term
     rhs: Term
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class AddConst(Term):
     """t + k with a literal k; kept distinct so result bounds stay tight."""
-
     lhs: Term
     const: int
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, lhs, const, pos=None):
+        self.lhs, self.const, self.pos = lhs, const, pos
 
-@dataclass
+
+@record
 class Mul(Term):
+    """lhs * rhs"""
     lhs: Term
     rhs: Term
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class Ite(Term):
+    """if cond then then else els"""
     cond: 'Formula'
     then: Term
     els: Term
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, cond, then, els, pos=None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.pos = pos
 
-@dataclass
+
+@record
 class Choose(Term):
     """choose x:ty with body - some carrier element satisfying body."""
-
     var: str
     ty: TypeRef
     body: 'Formula'
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binder
 
 
-@dataclass
+@record
 class Apply(Term):
+    """func(args...)"""
     func: str
     args: list
     pos: Pos = field(default=None, compare=False, repr=False)
 
-
-@dataclass
-class Formula:
-    pass
+    def __init__(self, func, args, pos=None):
+        self.func, self.args, self.pos = func, args, pos
 
 
-@dataclass
+@record
+class Formula(Record):
+    """A formula: its value is a bool."""
+
+
+@record
 class TrueF(Formula):
+    """true"""
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _constant
 
 
-@dataclass
+@record
 class FalseF(Formula):
+    """false"""
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _constant
 
 
-@dataclass
+@record
 class Atom(Formula):
     """rel is '=', '<' or '<='; > and >= are parsed as flipped atoms."""
-
     rel: str
     lhs: Term
     rhs: Term
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, rel, lhs, rhs, pos=None):
+        self.rel = rel
+        self.lhs = lhs
+        self.rhs = rhs
+        self.pos = pos
 
-@dataclass
+
+@record
 class Not(Formula):
+    """!body"""
     body: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, body, pos=None):
+        self.body, self.pos = body, pos
 
-@dataclass
+
+@record
 class And(Formula):
+    """lhs /\\ rhs"""
     lhs: Formula
     rhs: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class Or(Formula):
+    """lhs \\/ rhs"""
     lhs: Formula
     rhs: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class Implies(Formula):
+    """lhs => rhs"""
     lhs: Formula
     rhs: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class Iff(Formula):
+    """lhs <=> rhs"""
     lhs: Formula
     rhs: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binary
 
 
-@dataclass
+@record
 class Forall(Formula):
+    """forall var: ty. body"""
     var: str
     ty: TypeRef
     body: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binder
 
 
-@dataclass
+@record
 class Exists(Formula):
+    """exists var: ty. body"""
     var: str
     ty: TypeRef
     body: Formula
     pos: Pos = field(default=None, compare=False, repr=False)
+    __init__ = _binder
 
 
 QUANTIFIERS = (Forall, Exists)
@@ -283,8 +409,8 @@ BINDERS = (Forall, Exists, Choose)
 # declarations and models
 
 
-@dataclass
-class FuncDecl:
+@record
+class FuncDecl(Record):
     """An n-ary function, either defined by a term or specified by a contract.
 
     Exactly one of body (definition) and ensures (contract) is set. Inside
@@ -298,25 +424,34 @@ class FuncDecl:
     ensures: Optional[Formula] = None
     pos: Pos = field(default=None, compare=False, repr=False)
 
+    def __init__(self, name, params, result, body=None, ensures=None,
+                 pos=None):
+        self.name, self.params, self.result = name, params, result
+        self.body, self.ensures, self.pos = body, ensures, pos
+
     def is_contract(self) -> bool:
         return self.ensures is not None
 
 
-@dataclass
-class Model:
+@record
+class Model(Record):
     """Parameters, named types, functions and named closed goals."""
-
     params: dict = field(default_factory=dict)  # name -> default value or None
     types: dict = field(default_factory=dict)  # name -> TypeRef
     # name -> FuncDecl; resolve_model makes it a FuncTable
     funcs: dict = field(default_factory=dict)
     theorems: dict = field(default_factory=dict)  # name -> Formula
 
+    def __init__(self, params=None, types=None, funcs=None, theorems=None):
+        self.params = {} if params is None else params
+        self.types = {} if types is None else types
+        self.funcs = {} if funcs is None else funcs
+        self.theorems = {} if theorems is None else theorems
 
-@dataclass
+
 class Diagnostic:
-    message: str
-    pos: Pos = None
+    def __init__(self, message, pos=None):
+        self.message, self.pos = message, pos
 
     def __str__(self):
         if self.pos:

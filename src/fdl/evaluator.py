@@ -29,26 +29,26 @@ memory that grows with a carrier's size.
 
 import operator
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, EvalError, Exists,
                    FalseF, FdlError, Forall, Formula, Iff, Implies, Ite, Lit,
-                   Mul, Not, Or, QUANTIFIERS, TrueF, Var)
+                   Mul, Not, Or, QUANTIFIERS, Record, TrueF, Var)
 
 MODES = ('deterministic', 'nondeterministic')
+DEFAULT_TIMEOUT_MS = 60_000  # a verdict's time limit, for every mechanism
 
 
 class EvalTimeout(FdlError):
     """Raised when evaluation exceeds its deadline."""
 
 
-@dataclass
 class EvalStats:
-    body_evals: int = 0
-    choose_yields: int = 0
-    deadline: Optional[float] = None  # time.monotonic() value
-    _ticks: int = field(default=0, repr=False)
+    def __init__(self, body_evals=0, choose_yields=0,
+                 deadline: Optional[float] = None):
+        self.body_evals, self.choose_yields = body_evals, choose_yields
+        self.deadline = deadline  # time.monotonic() value
+        self._ticks = 0
 
     def tick(self):
         self._ticks += 1
@@ -57,11 +57,13 @@ class EvalStats:
                 raise EvalTimeout('evaluation timed out')
 
 
-@dataclass
-class Verdict:
-    status: str  # 'valid' | 'invalid' | 'undecided' | 'error'
-    witness: Optional[dict] = None
-    reason: Optional[str] = None
+class Verdict(Record):
+    __match_args__ = ('status', 'witness', 'reason')
+
+    def __init__(self, status: str, witness: Optional[dict] = None,
+                 reason: Optional[str] = None):
+        self.status = status  # 'valid' | 'invalid' | 'undecided' | 'error'
+        self.witness, self.reason = witness, reason
 
     def __str__(self):
         if self.status == 'invalid' and self.witness:

@@ -17,7 +17,6 @@ Nesting deeper than Python's recursion limit is a parse error.
 """
 
 import re
-from dataclasses import dataclass
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, Diagnostic,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
@@ -65,11 +64,12 @@ class ParseError(FdlError):
         super().__init__('; '.join(str(d) for d in diagnostics))
 
 
-@dataclass
 class Token:
-    kind: str  # 'ident' | 'number' | 'keyword' | symbol text | 'eof'
-    text: str
-    pos: tuple
+    __slots__ = ('kind', 'text', 'pos')
+
+    def __init__(self, kind: str, text: str, pos: tuple):
+        # kind: 'ident' | 'number' | 'keyword' | symbol text | 'eof'
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 # One alternative per token kind, tried in this order at each position: a

@@ -76,6 +76,12 @@ def _skip(toks, i, depth=0):
             return i
 
 
+def _arity(head) -> RefsolverError:
+    if not isinstance(head, str):  # (_ extract hi lo) read as a list
+        head = '(%s)' % ' '.join(head)
+    return RefsolverError('wrong number of arguments to %s' % head)
+
+
 def _sort(toks, i) -> int:
     """The width of the sort (_ BitVec n), five tokens from toks[i] on."""
     if toks[i:i + 3] != ['(', '_', 'BitVec'] or toks[i + 4] != ')':
@@ -141,6 +147,8 @@ class Solver:
                                      else 'bad command %r' % toks[i])
             head, name, i = toks[i + 1], toks[i + 2], i + 2
             if head == 'assert':
+                if name == ')':
+                    raise _arity(head)
                 node, i = self._term(i)
                 i = _skip(toks, i, 1)
                 yield node
@@ -206,7 +214,7 @@ class Solver:
                     continue
                 node = (self._operator(frame[2], frame[3], kids) if kind == _OP
                         else self._application(frame[2], kids) if kind == _APP
-                        else self._quantified(kids[0], *frame[2:])
+                        else self._quantified(kids, *frame[2:])
                         if kind == _QUANTIFIER else _ite(kids) if kind == _ITE
                         else self._junction(frame[2], kids))
             else:
@@ -262,6 +270,8 @@ class Solver:
     def _operator(self, row, head, kids):
         """An operator's node: outside binders with literal kids, the
         literal of the row's value rule; else the row's closure."""
+        if len(kids) != row[2]:
+            raise _arity(head)
         if not self._scope and not [1 for kid in kids if kid[2] is not None]:
             return _lit(*row[0](kids[0][1], head, *[kid[3] for kid in kids]))
         fn, width = row[1](kids[0][1], head, *[kid[0] for kid in kids])
@@ -272,6 +282,11 @@ class Solver:
         binders when its arguments are and it reads no cell, or a cell
         read."""
         fns = [kid[0] for kid in kids]
+        known = self.s.defs.get(name) or self.s.decls.get(name)
+        if known is None:
+            raise RefsolverError('unknown symbol %r' % name)
+        if len(kids) != len(known[0]):  # its parameters or argument widths
+            raise _arity(name)
         if name in self.s.defs:
             if name not in self._bodies:  # its own frame: params, binders
                 params, start = self.s.defs[name]
@@ -290,8 +305,6 @@ class Solver:
                     pass
             return (lambda env: body([f(env) for f in fns] + pad), width,
                     _names(kids))
-        if name not in self.s.decls:
-            raise RefsolverError('unknown symbol %r' % name)
         width, cells, reads = self.s.decls[name][1], self.cells, self._reads
         const = name, ()
 
@@ -337,9 +350,12 @@ class Solver:
         stack.append([_QUANTIFIER, [], want, slots, outer])
         return i + 2
 
-    def _quantified(self, body, want, slots, outer):
+    def _quantified(self, kids, want, slots, outer):
         """The quantifier's node over its body, in the outer scope again: a
         literal outside binders when its closure reads no cell."""
+        if len(kids) != 1:
+            raise _arity('exists' if want else 'forall')
+        body = kids[0]
         self._scope, fn = outer, body[0]
         for slot, width in reversed(slots):  # the first binder outermost
             fn = _loop(slot, range(1 << width), fn, want)
@@ -428,36 +444,39 @@ def _loop(slot, values, body, want):
 
 
 def _ite(kids):
+    if len(kids) != 3:
+        raise _arity('ite')
     c, a, b = [kid[0] for kid in kids]
     return (lambda env: a(env) if c(env) else b(env), kids[1][1],
             _names(kids))
 
 
-# head -> (value rule, closure maker) of an operator that evaluates all its
-# arguments. Each takes the width of the first argument, the head and then
-# the argument values or closures, and gives (value or closure, width).
+# head -> (value rule, closure maker, arity) of an operator that evaluates
+# all its arguments. Each rule takes the width of the first argument, the
+# head and then the argument values or closures, and gives (value or
+# closure, width).
 _OPERATORS = {
     'not': (lambda w, h, a: (not a, None),
-            lambda w, h, a: (lambda env: not a(env), None)),
+            lambda w, h, a: (lambda env: not a(env), None), 1),
     '=': (lambda w, h, a, b: (a == b, None),
-          lambda w, h, a, b: (lambda env: a(env) == b(env), None)),
+          lambda w, h, a, b: (lambda env: a(env) == b(env), None), 2),
     'bvult': (lambda w, h, a, b: (a < b, None),
-              lambda w, h, a, b: (lambda env: a(env) < b(env), None)),
+              lambda w, h, a, b: (lambda env: a(env) < b(env), None), 2),
     'bvule': (lambda w, h, a, b: (a <= b, None),
-              lambda w, h, a, b: (lambda env: a(env) <= b(env), None)),
+              lambda w, h, a, b: (lambda env: a(env) <= b(env), None), 2),
     'bvadd': (lambda w, h, a, b: ((a + b) & (1 << w) - 1, w),
               lambda w, h, a, b: (
-                  lambda env, m=(1 << w) - 1: (a(env) + b(env)) & m, w)),
+                  lambda env, m=(1 << w) - 1: (a(env) + b(env)) & m, w), 2),
     'bvmul': (lambda w, h, a, b: ((a * b) & (1 << w) - 1, w),
               lambda w, h, a, b: (
-                  lambda env, m=(1 << w) - 1: (a(env) * b(env)) & m, w)),
-    ('_', 'zero_extend'): (lambda w, h, a: (a, w + int(h[2])),) * 2,
+                  lambda env, m=(1 << w) - 1: (a(env) * b(env)) & m, w), 2),
+    ('_', 'zero_extend'): (lambda w, h, a: (a, w + int(h[2])),) * 2 + (1,),
     ('_', 'extract'): (
         lambda w, h, a: ((a >> int(h[3])) & (2 << int(h[2]) - int(h[3])) - 1,
                          int(h[2]) - int(h[3]) + 1),
         lambda w, h, a: (
             lambda env, lo=int(h[3]), m=(2 << int(h[2]) - int(h[3])) - 1:
-            (a(env) >> lo) & m, int(h[2]) - int(h[3]) + 1)),
+            (a(env) >> lo) & m, int(h[2]) - int(h[3]) + 1), 1),
 }
 
 

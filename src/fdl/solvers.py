@@ -20,24 +20,20 @@ kills; one whose executable is not on PATH reports 'unavailable'.
 """
 
 import atexit
-import configparser
 import os
 import select
-import shlex
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import refsolver
-from .evaluator import Verdict
+from .core import Record
+from .evaluator import DEFAULT_TIMEOUT_MS, Verdict
 from .translate import SmtOptions, TranslateError, emit_smtlib, translate
-
-DEFAULT_TIMEOUT_MS = 60_000
 
 # The built-in program up to its refsolver call. The module's directory
 # leaves sys.path first, so this package's modules shadow no standard one.
@@ -59,21 +55,22 @@ _WORKER_ARGV = _BUILTIN['refsolve'][0][:4] + [_PROGRAM + 'serve())']
 _worker = None  # the refsolve worker's Popen, from its first verdict on
 
 
-@dataclass
-class SolverConfig:
-    name: str
-    command: list
-    quantifiers: bool = True
+class SolverConfig(Record):
+    __match_args__ = ('name', 'command', 'quantifiers')
+
+    def __init__(self, name: str, command: list, quantifiers: bool = True):
+        self.name, self.command, self.quantifiers = name, command, quantifiers
 
     def available(self) -> bool:
         return shutil.which(self.command[0]) is not None
 
 
-@dataclass
-class SolverOutcome:
-    answer: str  # 'sat' | 'unsat' | 'unknown' | 'timeout' | 'error' | 'unavailable'
-    wall_ms: float = 0.0
-    detail: str = ''
+class SolverOutcome(Record):
+    __match_args__ = ('answer', 'wall_ms', 'detail')
+
+    def __init__(self, answer: str, wall_ms: float = 0.0, detail: str = ''):
+        # 'sat' | 'unsat' | 'unknown' | 'timeout' | 'error' | 'unavailable'
+        self.answer, self.wall_ms, self.detail = answer, wall_ms, detail
 
 
 def load_solver_configs(path: Optional[str] = None) -> dict:
@@ -87,6 +84,8 @@ def load_solver_configs(path: Optional[str] = None) -> dict:
         path = os.environ.get('FDL_SOLVERS_CONFIG')
     if not path:
         return out
+    import configparser  # here: only an INI file needs these two
+    import shlex
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:

@@ -77,16 +77,16 @@ kept between calls.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import itemgetter
 
-from .core import (_LAYOUT, Add, AddConst, And, Apply, Atom, BOOL, Choose,
-                   Exists, FalseF, FdlError, FiniteType, Forall, Formula, Iff,
-                   Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, _children,
-                   _rebuild, apart, binders, enter_binder, free_vars,
-                   func_table, has_choose, nat, subst)
+from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, AddConst, And,
+                   Apply, Atom, BOOL, Choose, Exists, FalseF, FdlError,
+                   FiniteType, Forall, Formula, Iff, Implies, Ite, Lit, Mul,
+                   Not, Or, Record, TrueF, Var, _children, _rebuild, apart,
+                   binders, enter_binder, free_vars, func_table, has_choose,
+                   nat, record, subst)
 
-MODES = ('eliminate', 'preserve', 'expand-all')
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
 
 
@@ -94,18 +94,23 @@ class TranslateError(FdlError):
     pass
 
 
-@dataclass
-class SmtOptions:
-    mode: str = 'eliminate'
-    heuristic_factor: float = 2.0
-    eliminate_choices: bool = False
-    inline_definitions: bool = False
-    expansion_budget: int = 2 ** 20
-    goal_name: str = ''
+class SmtOptions(Record):
+    __match_args__ = ('mode', 'heuristic_factor', 'eliminate_choices',
+                      'inline_definitions', 'expansion_budget', 'goal_name')
+
+    def __init__(self, mode='eliminate', heuristic_factor=2.0,
+                 eliminate_choices=False, inline_definitions=False,
+                 expansion_budget=2 ** 20, goal_name=''):
+        self.mode, self.heuristic_factor = mode, heuristic_factor
+        self.eliminate_choices = eliminate_choices
+        self.inline_definitions = inline_definitions
+        self.expansion_budget, self.goal_name = expansion_budget, goal_name
 
 
-@dataclass
-class TranslateStats:
+@record
+class TranslateStats(Record):
+    """The conjunct counts and estimates of one translation."""
+
     goal_conjuncts: int = 0
     skolem_range_conjuncts: int = 0
     choose_axiom_conjuncts: int = 0
@@ -116,15 +121,31 @@ class TranslateStats:
     estimate_expansion: int = 0
     contracts_as_definitions: int = 0
 
+    def __init__(self, goal_conjuncts=0, skolem_range_conjuncts=0,
+                 choose_axiom_conjuncts=0, type_constraint_conjuncts=0,
+                 skolem_symbols=None, expanded_instances=0, estimate_skolem=0,
+                 estimate_expansion=0, contracts_as_definitions=0):
+        self.goal_conjuncts = goal_conjuncts
+        self.skolem_range_conjuncts = skolem_range_conjuncts
+        self.choose_axiom_conjuncts = choose_axiom_conjuncts
+        self.type_constraint_conjuncts = type_constraint_conjuncts
+        self.skolem_symbols = [] if skolem_symbols is None else skolem_symbols
+        self.expanded_instances = expanded_instances
+        self.estimate_skolem = estimate_skolem
+        self.estimate_expansion = estimate_expansion
+        self.contracts_as_definitions = contracts_as_definitions
 
-@dataclass
-class SmtScript:
-    logic: str
-    header: list
-    defines: list  # (name, [(param, width)], result_width, body text)
-    decls: list  # (name, [arg_widths], result_width)
-    asserts: dict  # tag -> [SMT-LIB text of each assertion]
-    stats: TranslateStats
+
+class SmtScript(Record):
+    __match_args__ = ('logic', 'header', 'defines', 'decls', 'asserts',
+                      'stats')
+
+    def __init__(self, logic: str, header: list, defines: list, decls: list,
+                 asserts: dict, stats: TranslateStats):
+        self.logic, self.header, self.stats = logic, header, stats
+        self.defines = defines  # (name, [(param, width)], result_width, body)
+        self.decls = decls  # (name, [arg_widths], result_width)
+        self.asserts = asserts  # tag -> [SMT-LIB text of each assertion]
 
 
 # ---------------------------------------------------------------------------

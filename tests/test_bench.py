@@ -12,7 +12,7 @@ from fdl.bench import (
     make_cases, mechanism_labels, render_chart, run_case, run_suite,
     write_csv,
 )
-from fdl.core import Exists, Forall, Not, nat
+from fdl.core import Exists, Forall, FuncTable, Not, nat
 from fdl.solvers import SolverConfig, load_solver_configs
 
 
@@ -81,6 +81,17 @@ def test_contract_cases_carry_contract_functions():
         assert fd.is_contract()
         assert [t for _, t in fd.params] == [nat(1)] * 4
         assert fd.result == nat(1)
+
+
+def test_contract_cases_share_one_function_table_per_size():
+    # so the table's derived definitions are computed once per size; each
+    # case builds a goal of its own, since the typechecker writes into it
+    goal, funcs = BenchCase('contract-f-eq1', 'a4e0', 2).build()
+    goal2, funcs2 = BenchCase('contract-g-eq0', 'e4a0', 2).build()
+    assert isinstance(funcs, FuncTable) and funcs2 is funcs
+    assert BenchCase('contract-f-eq1', 'a4e0', 2).build()[0] is not goal
+    assert BenchCase('contract-f-eq1', 'a4e0', 1).build()[1] is not funcs
+    assert funcs.derived() is funcs2.derived()
 
 
 def test_mechanism_labels_riscal_first():

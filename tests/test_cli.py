@@ -409,6 +409,69 @@ def test_bench_rejects_a_bad_solvers_config(tmp_path, capsys):
     assert not out.exists()
 
 
+# -- cold start --------------------------------------------------------------------
+
+
+def _fresh(code):
+    """The stdout of code run by a fresh interpreter in the repo root."""
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, 'src'), env.get('PYTHONPATH')) if p)
+    out = subprocess.run([sys.executable, '-c', code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_check_with_the_evaluator_imports_only_what_it_runs():
+    out = _fresh(
+        'import sys\n'
+        'from fdl import cli\n'
+        "argv = ['check', 'models/cycle4.fdl', '--param', 'N=1']\n"
+        'assert cli.main(argv) == 0\n'
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fdl'))\n"
+        "print('subprocess' in sys.modules)\n")
+    assert out.splitlines() == [
+        'valid', "['fdl', 'fdl.cli', 'fdl.core', 'fdl.evaluator', "
+        "'fdl.parser']", 'False']
+
+
+def test_the_package_imports_its_exports_on_first_use():
+    out = _fresh(
+        'import sys\n'
+        'import fdl\n'
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fdl'))\n"
+        'import fdl.solvers\n'  # which imports the submodule fdl.translate
+        'from fdl import *\n'
+        "print(all(name in globals() for name in fdl.__all__))\n"
+        'print(type(translate).__name__, translate.__module__)\n')
+    assert out.splitlines() == ["['fdl']", 'True', 'function fdl.translate']
+    import fdl
+    with pytest.raises(AttributeError):
+        fdl.no_such_name
+
+
+def test_the_options_of_each_command_are_those_of_its_modules(capsys):
+    from fdl import bench, oracle, solvers
+    from fdl.cli import build_parser
+    from fdl.translate import MODES
+    args = build_parser().parse_args(['bench'])
+    assert args.families == list(bench.FAMILIES)
+    assert args.patterns == list(bench.PATTERNS)
+    assert args.timeout_ms == solvers.DEFAULT_TIMEOUT_MS
+    assert build_parser().parse_args(['oracle', 'm']).cap == oracle.DEFAULT_CAP
+    for mode in MODES:
+        assert build_parser().parse_args(['check', 'm', '--mode', mode]).mode \
+            == mode
+    for argv in (['bench', '--families', 'bogus'],
+                 ['bench', '--patterns', 'e5a0'],
+                 ['check', 'm', '--mode', 'x']):
+        with pytest.raises(SystemExit) as ei:
+            build_parser().parse_args(argv)
+        assert ei.value.code == 2
+        assert 'invalid choice' in capsys.readouterr().err
+
+
 # -- packaging ----------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Types, bound arithmetic, traversal helpers and typechecking."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from fdl.core import (
 )
 from fdl.evaluator import check_validity
 from fdl.parser import parse_model
+from fdl.translate import TranslateStats
 
 
 # -- finite types --------------------------------------------------------------
@@ -141,6 +143,65 @@ def test_traversal_calls_no_dataclasses_fields_once_warm(monkeypatch):
     t = Apply('f', [Var('x'), Lit(1)])
     assert _rebuild(t, lambda c, ctx: ctx, Lit(0)) == Apply('f', [Lit(0), Lit(0)])
     assert [emit_smtlib(translate(goal, funcs, o)) for o in options] == want
+
+
+# The fields dataclasses.fields reports, in order, of every class whose
+# fields code outside the package reads: perfbench's determinize rebuilds
+# nodes by them, and tests/corpus_digest.py dumps the parse and the stats.
+FIELDS = {
+    Var: 'name pos', Lit: 'value pos', Add: 'lhs rhs pos',
+    AddConst: 'lhs const pos', Mul: 'lhs rhs pos', Ite: 'cond then els pos',
+    Choose: 'var ty body pos', Apply: 'func args pos', TrueF: 'pos',
+    FalseF: 'pos', Atom: 'rel lhs rhs pos', Not: 'body pos',
+    And: 'lhs rhs pos', Or: 'lhs rhs pos', Implies: 'lhs rhs pos',
+    Iff: 'lhs rhs pos', Forall: 'var ty body pos', Exists: 'var ty body pos',
+    Term: '', Formula: '',
+    FuncDecl: 'name params result body ensures pos',
+    Model: 'params types funcs theorems', TypeExpr: 'kind name bound_expr',
+    FiniteType: 'kind bound',
+    TranslateStats: 'goal_conjuncts skolem_range_conjuncts '
+                    'choose_axiom_conjuncts type_constraint_conjuncts '
+                    'skolem_symbols expanded_instances estimate_skolem '
+                    'estimate_expansion contracts_as_definitions',
+}
+
+
+def test_records_keep_their_dataclass_fields_and_constructors():
+    assert {type(n) for n in _one_of_each_node_class()} <= set(FIELDS)
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names.split()
+        if names:  # the constructor takes the fields, in order
+            assert list(inspect.signature(cls).parameters) == names.split()
+    for n in _one_of_each_node_class():  # as perfbench's determinize does
+        kwargs = {f.name: getattr(n, f.name) for f in dataclasses.fields(n)}
+        assert type(n)(**kwargs) == n and type(n)(*kwargs.values()) == n
+    assert Model().funcs == {} and Model().funcs is not Model().funcs
+    assert TranslateStats().skolem_symbols == []
+
+
+def test_records_compare_and_print_their_fields_but_pos():
+    assert Var('x', pos=(1, 1)) == Var('x') and TrueF((2, 3)) == TrueF()
+    assert Var('x') != Var('y') and TrueF() != FalseF() and Lit(1) != 1
+    a = Atom('<', Var('x', (1, 1)), AddConst(Lit(1), 2), pos=(1, 3))
+    assert repr(a) == ("Atom(rel='<', lhs=Var(name='x'), "
+                       "rhs=AddConst(lhs=Lit(value=1), const=2))")
+    assert repr(Forall('x', nat(1), Not(TrueF()))) == (
+        "Forall(var='x', ty=FiniteType(kind='nat', bound=1), "
+        "body=Not(body=TrueF()))")
+    assert repr(FuncDecl('f', [('p', BOOL)], BOOL, body=Var('p'))) == (
+        "FuncDecl(name='f', params=[('p', FiniteType(kind='bool', bound=0))], "
+        "result=FiniteType(kind='bool', bound=0), body=Var(name='p'), "
+        "ensures=None)")
+    assert repr(TypeExpr('nat', bound_expr=('num', 3))) == (
+        "TypeExpr(kind='nat', name='', bound_expr=('num', 3))")
+    assert repr(TranslateStats(goal_conjuncts=1)).startswith(
+        'TranslateStats(goal_conjuncts=1, skolem_range_conjuncts=0, ')
+    for n in _one_of_each_node_class() + [Model(), TypeExpr('bool')]:
+        with pytest.raises(TypeError):
+            hash(n)
+    assert hash(FiniteType('nat', 3)) == hash(nat(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nat(3).bound = 4
 
 
 def test_has_choose_sees_nested_terms():

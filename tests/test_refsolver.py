@@ -286,6 +286,26 @@ def test_implication_means_its_disjunction(implication, disjunction, rest,
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize('term, head', [
+    ('(= #b1)', '='), ('(bvadd #b1)', 'bvadd'), ('(ite true)', 'ite'),
+    ('(not)', 'not'), ('(= #b1 #b1 #b1)', '='),
+    ('(ite (= c #b1) true)', 'ite'),
+    ('((_ extract 0 0) #b1 #b1)', '(_ extract 0 0)'),
+    ('(forall ((x (_ BitVec 1))))', 'forall'), ('(= (f #b1 #b0) #b1)', 'f'),
+    ('(= f #b1)', 'f'), ('(= (g) #b1)', 'g')])
+def test_a_wrong_number_of_arguments_is_an_error(term, head):
+    decls = ['(declare-fun c () (_ BitVec 1))',
+             '(declare-fun f ((_ BitVec 1)) (_ BitVec 1))',
+             '(define-fun g ((x (_ BitVec 1))) (_ BitVec 1) x)']
+    assert refsolver.answer(_script(term, decls=decls)) == (
+        1, 'error: wrong number of arguments to %s' % head)
+
+
+def test_an_assertion_without_a_term_is_an_error():
+    assert refsolver.answer('(assert)') == (
+        1, 'error: wrong number of arguments to assert')
+
+
 def test_an_implication_without_arguments_is_an_error():
     code, line = refsolver.answer(_script('(=>)'))
     assert code == 1 and line.startswith('error: ')
