@@ -78,8 +78,7 @@ def _quantify(pattern: str, ty, matrix):
 @functools.cache
 def _contract_funcs(n: int) -> FuncTable:
     """The contract functions at n, built once per n, so that the table's
-    derived definitions are computed once too. Goals are built anew for
-    each verdict: the typechecker writes their terms' types."""
+    derived definitions are computed once too."""
     ty = nat(2 ** n - 1)
     params = [(v, ty) for v in VARS]
     f = FuncDecl('f', params, nat(1), ensures=Atom(

@@ -9,19 +9,19 @@ _rebuild, which passes each subnode and the pass's context straight to the
 pass, two frames per nesting level: rewrites on an explicit stack measured
 slower per pass (ROADMAP item 8).
 
-Records are declared so that importing this module compiles no __init__,
-__eq__ or __repr__ from source. The node classes, FuncDecl, Model,
-TypeExpr and FiniteType stay dataclasses, because code outside the
-package reads them through dataclasses.fields (perfbench rebuilds goals
-by their fields, and the parse digests dump them), but @record asks for
-no generated method: each class writes its constructor, or shares one
-with the classes of its field layout, and takes == and repr from Record.
-(FiniteType is declared frozen, which still generates its __setattr__
-and __delattr__, and hashes by kind and bound.) Other records are plain
-Record subclasses that list their fields in __match_args__.
+Records are declared so that importing this module compiles no method from
+source. The node classes (Term, Formula and their subclasses) stay
+dataclasses, because perfbench rebuilds goals through dataclasses.fields,
+but @record asks for no generated method: each class writes its
+constructor, or shares one with the classes of its field layout, and takes
+== and repr from Record. Every other record (FuncDecl, Model, TypeExpr,
+FiniteType, ...) is a plain Record subclass that lists its fields in
+__match_args__; FiniteType blocks assignment itself and hashes by kind and
+bound. Nothing writes to a node once it is built: the typechecker returns
+a term's type and annotates nothing.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Union
 
 
@@ -76,26 +76,27 @@ record = dataclass(init=False, repr=False, eq=False)
 # types
 
 
-@dataclass(frozen=True, init=False, repr=False, eq=False)
 class FiniteType(Record):
     """A finite carrier: kind is 'nat' (carrier {0..bound}) or 'bool'.
 
     Its size and the width of its bit-vector sort (width) are computed
     once, at construction, and nat() interns the nat types, so each
     distinct bound is constructed once per process. Equality and hashing
-    read kind and bound only."""
+    read kind and bound only, and no attribute can be set or deleted."""
 
-    kind: str
-    bound: int = 0
+    __match_args__ = ('kind', 'bound')
 
     def __init__(self, kind, bound=0):
         assert kind in ('nat', 'bool')
         assert bound >= 0
         size = 2 if kind == 'bool' else bound + 1
-        object.__setattr__(self, 'kind', kind)
-        object.__setattr__(self, 'bound', bound)
-        object.__setattr__(self, '_size', size)
-        object.__setattr__(self, 'width', max(1, (size - 1).bit_length()))
+        vars(self).update(kind=kind, bound=bound, _size=size,
+                          width=max(1, (size - 1).bit_length()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError('cannot change %r of a FiniteType' % name)
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -108,20 +109,11 @@ class FiniteType(Record):
     def size(self) -> int:
         return self._size
 
-    def bit_width(self) -> int:
-        """Bits needed to encode the carrier; 0 for singletons."""
-        return (self._size - 1).bit_length()
-
     def value_at(self, i: int):
         """The i-th carrier element in enumeration order."""
         if self.kind == 'bool':
             return bool(i)
         return i
-
-    def contains(self, v) -> bool:
-        if self.kind == 'bool':
-            return isinstance(v, bool)
-        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= self.bound
 
     def __str__(self):
         return 'bool' if self.kind == 'bool' else 'nat[%d]' % self.bound
@@ -148,17 +140,15 @@ def enumerate_domain(ty: FiniteType) -> Iterator:
 # unresolved type expressions (as written in source, before parameters are known)
 
 
-@record
 class TypeExpr(Record):
     """A type as written: a name, bool, or nat[e] with a bound expression.
 
-    Bound expressions are tuples: ('num', k), ('var', name), or
-    (op, lhs, rhs) with op in '+', '-', '*', '^'.
+    kind is 'name', 'bool' or 'nat'. Bound expressions are tuples:
+    ('num', k), ('var', name), or (op, lhs, rhs) with op in '+', '-', '*',
+    '^'.
     """
 
-    kind: str  # 'name' | 'bool' | 'nat'
-    name: str = ''
-    bound_expr: Optional[tuple] = None
+    __match_args__ = ('kind', 'name', 'bound_expr')
 
     def __init__(self, kind, name='', bound_expr=None):
         self.kind, self.name, self.bound_expr = kind, name, bound_expr
@@ -220,7 +210,7 @@ class Term(Record):
 class Var(Term):
     """A variable."""
     name: str
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, name, pos=None):
         self.name, self.pos = name, pos
@@ -230,7 +220,7 @@ class Var(Term):
 class Lit(Term):
     """A literal."""
     value: int  # int or bool
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, value, pos=None):
         self.value, self.pos = value, pos
@@ -241,7 +231,7 @@ class Add(Term):
     """lhs + rhs"""
     lhs: Term
     rhs: Term
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -250,7 +240,7 @@ class AddConst(Term):
     """t + k with a literal k; kept distinct so result bounds stay tight."""
     lhs: Term
     const: int
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, lhs, const, pos=None):
         self.lhs, self.const, self.pos = lhs, const, pos
@@ -261,7 +251,7 @@ class Mul(Term):
     """lhs * rhs"""
     lhs: Term
     rhs: Term
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -271,7 +261,7 @@ class Ite(Term):
     cond: 'Formula'
     then: Term
     els: Term
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, cond, then, els, pos=None):
         self.cond = cond
@@ -286,7 +276,7 @@ class Choose(Term):
     var: str
     ty: TypeRef
     body: 'Formula'
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binder
 
 
@@ -295,7 +285,7 @@ class Apply(Term):
     """func(args...)"""
     func: str
     args: list
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, func, args, pos=None):
         self.func, self.args, self.pos = func, args, pos
@@ -309,14 +299,14 @@ class Formula(Record):
 @record
 class TrueF(Formula):
     """true"""
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _constant
 
 
 @record
 class FalseF(Formula):
     """false"""
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _constant
 
 
@@ -326,7 +316,7 @@ class Atom(Formula):
     rel: str
     lhs: Term
     rhs: Term
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, rel, lhs, rhs, pos=None):
         self.rel = rel
@@ -339,7 +329,7 @@ class Atom(Formula):
 class Not(Formula):
     """!body"""
     body: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
 
     def __init__(self, body, pos=None):
         self.body, self.pos = body, pos
@@ -350,7 +340,7 @@ class And(Formula):
     """lhs /\\ rhs"""
     lhs: Formula
     rhs: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -359,7 +349,7 @@ class Or(Formula):
     """lhs \\/ rhs"""
     lhs: Formula
     rhs: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -368,7 +358,7 @@ class Implies(Formula):
     """lhs => rhs"""
     lhs: Formula
     rhs: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -377,7 +367,7 @@ class Iff(Formula):
     """lhs <=> rhs"""
     lhs: Formula
     rhs: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binary
 
 
@@ -387,7 +377,7 @@ class Forall(Formula):
     var: str
     ty: TypeRef
     body: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binder
 
 
@@ -397,7 +387,7 @@ class Exists(Formula):
     var: str
     ty: TypeRef
     body: Formula
-    pos: Pos = field(default=None, compare=False, repr=False)
+    pos: Pos = None
     __init__ = _binder
 
 
@@ -409,20 +399,15 @@ BINDERS = (Forall, Exists, Choose)
 # declarations and models
 
 
-@record
 class FuncDecl(Record):
     """An n-ary function, either defined by a term or specified by a contract.
 
-    Exactly one of body (definition) and ensures (contract) is set. Inside
-    ensures, the parameters and the distinguished variable 'result' are bound.
+    params lists (name, TypeRef) pairs. Exactly one of body (definition)
+    and ensures (contract) is set. Inside ensures, the parameters and the
+    distinguished variable 'result' are bound.
     """
 
-    name: str
-    params: list  # list of (name, TypeRef)
-    result: TypeRef
-    body: Optional[Term] = None
-    ensures: Optional[Formula] = None
-    pos: Pos = field(default=None, compare=False, repr=False)
+    __match_args__ = ('name', 'params', 'result', 'body', 'ensures', 'pos')
 
     def __init__(self, name, params, result, body=None, ensures=None,
                  pos=None):
@@ -433,20 +418,18 @@ class FuncDecl(Record):
         return self.ensures is not None
 
 
-@record
 class Model(Record):
     """Parameters, named types, functions and named closed goals."""
-    params: dict = field(default_factory=dict)  # name -> default value or None
-    types: dict = field(default_factory=dict)  # name -> TypeRef
-    # name -> FuncDecl; resolve_model makes it a FuncTable
-    funcs: dict = field(default_factory=dict)
-    theorems: dict = field(default_factory=dict)  # name -> Formula
+
+    __match_args__ = ('params', 'types', 'funcs', 'theorems')
 
     def __init__(self, params=None, types=None, funcs=None, theorems=None):
+        # name -> default value or None
         self.params = {} if params is None else params
-        self.types = {} if types is None else types
+        self.types = {} if types is None else types  # name -> TypeRef
+        # name -> FuncDecl; resolve_model makes it a FuncTable
         self.funcs = {} if funcs is None else funcs
-        self.theorems = {} if theorems is None else theorems
+        self.theorems = {} if theorems is None else theorems  # name -> Formula
 
 
 class Diagnostic:
@@ -755,7 +738,7 @@ def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
 
 
 class TypeChecker:
-    """Annotates terms (attribute 'ty') and collects diagnostics.
+    """Computes the types of terms and collects diagnostics.
 
     All types must already be resolved. Result bounds widen so that a
     well-typed term can always be evaluated: nat[a] + nat[b] : nat[a+b],
@@ -771,11 +754,7 @@ class TypeChecker:
         return None
 
     def check_term(self, t: Term, env: dict) -> Optional[FiniteType]:
-        ty = self._term(t, env)
-        t.ty = ty
-        return ty
-
-    def _term(self, t, env):
+        """t's type, or None after a diagnostic."""
         if isinstance(t, Var):
             if t.name not in env:
                 return self.error('unbound variable %r' % t.name, t.pos)

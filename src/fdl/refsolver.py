@@ -150,7 +150,9 @@ class Solver:
                 if name == ')':
                     raise _arity(head)
                 node, i = self._term(i)
-                i = _skip(toks, i, 1)
+                if toks[i] != ')':
+                    raise _arity(head)
+                i += 1
                 yield node
                 continue
             if head == 'declare-fun':  # name (sort ...) sort
@@ -237,14 +239,20 @@ class Solver:
                     if node[3] != stop:  # a neutral literal is dropped
                         break
                     i, node = _skip(toks, i, frame[3] + 1), _lit(stop, None)
-                elif frame[2]:  # the branch a literal condition took
-                    i = _skip(toks, i, 1)
+                elif frame[2]:  # the branch a literal condition took; after
+                    if frame[2] > 1:  # a true one, pass over the else branch
+                        if toks[i] == ')':
+                            raise _arity('ite')
+                        i = _skip(toks, i)
+                    if toks[i] != ')':
+                        raise _arity('ite')
+                    i += 1
                 elif frame[1] or node[2] is not None or self._scope:
                     frame[1].append(node)
                     break
                 else:  # a literal condition; false passes over one branch
                     i = i if node[3] else _skip(toks, i)
-                    frame[2] = True
+                    frame[2] = 1 + node[3]  # 2 while the else is ahead
                     break
                 stack.pop()
             else:

@@ -77,7 +77,6 @@ kept between calls.
 """
 
 import math
-from dataclasses import field
 from operator import itemgetter
 
 from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, AddConst, And,
@@ -85,7 +84,7 @@ from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, AddConst, And,
                    FiniteType, Forall, Formula, Iff, Implies, Ite, Lit, Mul,
                    Not, Or, Record, TrueF, Var, _children, _rebuild, apart,
                    binders, enter_binder, free_vars, func_table, has_choose,
-                   nat, record, subst)
+                   nat, subst)
 
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
 
@@ -107,19 +106,15 @@ class SmtOptions(Record):
         self.expansion_budget, self.goal_name = expansion_budget, goal_name
 
 
-@record
 class TranslateStats(Record):
-    """The conjunct counts and estimates of one translation."""
+    """The conjunct counts and estimates of one translation;
+    skolem_symbols lists (name, arity) pairs."""
 
-    goal_conjuncts: int = 0
-    skolem_range_conjuncts: int = 0
-    choose_axiom_conjuncts: int = 0
-    type_constraint_conjuncts: int = 0
-    skolem_symbols: list = field(default_factory=list)  # (name, arity)
-    expanded_instances: int = 0
-    estimate_skolem: int = 0
-    estimate_expansion: int = 0
-    contracts_as_definitions: int = 0
+    __match_args__ = ('goal_conjuncts', 'skolem_range_conjuncts',
+                      'choose_axiom_conjuncts', 'type_constraint_conjuncts',
+                      'skolem_symbols', 'expanded_instances',
+                      'estimate_skolem', 'estimate_expansion',
+                      'contracts_as_definitions')
 
     def __init__(self, goal_conjuncts=0, skolem_range_conjuncts=0,
                  choose_axiom_conjuncts=0, type_constraint_conjuncts=0,
@@ -150,11 +145,6 @@ class SmtScript(Record):
 
 # ---------------------------------------------------------------------------
 # encoding helpers
-
-
-def sort_width(ty: FiniteType) -> int:
-    """Bit-vector width used for this carrier's sort (at least 1)."""
-    return ty.width
 
 
 def predicate_trivial(ty: FiniteType) -> bool:

@@ -56,7 +56,6 @@ tests/test_parse_table.py pins dump() on a smaller parse corpus.
 
 import argparse
 import ast
-import dataclasses
 import hashlib
 import pathlib
 import random
@@ -67,7 +66,7 @@ sys.path[:0] = [str(TESTS), str(TESTS.parent / 'perfbench')]
 
 import fuzztext  # noqa: E402
 from conftest import recorded_goals  # noqa: E402
-from fdl.core import resolve_model  # noqa: E402
+from fdl.core import Record, resolve_model  # noqa: E402
 from fdl.parser import (KEYWORDS, SYMBOLS, ParseError,  # noqa: E402
                         parse_model, print_formula, tokenize)
 from fdl.randgen import random_goal  # noqa: E402
@@ -128,9 +127,10 @@ def digest_line(key, goal, funcs, mode, label, solve=False):
     text = emit_smtlib(script)
     if solve:
         return '%s %s %s %s' % (key, mode, label, solve_digest(text))
+    st = script.stats
     return '%s %s %s %s %d %s' % (
         key, mode, label, hashlib.sha256(text.encode()).hexdigest(),
-        len(text), dataclasses.astuple(script.stats))
+        len(text), tuple(getattr(st, n) for n in st.__match_args__))
 
 
 def solve_digest(text) -> str:
@@ -144,9 +144,9 @@ def solve_digest(text) -> str:
 def dump(node) -> str:
     """Canonical text of a parsed Model or node: each node's class, every
     field in order, pos included."""
-    if dataclasses.is_dataclass(node):
+    if isinstance(node, Record):
         return '%s(%s)' % (type(node).__name__, ', '.join(
-            dump(getattr(node, f.name)) for f in dataclasses.fields(node)))
+            dump(getattr(node, n)) for n in node.__match_args__))
     if isinstance(node, dict):
         return '{%s}' % ', '.join('%r: %s' % (k, dump(v))
                                   for k, v in node.items())

@@ -1,16 +1,20 @@
 """Types, bound arithmetic, traversal helpers and typechecking."""
 
 import dataclasses
+import importlib
 import inspect
+import pathlib
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fdl
 from fdl import core
 from fdl.core import (
     BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF, FiniteType,
     Forall, Formula, FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
-    Term, TrueF, TypeError_, TypeExpr, Var, _children, _rebuild,
+    Term, TrueF, TypeChecker, TypeError_, TypeExpr, Var, _children, _rebuild,
     definitional_funcs, enumerate_domain, eval_bound, free_vars, has_choose,
     nat, nondeterministic_funcs, resolve_model, subst,
     typecheck_formula, typecheck_model, walk,
@@ -23,33 +27,33 @@ from fdl.translate import TranslateStats
 # -- finite types --------------------------------------------------------------
 
 
-@pytest.mark.parametrize('bound, size, width', [
+# bits: the bits that encode the carrier, 0 for a singleton; the width of
+# the type's sort is at least 1
+@pytest.mark.parametrize('bound, size, bits', [
     (0, 1, 0), (1, 2, 1), (2, 3, 2), (3, 4, 2), (7, 8, 3), (8, 9, 4),
 ])
-def test_nat_size_and_width(bound, size, width):
+def test_nat_size_and_width(bound, size, bits):
     ty = nat(bound)
     assert ty.size() == size
-    assert ty.bit_width() == width
+    assert ty.width == max(1, bits)
 
 
 def test_bool_type():
     assert BOOL.size() == 2
-    assert BOOL.bit_width() == 1
+    assert BOOL.width == 1
     assert list(enumerate_domain(BOOL)) == [False, True]
-    assert BOOL.contains(True) and not BOOL.contains(2)
 
 
 def test_nat_carrier_is_inclusive_ascending():
     assert list(enumerate_domain(nat(3))) == [0, 1, 2, 3]
-    assert nat(3).contains(3) and not nat(3).contains(4)
     assert nat(5).value_at(5) == 5
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_width_is_enough_bits(bound):
     ty = nat(bound)
-    assert 2 ** ty.bit_width() >= ty.size()
-    assert ty.bit_width() == 0 or 2 ** (ty.bit_width() - 1) < ty.size()
+    assert 2 ** ty.width >= ty.size()
+    assert ty.width == 1 or 2 ** (ty.width - 1) < ty.size()
 
 
 # -- bound expressions ----------------------------------------------------------
@@ -145,10 +149,9 @@ def test_traversal_calls_no_dataclasses_fields_once_warm(monkeypatch):
     assert [emit_smtlib(translate(goal, funcs, o)) for o in options] == want
 
 
-# The fields dataclasses.fields reports, in order, of every class whose
-# fields code outside the package reads: perfbench's determinize rebuilds
-# nodes by them, and tests/corpus_digest.py dumps the parse and the stats.
-FIELDS = {
+# The fields dataclasses.fields reports, in order, of the node classes:
+# perfbench's determinize rebuilds nodes by them.
+NODE_FIELDS = {
     Var: 'name pos', Lit: 'value pos', Add: 'lhs rhs pos',
     AddConst: 'lhs const pos', Mul: 'lhs rhs pos', Ite: 'cond then els pos',
     Choose: 'var ty body pos', Apply: 'func args pos', TrueF: 'pos',
@@ -156,6 +159,11 @@ FIELDS = {
     And: 'lhs rhs pos', Or: 'lhs rhs pos', Implies: 'lhs rhs pos',
     Iff: 'lhs rhs pos', Forall: 'var ty body pos', Exists: 'var ty body pos',
     Term: '', Formula: '',
+}
+# The fields, in order, of the other records whose fields code outside the
+# package reads (tests/corpus_digest.py dumps the parse and the stats): plain
+# records, which list them in __match_args__.
+RECORD_FIELDS = {
     FuncDecl: 'name params result body ensures pos',
     Model: 'params types funcs theorems', TypeExpr: 'kind name bound_expr',
     FiniteType: 'kind bound',
@@ -167,16 +175,56 @@ FIELDS = {
 
 
 def test_records_keep_their_dataclass_fields_and_constructors():
-    assert {type(n) for n in _one_of_each_node_class()} <= set(FIELDS)
-    for cls, names in FIELDS.items():
+    assert {type(n) for n in _one_of_each_node_class()} <= set(NODE_FIELDS)
+    for cls, names in NODE_FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names.split()
+        assert cls.__match_args__ == tuple(names.split())
         if names:  # the constructor takes the fields, in order
             assert list(inspect.signature(cls).parameters) == names.split()
     for n in _one_of_each_node_class():  # as perfbench's determinize does
         kwargs = {f.name: getattr(n, f.name) for f in dataclasses.fields(n)}
         assert type(n)(**kwargs) == n and type(n)(*kwargs.values()) == n
+
+
+def test_other_records_are_plain_and_list_their_fields():
+    for cls, names in RECORD_FIELDS.items():
+        assert not dataclasses.is_dataclass(cls)
+        assert cls.__match_args__ == tuple(names.split())
+        # the constructor takes the fields, in order
+        assert list(inspect.signature(cls).parameters) == names.split()
+    fd = FuncDecl('f', [('p', BOOL)], BOOL, body=Var('p'), pos=(1, 1))
+    te = TypeExpr('nat', bound_expr=('num', 3))
+    for r in (fd, te, Model(), nat(3), TranslateStats(goal_conjuncts=1)):
+        kwargs = {n: getattr(r, n) for n in r.__match_args__}
+        assert type(r)(**kwargs) == r and type(r)(*kwargs.values()) == r
     assert Model().funcs == {} and Model().funcs is not Model().funcs
-    assert TranslateStats().skolem_symbols == []
+    stats = TranslateStats(), TranslateStats()
+    assert stats[0].skolem_symbols == [] and stats[0] == stats[1]
+    assert stats[0].skolem_symbols is not stats[1].skolem_symbols
+
+
+def _package_classes():
+    """Every class defined in one of fdl's modules."""
+    names = [m.name for m in pkgutil.iter_modules(fdl.__path__)]
+    for name in names:
+        module = importlib.import_module('fdl.' + name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_no_method_is_compiled_from_a_string():
+    # a method that dataclasses or namedtuple generates is compiled from
+    # source text, and its code's filename is '<string>'
+    package = pathlib.Path(fdl.__file__).parent
+    classes = list(_package_classes())
+    assert FiniteType in classes and Var in classes
+    for cls in classes:
+        for name, v in vars(cls).items():
+            code = getattr(getattr(v, '__func__', v), '__code__', None)
+            if code is not None:
+                assert pathlib.Path(code.co_filename).parent == package, (
+                    '%s.%s' % (cls.__qualname__, name))
 
 
 def test_records_compare_and_print_their_fields_but_pos():
@@ -200,8 +248,11 @@ def test_records_compare_and_print_their_fields_but_pos():
         with pytest.raises(TypeError):
             hash(n)
     assert hash(FiniteType('nat', 3)) == hash(nat(3))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         nat(3).bound = 4
+    with pytest.raises(AttributeError):
+        del nat(3).kind
+    assert nat(3).bound == 3 and nat(3).kind == 'nat'
 
 
 def test_has_choose_sees_nested_terms():
@@ -363,9 +414,14 @@ def test_resolve_model_requires_defaultless_params():
 
 def test_typecheck_widening_result_bounds():
     f = Atom('=', Add(Var('a'), Mul(Var('b'), Lit(3))), Lit(0))
-    assert typecheck_formula(f, {'a': nat(3), 'b': nat(2)}) == []
-    assert f.lhs.ty == nat(9)
-    assert f.lhs.rhs.ty == nat(6)
+    env = {'a': nat(3), 'b': nat(2)}
+    before = [dict(vars(n)) for n in walk(f)]
+    assert typecheck_formula(f, env) == []
+    assert [vars(n) for n in walk(f)] == before  # no node is annotated
+    tc = TypeChecker()
+    assert tc.check_term(f.lhs, env) == nat(9)
+    assert tc.check_term(f.lhs.rhs, env) == nat(6)
+    assert tc.diags == []
 
 
 def test_typecheck_reports_unbound_variable():

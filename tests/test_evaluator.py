@@ -199,6 +199,25 @@ def test_an_abandoned_stream_leaves_no_binding_behind():
         assert _status(goal, mode=mode) == 'invalid', mode
 
 
+@pytest.mark.parametrize('theorem, nondet, det', [
+    # a conditional whose condition streams: h(1) may be 0 or 1
+    ('forall x: nat[1]. (if h(x) = 0 then 1 else 0) = 1', 'invalid', 'valid'),
+    # connectives whose right operand streams where the left one decides
+    # nothing
+    ('forall x: nat[1]. x = 0 \\/ h(x) = x', 'invalid', 'invalid'),
+    ('exists x: nat[1]. x = 1 /\\ h(x) <= x', 'valid', 'valid'),
+])
+def test_conditionals_and_connectives_stream_a_contracts_results(theorem,
+                                                                 nondet, det):
+    src = ('fun h(p: nat[1]): nat[1] ensures result <= p;\n'
+           'theorem t <=> %s;' % theorem)
+    m = resolve_model(parse_model(src))
+    goal = m.theorems['t']
+    assert oracle_check(goal, m.funcs) == nondet
+    assert _status(goal, m.funcs) == nondet
+    assert _status(goal, m.funcs, 'deterministic') == det
+
+
 # -- deadlines ----------------------------------------------------------------------
 
 

@@ -213,6 +213,20 @@ def test_print_parse_round_trip(text):
     assert parse_formula(print_formula(f), ctx) == f
 
 
+@pytest.mark.parametrize('text', [
+    # types as written: a named type and bounds over a parameter
+    'forall x: D, y: nat[N * 2 + 1]. '
+    '(choose z: nat[(N - 1) ^ 2] with z <= x) <= y',
+    'exists b: bool. b = true',
+])
+def test_print_parse_round_trip_of_an_unresolved_goal(text):
+    decls = 'val N: nat = 2; type D = nat[3]; '
+    goal = parse_model(decls + 'theorem t <=> %s;' % text).theorems['t']
+    assert print_formula(goal) == text
+    again = parse_model(decls + 'theorem t <=> %s;' % print_formula(goal))
+    assert again.theorems['t'] == goal
+
+
 def test_random_goal_round_trip():
     from fdl.randgen import random_goal
     for seed in range(80):

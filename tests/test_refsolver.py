@@ -292,7 +292,10 @@ def test_implication_means_its_disjunction(implication, disjunction, rest,
     ('(ite (= c #b1) true)', 'ite'),
     ('((_ extract 0 0) #b1 #b1)', '(_ extract 0 0)'),
     ('(forall ((x (_ BitVec 1))))', 'forall'), ('(= (f #b1 #b0) #b1)', 'f'),
-    ('(= f #b1)', 'f'), ('(= (g) #b1)', 'g')])
+    ('(= f #b1)', 'f'), ('(= (g) #b1)', 'g'),
+    # frames that a literal decides, read past without being compiled
+    ('(ite true true)', 'ite'), ('(ite true true false false)', 'ite'),
+    ('(ite false true false false)', 'ite'), ('true false', 'assert')])
 def test_a_wrong_number_of_arguments_is_an_error(term, head):
     decls = ['(declare-fun c () (_ BitVec 1))',
              '(declare-fun f ((_ BitVec 1)) (_ BitVec 1))',

@@ -22,7 +22,7 @@ from fdl.refsolver import check_script
 from fdl.solvers import decide, load_solver_configs
 from fdl.translate import (
     MODES, SmtOptions, TranslateError, Translator, emit_smtlib,
-    predicate_trivial, scan, sort_width, translate,
+    predicate_trivial, scan, translate,
 )
 
 from conftest import (
@@ -51,10 +51,10 @@ def _decls(text):
 
 
 def test_sort_width_has_floor_one():
-    assert sort_width(nat(0)) == 1
-    assert sort_width(nat(1)) == 1
-    assert sort_width(nat(2)) == 2
-    assert sort_width(nat(255)) == 8
+    assert nat(0).width == 1
+    assert nat(1).width == 1
+    assert nat(2).width == 2
+    assert nat(255).width == 8
 
 
 @pytest.mark.parametrize('bound, trivial', [
@@ -401,6 +401,25 @@ def test_eliminate_choices_preserves_verdicts(name, verdict):
             SmtOptions(mode='expand-all', eliminate_choices=eliminate)))
         answer = check_script(text)
         assert answer == ('unsat' if verdict == 'valid' else 'sat')
+
+
+@pytest.mark.parametrize('theorem', [
+    # one-element carriers: the variable is the element's literal
+    'forall x: nat[0]. x = 0',
+    'forall x: nat[0]. forall y: nat[1]. x <= y',
+    'exists x: nat[0]. x = 1',
+    'forall y: nat[1]. exists x: nat[0]. x < y',
+    'forall y: nat[1]. y = 1 \\/ (forall x: nat[0]. x = y)',
+    # conditionals with boolean branches
+    'forall b: bool. (if b = true then false else true) = b',
+    'forall b: bool. (if b = true then b else false) = b',
+])
+def test_refsolve_on_the_translation_agrees_with_the_oracle(theorem):
+    goal = resolve_model(parse_model('theorem t <=> %s;' % theorem)
+                         ).theorems['t']
+    want = 'unsat' if oracle_check(goal) == 'valid' else 'sat'
+    for mode in MODES:
+        assert check_script(_emit(goal, mode=mode)) == want, mode
 
 
 def test_axiomatized_contract_emits_type_constraints():
@@ -1106,4 +1125,4 @@ def test_types_are_interned_and_carry_their_widths():
     assert FiniteType('nat', 3) != BOOL and repr(nat(3)) == \
         "FiniteType(kind='nat', bound=3)"
     for ty in (nat(0), nat(1), nat(4), BOOL, FiniteType('nat', 255)):
-        assert ty.width == sort_width(ty) == max(1, ty.bit_width())
+        assert ty.width == max(1, (ty.size() - 1).bit_length())
