@@ -22,6 +22,7 @@ quantifiers), <s>-E (expand-all).
 """
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -47,13 +48,6 @@ def default_n(family: str) -> int:
     return 5 if family.startswith('contract') else 6
 
 
-def _conj(parts):
-    f = parts[0]
-    for p in parts[1:]:
-        f = And(f, p)
-    return f
-
-
 def _cycle(names, last_slack=0):
     edges = [Atom('<', Var(a), Var(b))
              for a, b in zip(names, names[1:])]
@@ -61,13 +55,11 @@ def _cycle(names, last_slack=0):
     if last_slack:
         closing = AddConst(closing, last_slack)
     edges.append(Atom('<', Var(names[-1]), closing))
-    return _conj(edges)
+    return And(edges)
 
 
 def _quantify(pattern: str, ty, matrix):
-    kinds = []
-    for k, cnt in ((pattern[0], int(pattern[1])), (pattern[2], int(pattern[3]))):
-        kinds += [k] * cnt
+    kinds = pattern[0] * int(pattern[1]) + pattern[2] * int(pattern[3])
     f = matrix
     for name, k in reversed(list(zip(VARS, kinds))):
         cls = Exists if k == 'e' else Forall
@@ -151,13 +143,8 @@ def run_case(case: BenchCase, mechanism: str, configs,
     cfg = configs.get(name)
     if cfg is None or suffix not in ('S', 'Q', 'E'):
         raise ValueError('unknown mechanism %r' % mechanism)
-    if suffix == 'S':
-        mode = 'eliminate'
-    elif suffix == 'E':
-        mode = 'expand-all'
-    else:
-        mode = 'preserve' if cfg.quantifiers else 'expand-all'
-    opts = SmtOptions(mode=mode)
+    opts = SmtOptions(mode={'S': 'eliminate', 'E': 'expand-all'}.get(
+        suffix, 'preserve' if cfg.quantifiers else 'expand-all'))
     if expansion_budget is not None:
         opts.expansion_budget = expansion_budget
     verdict, outcome, translate_ms = decide(goal, funcs, cfg, opts, limit_ms)
@@ -223,11 +210,8 @@ _ML, _MR, _MT, _MB = 70, 20, 36, 46
 
 def _plot_rows(records, family, n):
     rows = [r for r in records if r['family'] == family and r['N'] == n]
-    if any(r['repeat'] == 'median' for r in rows):
-        rows = [r for r in rows if r['repeat'] == 'median']
-    else:
-        rows = [r for r in rows if r['repeat'] == 1]
-    return rows
+    want = 'median' if any(r['repeat'] == 'median' for r in rows) else 1
+    return [r for r in rows if r['repeat'] == want]
 
 
 def render_chart(records, family, n, limit_ms=DEFAULT_TIMEOUT_MS) -> str:
@@ -235,10 +219,7 @@ def render_chart(records, family, n, limit_ms=DEFAULT_TIMEOUT_MS) -> str:
     eight patterns, one polyline per mechanism. Cells that timed out or
     stayed undecided sit on the top line; unavailable cells leave gaps."""
     rows = _plot_rows(records, family, n)
-    mechs = []
-    for r in rows:
-        if r['mechanism'] not in mechs:
-            mechs.append(r['mechanism'])
+    mechs = list(dict.fromkeys(r['mechanism'] for r in rows))
     top = math.log10(limit_ms) or 1.0  # a 1 ms limit spans no decade
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -288,16 +269,9 @@ def render_chart(records, family, n, limit_ms=DEFAULT_TIMEOUT_MS) -> str:
             ms = limit_ms if r['outcome'] in ('timeout', 'unknown', 'error') \
                 else r['wall_ms']
             pts.append((x_at(i), y_at(ms)))
-        runs, cur = [], []
-        for p in pts:
-            if p is None:
-                if cur:
-                    runs.append(cur)
-                cur = []
-            else:
-                cur.append(p)
-        if cur:
-            runs.append(cur)
+        # the runs of consecutive plotted cells
+        runs = [list(run) for drawn, run in itertools.groupby(
+            pts, lambda p: p is not None) if drawn]
         for run in runs:
             if len(run) > 1:
                 path = ' '.join('%.1f,%.1f' % p for p in run)
@@ -321,12 +295,7 @@ def emit_report(records, outdir, limit_ms=DEFAULT_TIMEOUT_MS) -> list:
     os.makedirs(outdir, exist_ok=True)
     paths = [os.path.join(outdir, 'bench.csv')]
     write_csv(records, paths[0])
-    seen = []
-    for r in records:
-        key = (r['family'], r['N'])
-        if key not in seen:
-            seen.append(key)
-    for family, n in seen:
+    for family, n in dict.fromkeys((r['family'], r['N']) for r in records):
         p = os.path.join(outdir, '%s-N%d.svg' % (family, n))
         with open(p, 'w') as fh:
             fh.write(render_chart(records, family, n, limit_ms))

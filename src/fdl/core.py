@@ -21,6 +21,7 @@ bound. Nothing writes to a node once it is built: the typechecker returns
 a term's type and annotates nothing.
 """
 
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Union
 
@@ -154,6 +155,10 @@ class TypeExpr(Record):
         self.kind, self.name, self.bound_expr = kind, name, bound_expr
 
 
+_BOUND_OPS = {'+': operator.add, '-': operator.sub, '*': operator.mul,
+              '^': operator.pow}
+
+
 def eval_bound(expr: tuple, params: dict) -> int:
     op = expr[0]
     if op == 'num':
@@ -164,15 +169,9 @@ def eval_bound(expr: tuple, params: dict) -> int:
         return params[expr[1]]
     a = eval_bound(expr[1], params)
     b = eval_bound(expr[2], params)
-    if op == '+':
-        return a + b
-    if op == '-':
-        return a - b
-    if op == '*':
-        return a * b
-    if op == '^':
-        return a ** b
-    raise TypeError_('bad bound expression %r' % (expr,))
+    if op not in _BOUND_OPS:
+        raise TypeError_('bad bound expression %r' % (expr,))
+    return _BOUND_OPS[op](a, b)
 
 
 TypeRef = Union[FiniteType, TypeExpr]
@@ -335,22 +334,31 @@ class Not(Formula):
         self.body, self.pos = body, pos
 
 
+def _junction(self, parts, pos=None):
+    # And(a, b) is And([a, b]); a first part of the node's own class is
+    # taken apart, so that a chain's left spine is one node
+    if isinstance(parts, Formula):
+        parts, pos = [parts, pos], None
+    if parts[0].__class__ is self.__class__:
+        parts = parts[0].parts + parts[1:]
+    self.parts, self.pos = parts, pos
+
+
 @record
 class And(Formula):
-    """lhs /\\ rhs"""
-    lhs: Formula
-    rhs: Formula
+    """parts[0] /\\ parts[1] /\\ ...: two or more parts, the first of
+    another class; it means the left-nested chain of binary /\\."""
+    parts: list
     pos: Pos = None
-    __init__ = _binary
+    __init__ = _junction
 
 
 @record
 class Or(Formula):
-    """lhs \\/ rhs"""
-    lhs: Formula
-    rhs: Formula
+    """parts[0] \\/ parts[1] \\/ ...: as And, for \\/."""
+    parts: list
     pos: Pos = None
-    __init__ = _binary
+    __init__ = _junction
 
 
 @record
@@ -658,9 +666,9 @@ def _rebuild(node, fn, ctx):
     changed = False
     for name in kids:
         v = getattr(node, name)
-        if isinstance(v, list):
-            nv = [fn(x, ctx) for x in v]
-            changed = changed or any(a is not b for a, b in zip(v, nv))
+        if isinstance(v, list):  # map adds no frame, unlike a comprehension
+            nv = list(map(fn, v, [ctx] * len(v)))
+            changed = changed or not all(map(operator.is_, v, nv))
         else:
             nv = fn(v, ctx)
             changed = changed or nv is not v
@@ -837,8 +845,8 @@ class TypeChecker:
         if isinstance(f, Not):
             return self.check_formula(f.body, env)
         if isinstance(f, (And, Or, Implies, Iff)):
-            self.check_formula(f.lhs, env)
-            self.check_formula(f.rhs, env)
+            for part in _children(f):
+                self.check_formula(part, env)
             return
         if isinstance(f, QUANTIFIERS):
             if not isinstance(f.ty, FiniteType):

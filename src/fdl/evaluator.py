@@ -23,8 +23,9 @@ nondeterministic child, applications of definitions with a
 nondeterministic body included. Choose and contract applications share one
 candidate loop, which also checks the deadline. A nondeterministic
 quantifier keeps its body streams on an explicit stack, so no loop recurses
-once per carrier element. Carriers stay lazy ranges, so no loop needs
-memory that grows with a carrier's size.
+once per carrier element; /\\, \\/ and => compile to one closure that
+loops over their parts the same way. Carriers stay lazy ranges, so no loop
+needs memory that grows with a carrier's size.
 """
 
 import operator
@@ -137,11 +138,7 @@ class Evaluator:
         det, fn = _COMPILE[type(child)](self, child)
         if det:
             return True, lambda env: op(fn(env))
-
-        def values(env):
-            for a in fn(env):
-                yield op(a)
-        return False, values
+        return False, lambda env: map(op, fn(env))
 
     def _pair(self, op, lhs, rhs):
         ldet, lfn = _COMPILE[type(lhs)](self, lhs)
@@ -149,27 +146,38 @@ class Evaluator:
         if ldet and rdet:
             return True, lambda env: op(lfn(env), rfn(env))
         lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
+        return False, lambda env: (op(a, b) for a in lfn(env)
+                                   for b in rfn(env))
+
+    def _junction(self, stop, forced, parts):
+        # left to right, a value equal to stop of a part but the last
+        # decides the result, forced; the last part's values are the result's
+        compiled = []  # in a loop: a comprehension would add a frame per level
+        for p in parts:
+            compiled.append(_COMPILE[type(p)](self, p))
+        if all(det for det, _ in compiled):
+            *init, last = [fn for _, fn in compiled]
+
+            def holds(env):
+                for fn in init:
+                    if fn(env) == stop:
+                        return forced
+                return last(env)
+            return True, holds
+        fns, n = [_stream(det, fn) for det, fn in compiled], len(parts)
 
         def values(env):
-            for a in lfn(env):
-                for b in rfn(env):
-                    yield op(a, b)
-        return False, values
-
-    def _connective(self, stop, forced, f):
-        # a left value equal to stop decides the result: forced
-        ldet, lfn = _COMPILE[type(f.lhs)](self, f.lhs)
-        rdet, rfn = _COMPILE[type(f.rhs)](self, f.rhs)
-        if ldet and rdet:
-            return True, lambda env: forced if lfn(env) == stop else rfn(env)
-        lfn, rfn = _stream(ldet, lfn), _stream(rdet, rfn)
-
-        def values(env):
-            for a in lfn(env):
-                if a == stop:
+            streams = [fns[0](env)]
+            while streams:
+                tv = next(streams[-1], _MISSING)
+                if tv is _MISSING:
+                    streams.pop()
+                elif len(streams) == n:
+                    yield tv
+                elif tv == stop:
                     yield forced
                 else:
-                    yield from rfn(env)
+                    streams.append(fns[len(streams)](env))
         return False, values
 
     def _ite(self, t):
@@ -179,11 +187,8 @@ class Evaluator:
             return True, lambda env: then(env) if cond(env) else els(env)
         cond, then, els = (_stream(cdet, cond), _stream(tdet, then),
                            _stream(edet, els))
-
-        def values(env):
-            for c in cond(env):
-                yield from (then if c else els)(env)
-        return False, values
+        return False, lambda env: (v for c in cond(env)
+                                   for v in (then if c else els)(env))
 
     def _choices(self, var, ty, body):
         """The candidate loop of a choose and of a contract application: the
@@ -298,9 +303,9 @@ _COMPILE = {
     Apply: Evaluator._apply,
     Atom: lambda ev, f: ev._pair(_REL[f.rel], f.lhs, f.rhs),
     Not: lambda ev, f: ev._map(operator.not_, f.body),
-    And: lambda ev, f: ev._connective(False, False, f),
-    Or: lambda ev, f: ev._connective(True, True, f),
-    Implies: lambda ev, f: ev._connective(False, True, f),
+    And: lambda ev, f: ev._junction(False, False, f.parts),
+    Or: lambda ev, f: ev._junction(True, True, f.parts),
+    Implies: lambda ev, f: ev._junction(False, True, (f.lhs, f.rhs)),
     Iff: lambda ev, f: ev._pair(operator.eq, f.lhs, f.rhs),
     Forall: Evaluator._quantifier,
     Exists: Evaluator._quantifier,

@@ -6,6 +6,7 @@ Intended for cross-checking on small inputs only; refuses formulas whose
 assignment space exceeds the cap.
 """
 
+import itertools
 import operator
 
 from .core import (Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF,
@@ -15,6 +16,8 @@ from .core import (Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF,
 DEFAULT_CAP = 2 ** 20
 
 _REL = {'=': operator.eq, '<': operator.lt, '<=': operator.le}
+# (stop, forced): a left value stop makes the connective's value forced
+_JUNCTION = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
 
 def assignment_space(node, funcs=None, _seen=()):
@@ -58,23 +61,17 @@ def _truths(f, env, funcs) -> set:
         return {rel(a, b) for a in lhs for b in rhs}
     if isinstance(f, Not):
         return {not v for v in _truths(f.body, env, funcs)}
-    if isinstance(f, And):
-        left = _truths(f.lhs, env, funcs)
-        out = {False} if False in left else set()
-        if True in left:
-            out |= _truths(f.rhs, env, funcs)
-        return out
-    if isinstance(f, Or):
-        left = _truths(f.lhs, env, funcs)
-        out = {True} if True in left else set()
-        if False in left:
-            out |= _truths(f.rhs, env, funcs)
-        return out
-    if isinstance(f, Implies):
-        left = _truths(f.lhs, env, funcs)
-        out = {True} if False in left else set()
-        if True in left:
-            out |= _truths(f.rhs, env, funcs)
+    if isinstance(f, (And, Or, Implies)):
+        # the truths of the left-nested chain, one part at a time: a prefix
+        # that can be stop can give forced, one that can be not stop goes on
+        stop, forced = _JUNCTION[type(f)]
+        parts = (f.lhs, f.rhs) if type(f) is Implies else f.parts
+        out = _truths(parts[0], env, funcs)
+        for part in parts[1:]:
+            left = out
+            out = {forced} if stop in left else set()
+            if (not stop) in left:
+                out |= _truths(part, env, funcs)
         return out
     if isinstance(f, Iff):
         left = _truths(f.lhs, env, funcs)
@@ -102,14 +99,12 @@ def _values(t, env, funcs) -> set:
         return {env[t.name]}
     if isinstance(t, Lit):
         return {t.value}
-    if isinstance(t, Add):
-        return {a + b for a in _values(t.lhs, env, funcs)
+    if isinstance(t, (Add, Mul)):
+        op = operator.add if isinstance(t, Add) else operator.mul
+        return {op(a, b) for a in _values(t.lhs, env, funcs)
                 for b in _values(t.rhs, env, funcs)}
     if isinstance(t, AddConst):
         return {a + t.const for a in _values(t.lhs, env, funcs)}
-    if isinstance(t, Mul):
-        return {a * b for a in _values(t.lhs, env, funcs)
-                for b in _values(t.rhs, env, funcs)}
     if isinstance(t, Ite):
         cond = _truths(t.cond, env, funcs)
         out = set()
@@ -125,7 +120,7 @@ def _values(t, env, funcs) -> set:
         fd = funcs[t.func]
         arg_sets = [_values(a, env, funcs) for a in t.args]
         out = set()
-        for combo in _product(arg_sets):
+        for combo in itertools.product(*arg_sets):
             inner = {p: v for (p, _), v in zip(fd.params, combo)}
             if fd.body is not None:
                 out |= _values(fd.body, inner, funcs)
@@ -136,11 +131,3 @@ def _values(t, env, funcs) -> set:
         return out
     raise AssertionError('unhandled term %r' % t)
 
-
-def _product(sets):
-    if not sets:
-        yield ()
-        return
-    for v in sorted(sets[0], key=lambda x: (isinstance(x, bool), x)):
-        for rest in _product(sets[1:]):
-            yield (v,) + rest

@@ -12,7 +12,7 @@ Terms: literals, variables, if/then/else, choose x: T with F, function
 application. Comments run from # or // to end of line.
 
 Formulas and terms are parsed by precedence climbing over PREC, the table
-the printer reads too; type bounds have their own four-level grammar.
+the printer reads too, and type bounds the same way over _BOUND_PREC.
 Nesting deeper than Python's recursion limit is a parse error.
 """
 
@@ -37,6 +37,7 @@ SYMBOLS = ['<=>', '=>', '<=', '>=', '/\\', '\\/',
 PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6,
         Add: 7, AddConst: 7, Mul: 8}
 _TERM = PREC[Add]  # the loosest strength at which only terms are parsed
+_BOUND_PREC = {'+': 1, '-': 1, '*': 2, '^': 3}  # the operators of type bounds
 
 _CONNECTIVES = {'<=>': Iff, '=>': Implies, '\\/': Or, '/\\': And}
 _SYMBOL = {cls: sym for sym, cls in _CONNECTIVES.items()}
@@ -172,23 +173,14 @@ class Parser:
         t = self.expect('ident')
         return TypeExpr('name', name=t.text)
 
-    def bound_expr(self):
-        e = self.bound_mul()
-        while self.at('+') or self.at('-'):
-            op = self.take().kind
-            e = (op, e, self.bound_mul())
-        return e
-
-    def bound_mul(self):
-        e = self.bound_pow()
-        while self.accept('*'):
-            e = ('*', e, self.bound_pow())
-        return e
-
-    def bound_pow(self):
+    def bound_expr(self, min_prec=1):
+        """Precedence climbing over _BOUND_PREC; a chain of ^ folds to the
+        right."""
         e = self.bound_atom()
-        if self.accept('^'):
-            return ('^', e, self.bound_pow())
+        while _BOUND_PREC.get(self.peek().kind, 0) >= min_prec:
+            op = self.take().kind
+            prec = _BOUND_PREC[op]
+            e = (op, e, self.bound_expr(prec if op == '^' else prec + 1))
         return e
 
     def bound_atom(self):
@@ -227,14 +219,18 @@ class Parser:
                     return lhs
                 self.take()
                 lhs = _infix_term(op.kind, lhs, self.expr(prec + 1), op.pos)
-            else:  # a connective; a chain of => folds to the right
-                chain, arrows = [self.as_formula(lhs)], []
-                while not arrows or cls is Implies and self.at('=>'):
-                    arrows.append(self.take().pos)
+            else:  # a connective: a chain of /\ or \/ is one node at its
+                # last operator, a chain of => folds to the right
+                chain, ops = [self.as_formula(lhs)], []
+                while not ops or cls is not Iff and self.at(op.kind):
+                    ops.append(self.take().pos)
                     chain.append(self.as_formula(self.expr(prec + 1)))
+                if cls is And or cls is Or:
+                    lhs = cls(chain, pos=ops[-1])
+                    continue
                 lhs = chain.pop()
                 while chain:
-                    lhs = cls(chain.pop(), lhs, pos=arrows.pop())
+                    lhs = cls(chain.pop(), lhs, pos=ops.pop())
 
     def as_formula(self, e) -> Formula:
         """e where a formula is required: a bool literal becomes TrueF or
@@ -434,7 +430,7 @@ def print_bound(e, prec=0) -> str:
         return str(e[1])
     if op == 'var':
         return e[1]
-    mine = {'+': 1, '-': 1, '*': 2, '^': 3}[op]
+    mine = _BOUND_PREC[op]
     lhs = print_bound(e[1], mine if op != '^' else mine + 1)
     rhs = print_bound(e[2], mine + 1 if op != '^' else mine)
     s = '%s %s %s' % (lhs, op, rhs)
@@ -483,9 +479,11 @@ def print_formula(f: Formula, prec=0) -> str:
     if isinstance(f, (And, Or, Implies, Iff)):
         mine = PREC[type(f)]
         right = isinstance(f, Implies)  # the right-associative one
-        lp, rp = (mine + 1, mine) if right else (mine, mine + 1)
-        s = '%s %s %s' % (print_formula(f.lhs, lp), _SYMBOL[type(f)],
-                          print_formula(f.rhs, rp))
+        parts = (f.lhs, f.rhs) if right or isinstance(f, Iff) else f.parts
+        # only the first part, or the last one of =>, may be of f's class
+        s = (' %s ' % _SYMBOL[type(f)]).join([
+            print_formula(p, mine if (i == 0) != right else mine + 1)
+            for i, p in enumerate(parts)])
         return '(%s)' % s if mine < prec else s
     if isinstance(f, (Forall, Exists)):
         word = 'forall' if isinstance(f, Forall) else 'exists'

@@ -146,16 +146,11 @@ class Solver:
                 raise RefsolverError('unbalanced parenthesis' if toks[i] == ')'
                                      else 'bad command %r' % toks[i])
             head, name, i = toks[i + 1], toks[i + 2], i + 2
+            if name == ')' and head in ('assert', 'set-logic'):
+                raise _arity(head)
             if head == 'assert':
-                if name == ')':
-                    raise _arity(head)
                 node, i = self._term(i)
-                if toks[i] != ')':
-                    raise _arity(head)
-                i += 1
-                yield node
-                continue
-            if head == 'declare-fun':  # name (sort ...) sort
+            elif head == 'declare-fun':  # name (sort ...) sort
                 args, i = [], i + 2
                 while toks[i] != ')':
                     args.append(_sort(toks, i))
@@ -169,9 +164,15 @@ class Solver:
                     i += 8
                 s.defs[name] = params, _skip(toks, i + 1)
                 i = _skip(toks, s.defs[name][1])
-            elif head not in ('set-logic', 'check-sat', 'exit'):
+            elif head == 'set-logic':  # the logic's name
+                i += 1
+            elif head not in ('check-sat', 'exit'):
                 raise RefsolverError('unsupported command %r' % head)
-            i = _skip(toks, i, 1)
+            if toks[i] != ')':  # a command ends after its own arguments
+                raise _arity(head)
+            i += 1
+            if head == 'assert':
+                yield node
 
     def _term(self, i):
         """The node of the term at token i and the index past it, read on a

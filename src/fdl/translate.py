@@ -16,7 +16,11 @@ booleans as width-1 bit vectors. Quantifier handling depends on the mode:
 
 Each choose occurrence becomes a fresh uninterpreted function _ch<n> over
 the binders in scope, constrained by an axiom that its value satisfies the
-choose condition. A functional contract, ensures result = t with t
+choose condition, asserted whether evaluation reaches the choice or not:
+over D = nat[1], refsolve answers valid on both
+false /\\ (choose y: D with y < 0) = 0 and its swapped form, which the
+evaluator and the oracle find invalid and an error (the known gap of
+ROADMAP item 1). A functional contract, ensures result = t with t
 deterministic and of a type that fits the result type, admits one result
 per argument, so the translator reads it as the definition = t
 (core.definitional_funcs; the evaluator and the oracle read the contract
@@ -77,7 +81,7 @@ kept between calls.
 """
 
 import math
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, AddConst, And,
                    Apply, Atom, BOOL, Choose, Exists, FalseF, FdlError,
@@ -177,11 +181,35 @@ def _node(head, *parts):
             return True, f'({head} {v})'
         pre = f'({head} '
         return False, lambda env: f'{pre}{v(env)})'
-    if all(static for static, _ in parts):
-        return True, '(%s %s)' % (head, ' '.join([v for _, v in parts]))
-    pre = f'({head} '
-    fns = [(lambda env, v=v: v) if static else v for static, v in parts]
-    return False, lambda env: f"{pre}{' '.join([fn(env) for fn in fns])})"
+    return _joined(f'({head}', [(' ', part) for part in parts], ')')
+
+
+def _chain(head, parts):
+    """The compiled left-nested (head (head p0 p1) p2 ...) of two or more
+    compiled parts, as SMT-LIB writes a chain of binary operators."""
+    if len(parts) == 2:
+        return _node(head, *parts)
+    seps = ['', ' '] + [') '] * (len(parts) - 2)
+    return _joined(f'({head} ' * (len(parts) - 1), zip(seps, parts), ')')
+
+
+def _joined(pre, pairs, post):
+    """The compiled text pre t0 p0 t1 p1 ... post of the (text t, compiled
+    part p) pairs: static text if every part is, else one function of the
+    frame, with the static text between the parts that read it merged."""
+    texts, fns = [pre], []
+    for t, (static, v) in pairs:
+        if static:
+            texts[-1] += t + v
+        else:
+            texts[-1] += t
+            fns.append(v)
+            texts.append('')
+    texts[-1] += post
+    if not fns:
+        return True, texts[0]
+    runs, tail = list(zip(texts, fns)), texts[-1]
+    return False, lambda env: ''.join([t + fn(env) for t, fn in runs]) + tail
 
 
 def _widen(term, target: int):
@@ -244,9 +272,10 @@ def scan(f: Formula, neg: bool):
         elif cls is Iff:  # (!a \/ b) /\ (a \/ !b), children last first
             stack += [(f.rhs, not neg, mult), (f.lhs, neg, mult),
                       (f.rhs, neg, mult), (f.lhs, not neg, mult)]
-        elif cls is not TrueF and cls is not FalseF:  # !a \/ b for a => b
-            stack += [(f.rhs, neg, mult),
-                      (f.lhs, neg != (cls is Implies), mult)]
+        elif cls is Implies:  # !a \/ b
+            stack += [(f.rhs, neg, mult), (f.lhs, not neg, mult)]
+        elif cls is And or cls is Or:
+            stack += [(p, neg, mult) for p in reversed(f.parts)]
     return names, (skolem, expansion)
 
 
@@ -392,16 +421,17 @@ class Translator:
         if cls is TrueF or cls is FalseF:
             return _DUAL[cls]() if neg else n
         if cls is Implies:  # !a \/ b
-            return self._rewrite(Or(Not(n.lhs), n.rhs, pos=n.pos), ctx, neg,
+            return self._rewrite(Or([Not(n.lhs), n.rhs], pos=n.pos), ctx, neg,
                                  lift)
         if cls is Iff:  # (!a \/ b) /\ (a \/ !b), read in scan's order
-            return self._rewrite(And(Or(Not(n.lhs), n.rhs), Or(
-                n.lhs, Not(n.rhs)), pos=n.pos), ctx, neg)
-        lhs = self._rewrite(n.lhs, ctx, neg, lift)
-        rhs = self._rewrite(n.rhs, ctx, neg, lift)
-        if not neg and lhs is n.lhs and rhs is n.rhs:
+            return self._rewrite(And([Or(Not(n.lhs), n.rhs), Or(
+                n.lhs, Not(n.rhs))], pos=n.pos), ctx, neg)
+        parts = []  # in a loop: a comprehension would add a frame per level
+        for p in n.parts:
+            parts.append(self._rewrite(p, ctx, neg, lift))
+        if not neg and all(map(is_, parts, n.parts)):
             return n
-        return _DUAL[cls](lhs, rhs) if neg else cls(lhs, rhs, pos=n.pos)
+        return _DUAL[cls](parts) if neg else cls(parts, pos=n.pos)
 
     def _lift(self, atom, scope, neg):
         """The atom, its binders already named, as
@@ -525,9 +555,9 @@ class Translator:
         """Lower f into asserts[tag]. Only source-level conjunctions split:
         each expanded instance stays one assertion, so instance count
         equals clause count."""
-        if isinstance(f, And):
-            self.top(f.lhs, tag)
-            self.top(f.rhs, tag)
+        if type(f) is And:
+            for part in f.parts:
+                self.top(part, tag)
             return
         self.scope, self.uvars, self.size = {}, [], 0
         self._assertions(f, self.asserts[tag].append)([None] * self.size)
@@ -626,9 +656,11 @@ class Translator:
         return False, witness
 
     def _connective(self, f):
-        lhs, rhs = f.lhs, f.rhs
-        return _node(_CONNECTIVE[type(f)], _LOWER[type(lhs)](self, lhs),
-                     _LOWER[type(rhs)](self, rhs))
+        junction = type(f) is And or type(f) is Or
+        lowered = []  # in a loop: a comprehension would add a frame per level
+        for p in f.parts if junction else (f.lhs, f.rhs):
+            lowered.append(_LOWER[type(p)](self, p))
+        return _chain(_CONNECTIVE[type(f)], lowered)
 
     def _atom(self, f):
         lhs = _LOWER[type(f.lhs)](self, f.lhs)

@@ -200,11 +200,33 @@ def test_every_mechanism_decides_a_goal_nested_400_deep(tmp_path, capsys,
     assert capsys.readouterr().out == 'valid\n'
 
 
-@pytest.mark.parametrize('shape', ['and', 'not'])
+@pytest.mark.parametrize('shape', ['not'])
 def test_a_goal_too_deep_to_load_is_a_diagnostic(tmp_path, capsys, shape):
+    # a run of ! still nests one node per negation
     assert main(['check', _deep(tmp_path, shape, 5000)]) == 3
     err = capsys.readouterr().err
     assert err == 'error: model nested too deeply\n'
+
+
+@pytest.mark.parametrize('op', ['/\\', '\\/'], ids=['and', 'or'])
+@pytest.mark.parametrize('argv', [
+    ['check', '--mechanism', 'evaluator'],
+    ['check', '--mechanism', 'evaluator', '--eval-mode', 'deterministic'],
+    ['check', '--mechanism', 'refsolve', '--mode', 'eliminate'],
+    ['check', '--mechanism', 'refsolve', '--mode', 'preserve'],
+    ['check', '--mechanism', 'refsolve', '--mode', 'expand-all'],
+    ['oracle'],
+], ids=['evaluator', 'deterministic', 'eliminate', 'preserve', 'expand-all',
+        'oracle'])
+def test_every_mechanism_decides_a_chain_of_5000_parts(tmp_path, capsys, op,
+                                                       argv):
+    # a chain of /\ or \/ is one node with a list of parts, and no layer
+    # from the parser to refsolve spends a Python frame per part
+    p = tmp_path / 'chain.fdl'
+    p.write_text('theorem t <=> forall x: nat[3]. %s;'
+                 % (' %s ' % op).join(['x <= 3'] * 5000))
+    assert main([argv[0], str(p)] + argv[1:]) == 0
+    assert capsys.readouterr().out == 'valid\n'
 
 
 def test_runs_of_negation_and_chains_of_implication_parse_in_a_loop():

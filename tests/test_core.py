@@ -156,7 +156,7 @@ NODE_FIELDS = {
     AddConst: 'lhs const pos', Mul: 'lhs rhs pos', Ite: 'cond then els pos',
     Choose: 'var ty body pos', Apply: 'func args pos', TrueF: 'pos',
     FalseF: 'pos', Atom: 'rel lhs rhs pos', Not: 'body pos',
-    And: 'lhs rhs pos', Or: 'lhs rhs pos', Implies: 'lhs rhs pos',
+    And: 'parts pos', Or: 'parts pos', Implies: 'lhs rhs pos',
     Iff: 'lhs rhs pos', Forall: 'var ty body pos', Exists: 'var ty body pos',
     Term: '', Formula: '',
 }
@@ -184,6 +184,26 @@ def test_records_keep_their_dataclass_fields_and_constructors():
     for n in _one_of_each_node_class():  # as perfbench's determinize does
         kwargs = {f.name: getattr(n, f.name) for f in dataclasses.fields(n)}
         assert type(n)(**kwargs) == n and type(n)(*kwargs.values()) == n
+
+
+def test_every_way_of_building_a_junction_builds_one_node():
+    # perfbench's determinize calls And(body, Forall(...)) and rebuilds
+    # nodes as type(node)(**fields); _rebuild passes the fields in order.
+    # Each takes apart a first part of the node's class, and only that one.
+    a, b, c = (_lt(Var('x'), Lit(i)) for i in (1, 2, 3))
+    for cls in (And, Or):
+        want = cls([a, b, c], pos=(1, 9))
+        first_ab = lambda n, ctx: cls(a, b) if n is a else n  # noqa: E731
+        built = [cls(cls(a, b), c),
+                 cls(**{'parts': [cls(a, b), c], 'pos': (1, 9)}),
+                 _rebuild(cls([a, c], pos=(1, 9)), first_ab, None)]
+        assert built == [want] * 3
+        assert [type(n.parts) for n in built] == [list] * 3
+        assert [n.pos for n in built] == [None, (1, 9), (1, 9)]
+        right = cls(a, cls(b, c))
+        assert right.parts == [a, cls(b, c)] and right != want
+        other = And if cls is Or else Or
+        assert cls(other(a, b), c).parts == [other(a, b), c]
 
 
 def test_other_records_are_plain_and_list_their_fields():
@@ -350,7 +370,8 @@ def test_rename_apart_records_the_names_it_gives_out():
             Forall('x', nat(1), Exists('y', nat(1), _lt(Var('x'), Var('z')))))
     used = {'x'}
     g = subst(f, {}, used)
-    assert (g.lhs.var, g.rhs.var, g.rhs.body.var) == ("z'", "x'", 'y')
+    first, second = g.parts
+    assert (first.var, second.var, second.body.var) == ("z'", "x'", 'y')
     assert used == {'x', "x'", 'y', "z'"}
 
 

@@ -1,12 +1,20 @@
 """Brute-force reference checker: verdicts, choice sets, and the cap."""
 
+import pathlib
+import types
+
 import pytest
 
 from fdl.core import (
     Atom, Choose, Exists, FalseF, FdlError, Forall, FuncDecl, Lit, Not,
-    TrueF, Var, nat,
+    TrueF, Var, nat, resolve_model,
 )
+from fdl.evaluator import check_validity
 from fdl.oracle import assignment_space, oracle_check
+from fdl.parser import parse_model
+
+FUZZTEXT = (pathlib.Path(__file__).resolve().parent.parent / 'perfbench'
+            / 'fuzztext.py')
 
 
 def _lt(a, b):
@@ -69,9 +77,29 @@ def test_cap_refuses_oversized_goals():
 
 
 def test_agrees_with_evaluator_on_random_goals():
-    from fdl.evaluator import check_validity
     from fdl.randgen import random_goal
     for seed in range(200, 300):
         goal = random_goal(seed)
         v, _ = check_validity(goal)
         assert oracle_check(goal) == v.status, 'seed %d' % seed
+
+
+def test_determinized_choice_goals_decide_as_deterministic_evaluation():
+    # the check fuzz-text makes at run time, on perfbench's own determinize
+    # (read from its file, which nothing here writes): it rebuilds every
+    # node through dataclasses.fields and builds And(body, Forall(...)), so
+    # a change to the AST that breaks either fails here. The cap is the
+    # benchmark's: the added quantifiers inflate the static estimate.
+    fuzztext = types.ModuleType('fuzztext')
+    exec(compile(FUZZTEXT.read_text(), str(FUZZTEXT), 'exec'),
+         vars(fuzztext))
+    checked = 0
+    for text in fuzztext.generate(1, 2000):
+        m = resolve_model(parse_model(text))
+        goal, funcs, changed = fuzztext.determinize(m.theorems['t'], m.funcs)
+        if changed:
+            checked += 1
+            want = check_validity(m.theorems['t'], m.funcs,
+                                  'deterministic')[0].status
+            assert oracle_check(goal, funcs, 2 ** 62) == want, text
+    assert checked == 463

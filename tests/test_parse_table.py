@@ -71,7 +71,9 @@ def test_printer_parenthesizes_only_where_the_table_requires(outer, inner,
 # tests/, fuzztext seed 1 x 500 and randgen seeds 0-199 printed as
 # one-theorem models), the sha256 of corpus_digest.dump of the parsed Model,
 # every node's pos included, or 'rejected'. Recorded from the recursive-
-# descent parser that precedence climbing replaced. A row may change only
+# descent parser that precedence climbing replaced; the rows that hold a
+# /\ or \/ chain were recorded again when a chain became one node at its
+# last operator, which changed nothing else in them. A row may change only
 # with the syntax it pins; texts added to tests/ later have no row.
 GOLDEN = TESTS / 'parse_golden.json'
 

@@ -78,7 +78,7 @@ def _pf(text, ctx=None):
 
 def test_precedence_and_binds_tighter_than_or():
     f = _pf('x = 0 \\/ y = 0 /\\ z = 0')
-    assert isinstance(f, Or) and isinstance(f.rhs, And)
+    assert isinstance(f, Or) and isinstance(f.parts[1], And)
 
 
 def test_precedence_implies_binds_looser_than_or():
@@ -93,12 +93,28 @@ def test_implies_is_right_associative():
 
 def test_negation_is_prefix_tight():
     f = _pf('!x = 0 /\\ y = 0')
-    assert isinstance(f, And) and isinstance(f.lhs, Not)
+    assert isinstance(f, And) and isinstance(f.parts[0], Not)
 
 
 def test_quantifier_body_extends_right():
     f = parse_formula('forall a: nat[3]. a = 0 \\/ a > 0', {})
     assert isinstance(f, Forall) and isinstance(f.body, Or)
+
+
+@pytest.mark.parametrize('op, cls', [('/\\', And), ('\\/', Or)])
+def test_a_chain_is_one_node_and_a_parenthesized_right_part_nests(op, cls):
+    flat, left, right = (_pf(t.replace('&', op)) for t in (
+        'x = 1 & y = 2 & z <= 3', '(x = 1 & y = 2) & z <= 3',
+        'x = 1 & (y = 2 & z <= 3)'))
+    atoms = [_pf('x = 1'), _pf('y = 2'), _pf('z <= 3')]
+    assert flat == left == cls(atoms) and type(flat.parts) is list
+    # the node is at the chain's last operator; inner ones leave no trace
+    assert (flat.pos, left.pos) == ((1, 16), (1, 18))
+    assert right == cls([atoms[0], cls(atoms[1:])]) != flat
+    for f, text in ((flat, 'x = 1 & y = 2 & z <= 3'),
+                    (right, 'x = 1 & (y = 2 & z <= 3)')):
+        assert print_formula(f) == text.replace('&', op)
+        assert _pf(print_formula(f)) == f
 
 
 def test_multi_binder_sugar_nests():

@@ -304,6 +304,26 @@ def test_a_wrong_number_of_arguments_is_an_error(term, head):
         1, 'error: wrong number of arguments to %s' % head)
 
 
+# the commands of a sat script; each case below spoils one of them
+COMMANDS = ['(set-logic QF_UFBV)', '(define-fun d () (_ BitVec 1) #b1)',
+            '(declare-fun c () (_ BitVec 1))', '(assert (= c d))',
+            '(check-sat)', '(exit)']
+
+
+@pytest.mark.parametrize('index, command, head', [
+    (0, '(set-logic QF_UFBV junk)', 'set-logic'),
+    (0, '(set-logic)', 'set-logic'),
+    (1, '(define-fun d () (_ BitVec 1) #b1 #b0)', 'define-fun'),
+    (2, '(declare-fun c () (_ BitVec 1) junk)', 'declare-fun'),
+    (4, '(check-sat junk)', 'check-sat'), (5, '(exit junk)', 'exit')])
+def test_a_command_with_a_wrong_number_of_arguments_is_an_error(
+        index, command, head):
+    assert refsolver.answer('\n'.join(COMMANDS)) == (0, 'sat')
+    spoilt = COMMANDS[:index] + [command] + COMMANDS[index + 1:]
+    assert refsolver.answer('\n'.join(spoilt)) == (
+        1, 'error: wrong number of arguments to %s' % head)
+
+
 def test_an_assertion_without_a_term_is_an_error():
     assert refsolver.answer('(assert)') == (
         1, 'error: wrong number of arguments to assert')

@@ -574,11 +574,13 @@ def test_other_contracts_stay_axiomatized(name, contract):
 
 @pytest.mark.parametrize('mode', MODES)
 def test_a_goal_too_deep_to_translate_is_a_translate_error(mode):
-    # built as an AST, so no parser limit applies; the translator's
-    # recursive passes overflow and the overflow becomes a TranslateError
+    # built as an AST, so no parser limit applies; each conjunction is the
+    # right part of the one above it, so it nests (a left chain would be one
+    # node), the translator's recursive passes overflow and the overflow
+    # becomes a TranslateError
     goal = Atom('=', Lit(0), Lit(0))
     for _ in range(5000):
-        goal = And(goal, Atom('=', Lit(0), Lit(0)))
+        goal = And(Atom('=', Lit(0), Lit(0)), goal)
     with pytest.raises(TranslateError,
                        match='goal nested too deeply to translate'):
         translate(goal, None, SmtOptions(mode=mode))
@@ -831,6 +833,37 @@ def test_translation_recursion_does_not_grow_with_each_conjunct():
         text = emit_smtlib(script)
         assert text.count('(= ') >= 299
         assert check_script(text) == 'unsat', mode
+
+
+# the negated goal of forall x: nat[3]. !(F) in each mode, around the text
+# of F, with x written as _sk1, x or each literal; RIGHT and LEFT are F's
+# text for the two ways of nesting its three conjuncts
+JUNCTION_TEXT = {
+    'eliminate': '{0}',
+    'preserve': '(exists ((x (_ BitVec 2))) {0})',
+    'expand-all': '(or {0} {1} {2} {3})',
+}
+RIGHT = '(and (= {0} #b10) (and (= {0} #b11) (bvule {0} #b10)))'
+LEFT = '(and (and (= {0} #b10) (= {0} #b11)) (bvule {0} #b10))'
+
+
+@pytest.mark.parametrize('mode', MODES)
+@pytest.mark.parametrize('text, shape', [
+    ('x = 2 /\\ (x = 3 /\\ x <= 2)', RIGHT),
+    ('(x = 2 /\\ x = 3) /\\ x <= 2', LEFT),
+    ('x = 2 /\\ x = 3 /\\ x <= 2', LEFT),
+])
+def test_a_junction_emits_the_left_nested_text_of_its_parts(mode, text,
+                                                           shape):
+    # SMT-LIB's and is left-associative: a chain is one node whose parts
+    # are written (and (and a b) c), a parenthesized right part nests
+    m = resolve_model(parse_model(
+        'theorem t <=> forall x: nat[3]. !(%s);' % text))
+    script = translate(m.theorems['t'], m.funcs, SmtOptions(mode=mode))
+    xs = {'eliminate': ['_sk1'], 'preserve': ['x'],
+          'expand-all': ['#b00', '#b01', '#b10', '#b11']}[mode]
+    assert script.asserts['negated-goal'] == [JUNCTION_TEXT[mode].format(
+        *[shape.format(x) for x in xs])]
 
 
 @pytest.mark.parametrize('mode', MODES)
