@@ -187,7 +187,11 @@ def _cmd_bench(args) -> int:
     _check_floors(args, repeats=1, size=0, timeout_ms=1)
     configs = _solver_configs(args.solvers_config)
     if args.mechanisms:
-        mechs = args.mechanisms
+        mechs, known = args.mechanisms, benchmod.mechanism_labels(configs)
+        unknown = [m for m in mechs if m not in known]
+        if unknown:  # before any cell runs
+            raise CliError('unknown mechanism %s; known: %s' % (
+                ', '.join(map(repr, unknown)), ' '.join(known)))
     else:
         avail = {n: c for n, c in configs.items() if c.available()}
         mechs = benchmod.mechanism_labels(avail)

@@ -171,6 +171,8 @@ def eval_bound(expr: tuple, params: dict) -> int:
     b = eval_bound(expr[2], params)
     if op not in _BOUND_OPS:
         raise TypeError_('bad bound expression %r' % (expr,))
+    if op == '^' and b < 0:
+        raise TypeError_('negative exponent %d in type bound' % b)
     return _BOUND_OPS[op](a, b)
 
 
@@ -335,11 +337,11 @@ class Not(Formula):
 
 
 def _junction(self, parts, pos=None):
-    # And(a, b) is And([a, b]); a first part of the node's own class is
-    # taken apart, so that a chain's left spine is one node
+    # And(a, b) is And([a, b]); And and Or take a first part of their own
+    # class apart, so that a chain's left spine is one node
     if isinstance(parts, Formula):
         parts, pos = [parts, pos], None
-    if parts[0].__class__ is self.__class__:
+    if parts[0].__class__ is self.__class__ is not Implies:
         parts = parts[0].parts + parts[1:]
     self.parts, self.pos = parts, pos
 
@@ -363,11 +365,11 @@ class Or(Formula):
 
 @record
 class Implies(Formula):
-    """lhs => rhs"""
-    lhs: Formula
-    rhs: Formula
+    """parts[0] => parts[1] => ...: the premises, then the conclusion; it
+    means the right-nested chain of binary =>, and no part is taken apart."""
+    parts: list
     pos: Pos = None
-    __init__ = _binary
+    __init__ = _junction
 
 
 @record
@@ -714,6 +716,9 @@ def resolve_model(m: Model, overrides: Optional[dict] = None) -> Model:
     params = {}
     for name, default in m.params.items():
         if overrides and name in overrides:
+            if overrides[name] < 0:
+                raise TypeError_('parameter %r is a nat, got %d'
+                                 % (name, overrides[name]))
             params[name] = overrides[name]
         elif default is not None:
             params[name] = default

@@ -305,7 +305,7 @@ _COMPILE = {
     Not: lambda ev, f: ev._map(operator.not_, f.body),
     And: lambda ev, f: ev._junction(False, False, f.parts),
     Or: lambda ev, f: ev._junction(True, True, f.parts),
-    Implies: lambda ev, f: ev._junction(False, True, (f.lhs, f.rhs)),
+    Implies: lambda ev, f: ev._junction(False, True, f.parts),
     Iff: lambda ev, f: ev._pair(operator.eq, f.lhs, f.rhs),
     Forall: Evaluator._quantifier,
     Exists: Evaluator._quantifier,

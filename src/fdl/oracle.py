@@ -16,7 +16,7 @@ from .core import (Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF,
 DEFAULT_CAP = 2 ** 20
 
 _REL = {'=': operator.eq, '<': operator.lt, '<=': operator.le}
-# (stop, forced): a left value stop makes the connective's value forced
+# (stop, forced): a part but the last that is stop makes the chain forced
 _JUNCTION = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
 
@@ -62,17 +62,17 @@ def _truths(f, env, funcs) -> set:
     if isinstance(f, Not):
         return {not v for v in _truths(f.body, env, funcs)}
     if isinstance(f, (And, Or, Implies)):
-        # the truths of the left-nested chain, one part at a time: a prefix
-        # that can be stop can give forced, one that can be not stop goes on
+        # left to right, as the evaluator reads them: a part that can be stop
+        # can give forced, one that can be not stop goes on to the next
         stop, forced = _JUNCTION[type(f)]
-        parts = (f.lhs, f.rhs) if type(f) is Implies else f.parts
-        out = _truths(parts[0], env, funcs)
-        for part in parts[1:]:
-            left = out
-            out = {forced} if stop in left else set()
-            if (not stop) in left:
-                out |= _truths(part, env, funcs)
-        return out
+        out = set()
+        for part in f.parts[:-1]:
+            here = _truths(part, env, funcs)
+            if stop in here:
+                out.add(forced)
+            if (not stop) not in here:
+                return out
+        return out | _truths(f.parts[-1], env, funcs)
     if isinstance(f, Iff):
         left = _truths(f.lhs, env, funcs)
         right = _truths(f.rhs, env, funcs)

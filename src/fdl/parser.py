@@ -9,7 +9,8 @@ Operators, loosest first: <=>, => (right-associative), \/, /\, prefix !,
 the comparisons = < <= > >= (they do not chain; > and >= are flipped < and
 <=), +, *. Quantifier and choose bodies extend as far right as possible.
 Terms: literals, variables, if/then/else, choose x: T with F, function
-application. Comments run from # or // to end of line.
+application. Comments run from # or // to end of line. A chain of /\, \/
+or => is one node that holds its parts; a chain of <=> nests to the left.
 
 Formulas and terms are parsed by precedence climbing over PREC, the table
 the printer reads too, and type bounds the same way over _BOUND_PREC.
@@ -21,7 +22,7 @@ import re
 from .core import (Add, AddConst, And, Apply, Atom, Choose, Diagnostic,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
-                   Term, TrueF, TypeExpr, Var, resolve_node,
+                   Term, TrueF, TypeExpr, Var, _children, resolve_node,
                    typecheck_formula)
 
 KEYWORDS = {'val', 'type', 'fun', 'theorem', 'nat', 'bool', 'forall', 'exists',
@@ -219,18 +220,15 @@ class Parser:
                     return lhs
                 self.take()
                 lhs = _infix_term(op.kind, lhs, self.expr(prec + 1), op.pos)
-            else:  # a connective: a chain of /\ or \/ is one node at its
-                # last operator, a chain of => folds to the right
+            else:  # a connective: a chain is one node at its root
+                # operator, the last of /\ or \/ and the first of =>;
+                # <=> takes two parts and folds to the left
                 chain, ops = [self.as_formula(lhs)], []
                 while not ops or cls is not Iff and self.at(op.kind):
                     ops.append(self.take().pos)
                     chain.append(self.as_formula(self.expr(prec + 1)))
-                if cls is And or cls is Or:
-                    lhs = cls(chain, pos=ops[-1])
-                    continue
-                lhs = chain.pop()
-                while chain:
-                    lhs = cls(chain.pop(), lhs, pos=ops.pop())
+                lhs = (Iff(*chain, pos=ops[0]) if cls is Iff else
+                       cls(chain, pos=ops[0 if cls is Implies else -1]))
 
     def as_formula(self, e) -> Formula:
         """e where a formula is required: a bool literal becomes TrueF or
@@ -478,12 +476,11 @@ def print_formula(f: Formula, prec=0) -> str:
         return '!%s' % print_formula(f.body, PREC[Not])
     if isinstance(f, (And, Or, Implies, Iff)):
         mine = PREC[type(f)]
-        right = isinstance(f, Implies)  # the right-associative one
-        parts = (f.lhs, f.rhs) if right or isinstance(f, Iff) else f.parts
-        # only the first part, or the last one of =>, may be of f's class
+        left = isinstance(f, Iff)  # the one that folds to the left
+        # only the left part of <=> may be of f's class unparenthesized
         s = (' %s ' % _SYMBOL[type(f)]).join([
-            print_formula(p, mine if (i == 0) != right else mine + 1)
-            for i, p in enumerate(parts)])
+            print_formula(p, mine if left and i == 0 else mine + 1)
+            for i, p in enumerate(_children(f))])
         return '(%s)' % s if mine < prec else s
     if isinstance(f, (Forall, Exists)):
         word = 'forall' if isinstance(f, Forall) else 'exists'

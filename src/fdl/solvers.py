@@ -14,9 +14,10 @@ and calls run(FILE). run_solver does not exec it per verdict: one worker,
 the same program calling refsolver.serve(), is started by the first
 verdict and decides script after script: length and text in, run's line
 out. A timeout kills its session, EOF (a crash) is an error, and the
-next verdict starts a new worker. Every other backend, and a [refsolve] section of the INI file, is exec'd
-per verdict in its own session, whose whole process group a timeout
-kills; one whose executable is not on PATH reports 'unavailable'.
+next verdict starts a new worker. Every other backend, and a [refsolve]
+section of the INI file, is exec'd per verdict in its own session, whose
+whole process group a timeout kills; one whose executable is not on PATH
+reports 'unavailable'.
 """
 
 import atexit

@@ -37,13 +37,14 @@ budget.
 
 The passes: the negated goal, then each queued axiom, is rewritten in one
 rebuild (Translator.normalize) that pushes negations to the atoms by
-polarity, names each binder as it enters it, maps an inlined body's
-parameters to their rewritten arguments (the "rapier" of Peyton Jones &
-Marlow, JFP 12(4-5), 2002), turns each choose into a _ch symbol and returns
-every node that nothing changes as it is. Under --eliminate-choices it also
-lifts choices out of the goal's atoms that only forall, /\\, \\/ and
-the right side of => enclose, into a guarded universal (Translator._lift);
-every other occurrence keeps its _ch symbol or contract declaration.
+polarity (a => b => c becomes one !a \\/ !b \\/ c), names each binder as it
+enters it, maps an inlined body's parameters to their rewritten arguments
+(the "rapier" of Peyton Jones & Marlow, JFP 12(4-5), 2002), turns each
+choose into a _ch symbol and returns every node that nothing changes as it
+is. Under --eliminate-choices it also lifts choices out of the goal's atoms
+that only forall, /\\, \\/ and the conclusion of => enclose, into a guarded
+universal (Translator._lift); every other occurrence keeps its _ch symbol
+or contract declaration.
 Lowering then compiles each node once, in the static scope of its binders,
 into closures (Feeley & Lapalme, "Using Closures for Code Generation", 1987)
 that write the script's text: a node that reads no frame slot is formatted
@@ -272,10 +273,10 @@ def scan(f: Formula, neg: bool):
         elif cls is Iff:  # (!a \/ b) /\ (a \/ !b), children last first
             stack += [(f.rhs, not neg, mult), (f.lhs, neg, mult),
                       (f.rhs, neg, mult), (f.lhs, not neg, mult)]
-        elif cls is Implies:  # !a \/ b
-            stack += [(f.rhs, neg, mult), (f.lhs, not neg, mult)]
-        elif cls is And or cls is Or:
-            stack += [(p, neg, mult) for p in reversed(f.parts)]
+        elif cls is And or cls is Or or cls is Implies:  # => is !a \/ ... \/ c
+            flip = cls is Implies  # then every part but the conclusion, i == 0
+            stack += [(p, neg != (flip and i > 0), mult)
+                      for i, p in enumerate(reversed(f.parts))]
     return names, (skolem, expansion)
 
 
@@ -384,7 +385,7 @@ class Translator:
         keeps its connectives (a term, or a formula in a conditional). ctx
         holds the terms for free variables, the enclosing quantifiers'
         (name, type) and the iterator of binder names. lift marks a node
-        that only forall, /\\, \\/ and the right side of => enclose: its
+        that only forall, /\\, \\/ and the conclusion of => enclose: its
         atoms' choices are lifted (see _lift)."""
         cls = type(n)
         if cls is Var:
@@ -420,9 +421,9 @@ class Translator:
             return _rebuild(n, self._rewrite, ctx)
         if cls is TrueF or cls is FalseF:
             return _DUAL[cls]() if neg else n
-        if cls is Implies:  # !a \/ b
-            return self._rewrite(Or([Not(n.lhs), n.rhs], pos=n.pos), ctx, neg,
-                                 lift)
+        if cls is Implies:  # !a \/ !b \/ ... \/ c
+            return self._rewrite(Or([*map(Not, n.parts[:-1]), n.parts[-1]],
+                                    pos=n.pos), ctx, neg, lift)
         if cls is Iff:  # (!a \/ b) /\ (a \/ !b), read in scan's order
             return self._rewrite(And([Or(Not(n.lhs), n.rhs), Or(
                 n.lhs, Not(n.rhs))], pos=n.pos), ctx, neg)
@@ -656,10 +657,11 @@ class Translator:
         return False, witness
 
     def _connective(self, f):
-        junction = type(f) is And or type(f) is Or
         lowered = []  # in a loop: a comprehension would add a frame per level
-        for p in f.parts if junction else (f.lhs, f.rhs):
+        for p in _children(f):
             lowered.append(_LOWER[type(p)](self, p))
+        if type(f) is Implies:  # (=> a b c) is right-associative
+            return _node('=>', *lowered)
         return _chain(_CONNECTIVE[type(f)], lowered)
 
     def _atom(self, f):
@@ -797,7 +799,7 @@ _LITS = {}
 # the header line of each option set, by every option but the budget and
 # the goal name
 _HEADERS = {}
-_CONNECTIVE = {And: 'and', Or: 'or', Implies: '=>', Iff: '='}
+_CONNECTIVE = {And: 'and', Or: 'or', Iff: '='}  # each written left-nested
 # node type -> compiling method; methods look their children up here
 # directly, so each nested connective or term costs one Python frame
 _LOWER = {

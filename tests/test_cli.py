@@ -208,7 +208,8 @@ def test_a_goal_too_deep_to_load_is_a_diagnostic(tmp_path, capsys, shape):
     assert err == 'error: model nested too deeply\n'
 
 
-@pytest.mark.parametrize('op', ['/\\', '\\/'], ids=['and', 'or'])
+@pytest.mark.parametrize('op', ['/\\', '\\/', '=>'],
+                         ids=['and', 'or', 'implies'])
 @pytest.mark.parametrize('argv', [
     ['check', '--mechanism', 'evaluator'],
     ['check', '--mechanism', 'evaluator', '--eval-mode', 'deterministic'],
@@ -220,8 +221,8 @@ def test_a_goal_too_deep_to_load_is_a_diagnostic(tmp_path, capsys, shape):
         'oracle'])
 def test_every_mechanism_decides_a_chain_of_5000_parts(tmp_path, capsys, op,
                                                        argv):
-    # a chain of /\ or \/ is one node with a list of parts, and no layer
-    # from the parser to refsolve spends a Python frame per part
+    # a chain of /\, \/ or => is one node with a list of parts, and no
+    # layer from the parser to refsolve spends a Python frame per part
     p = tmp_path / 'chain.fdl'
     p.write_text('theorem t <=> forall x: nat[3]. %s;'
                  % (' %s ' % op).join(['x <= 3'] * 5000))
@@ -239,11 +240,30 @@ def test_runs_of_negation_and_chains_of_implication_parse_in_a_loop():
     assert isinstance(f, Atom)
     m = parse_model('theorem t <=> forall x: nat[1]. %s;'
                     % ' => '.join(['x = x'] * n))
-    f = m.theorems['t'].body
-    for _ in range(n - 1):
-        assert isinstance(f, Implies) and isinstance(f.lhs, Atom)
-        f = f.rhs
-    assert isinstance(f, Atom)
+    f = m.theorems['t'].body  # one node of n parts
+    assert isinstance(f, Implies) and len(f.parts) == n
+    assert all(isinstance(p, Atom) for p in f.parts)
+
+
+@pytest.mark.parametrize('argv', [
+    ['check', '--mechanism', 'evaluator'],
+    ['check', '--mechanism', 'refsolve'],
+    ['oracle'],
+], ids=['evaluator', 'refsolve', 'oracle'])
+def test_a_negative_parameter_or_exponent_is_a_diagnostic(tmp_path, capsys,
+                                                          argv):
+    # 2^-1 is no bound; it used to fail inside FiniteType (exit 2)
+    p = tmp_path / 'bound.fdl'
+    p.write_text('val N: nat; type D = nat[2^N];\n'
+                 'theorem t <=> forall x: D. x <= 1;')
+    assert main([argv[0], str(p), '--param', 'N=-1'] + argv[1:]) == 3
+    assert capsys.readouterr().err == "error: parameter 'N' is a nat, got -1\n"
+    p.write_text('val N: nat = 2; type D = nat[2^(N - 3)];\n'
+                 'theorem t <=> forall x: D. x <= 1;')
+    assert main([argv[0], str(p)] + argv[1:]) == 3
+    assert capsys.readouterr().err == (
+        'error: negative exponent -1 in type bound\n')
+    assert main([argv[0], str(p), '--param', 'N=4'] + argv[1:]) == 1
 
 
 def test_missing_file_exits_three(capsys):
@@ -416,6 +436,18 @@ def test_fuzz_runs_at_the_option_floors(capsys):
     assert main(['fuzz', '--count', '5', '--max-depth', '0',
                  '--max-bound', '1']) == 0
     assert capsys.readouterr().out.startswith('ok: 0 goals agree')
+
+
+def test_bench_rejects_an_unknown_mechanism_before_any_cell(tmp_path, capsys):
+    out = tmp_path / 'report'
+    code = main(['bench', '--families', 'cycle4-valid', '--patterns', 'a4e0',
+                 '-N', '1', '--mechanisms', 'RISCAL', 'refsolve-X', 'RISCAL-S',
+                 '--out', str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown mechanism 'refsolve-X', 'RISCAL-S';"
+                          ' known: RISCAL refsolve-S refsolve-Q refsolve-E ')
+    assert err.count('\n') == 1 and not out.exists()  # no cell ran
 
 
 def test_bench_rejects_a_bad_solvers_config(tmp_path, capsys):

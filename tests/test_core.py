@@ -70,6 +70,15 @@ def test_eval_bound_unknown_parameter():
         eval_bound(('var', 'M'), {'N': 1})
 
 
+def test_eval_bound_rejects_a_negative_exponent():
+    # 2^-1 is 0.5, no bound; 0^0 is 1
+    e = ('^', ('num', 2), ('-', ('var', 'N'), ('num', 3)))
+    with pytest.raises(TypeError_, match='negative exponent -1 in type bound'):
+        eval_bound(e, {'N': 2})
+    assert eval_bound(e, {'N': 3}) == 1
+    assert eval_bound(('^', ('num', 0), ('num', 0)), {}) == 1
+
+
 # -- traversal helpers ----------------------------------------------------------
 
 
@@ -156,7 +165,7 @@ NODE_FIELDS = {
     AddConst: 'lhs const pos', Mul: 'lhs rhs pos', Ite: 'cond then els pos',
     Choose: 'var ty body pos', Apply: 'func args pos', TrueF: 'pos',
     FalseF: 'pos', Atom: 'rel lhs rhs pos', Not: 'body pos',
-    And: 'parts pos', Or: 'parts pos', Implies: 'lhs rhs pos',
+    And: 'parts pos', Or: 'parts pos', Implies: 'parts pos',
     Iff: 'lhs rhs pos', Forall: 'var ty body pos', Exists: 'var ty body pos',
     Term: '', Formula: '',
 }
@@ -204,6 +213,15 @@ def test_every_way_of_building_a_junction_builds_one_node():
         assert right.parts == [a, cls(b, c)] and right != want
         other = And if cls is Or else Or
         assert cls(other(a, b), c).parts == [other(a, b), c]
+    # Implies is built the same three ways but takes no part apart: its
+    # chains nest to the right, so (a => b) => c has two parts
+    want = Implies([a, b, c], pos=(1, 9))
+    first_ab = lambda n, ctx: Implies(a, b) if n is a else n  # noqa: E731
+    left = _rebuild(Implies([a, c], pos=(1, 9)), first_ab, None)
+    assert Implies(**{'parts': [a, b, c], 'pos': (1, 9)}) == want
+    assert Implies(a, b).parts == [a, b] and Implies(a, b).pos is None
+    assert left.parts == [Implies(a, b), c] and left.pos == (1, 9)
+    assert Implies(a, Implies(b, c)).parts == [a, Implies(b, c)] != want.parts
 
 
 def test_other_records_are_plain_and_list_their_fields():
@@ -420,6 +438,12 @@ def test_resolve_model_defaults_and_overrides():
 def test_resolve_model_rejects_unknown_override():
     with pytest.raises(TypeError_):
         resolve_model(_tiny_model(), {'M': 1})
+
+
+def test_resolve_model_rejects_a_negative_override():
+    with pytest.raises(TypeError_, match="parameter 'N' is a nat, got -1"):
+        resolve_model(_tiny_model(), {'N': -1})
+    assert resolve_model(_tiny_model(), {'N': 0}).types['D'] == nat(0)
 
 
 def test_resolve_model_requires_defaultless_params():

@@ -83,12 +83,14 @@ def test_precedence_and_binds_tighter_than_or():
 
 def test_precedence_implies_binds_looser_than_or():
     f = _pf('x = 0 \\/ y = 0 => z = 0')
-    assert isinstance(f, Implies) and isinstance(f.lhs, Or)
+    assert isinstance(f, Implies) and isinstance(f.parts[0], Or)
 
 
 def test_implies_is_right_associative():
+    # one node whose parts are the premises, then the conclusion
     f = _pf('x = 0 => y = 0 => z = 0')
-    assert isinstance(f, Implies) and isinstance(f.rhs, Implies)
+    assert isinstance(f, Implies) and f.parts == [
+        _pf('x = 0'), _pf('y = 0'), _pf('z = 0')]
 
 
 def test_negation_is_prefix_tight():
@@ -101,20 +103,27 @@ def test_quantifier_body_extends_right():
     assert isinstance(f, Forall) and isinstance(f.body, Or)
 
 
-@pytest.mark.parametrize('op, cls', [('/\\', And), ('\\/', Or)])
+@pytest.mark.parametrize('op, cls', [('/\\', And), ('\\/', Or),
+                                     ('=>', Implies)])
 def test_a_chain_is_one_node_and_a_parenthesized_right_part_nests(op, cls):
-    flat, left, right = (_pf(t.replace('&', op)) for t in (
+    texts = [t.replace('&', op) for t in (
         'x = 1 & y = 2 & z <= 3', '(x = 1 & y = 2) & z <= 3',
-        'x = 1 & (y = 2 & z <= 3)'))
+        'x = 1 & (y = 2 & z <= 3)')]
+    flat, left, right = map(_pf, texts)
     atoms = [_pf('x = 1'), _pf('y = 2'), _pf('z <= 3')]
-    assert flat == left == cls(atoms) and type(flat.parts) is list
-    # the node is at the chain's last operator; inner ones leave no trace
-    assert (flat.pos, left.pos) == ((1, 16), (1, 18))
+    assert flat == cls(atoms) and type(flat.parts) is list
     assert right == cls([atoms[0], cls(atoms[1:])]) != flat
-    for f, text in ((flat, 'x = 1 & y = 2 & z <= 3'),
-                    (right, 'x = 1 & (y = 2 & z <= 3)')):
-        assert print_formula(f) == text.replace('&', op)
-        assert _pf(print_formula(f)) == f
+    # the node is at the chain's root operator; inner ones leave no trace
+    if cls is Implies:  # nests to the right: its root is its first operator
+        assert left == cls([cls(atoms[:2]), atoms[2]]) != flat
+        assert (flat.pos, left.pos, right.pos) == ((1, 7), (1, 18), (1, 7))
+    else:  # nests to the left: its root is its last operator
+        assert left == flat
+        assert (flat.pos, left.pos, right.pos) == ((1, 16), (1, 18), (1, 7))
+    printed = [texts[0], texts[1] if cls is Implies else texts[0], texts[2]]
+    for f, text in zip((flat, left, right), printed):
+        assert print_formula(f) == text
+        assert _pf(text) == f
 
 
 def test_multi_binder_sugar_nests():

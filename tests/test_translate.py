@@ -958,7 +958,10 @@ def test_scripts_match_the_recorded_table():
 # of TWO_WITNESSES_SRC's goal and of every random_goal seed in 0-199 whose
 # script renames a binder (a primed name), recorded before the translator
 # kept one set of taken names. Each goal is stored as its print_formula text,
-# which parses back to a goal with the same scripts.
+# which parses back to a goal with the same scripts. Seed 173's row was
+# recorded again when a chain of => became one node: its text's a => b => c
+# now parses as one chain, whose negation writes (and (and a b) c) where the
+# right-nested goal wrote (and a (and b c)); nothing else changed.
 NAMES_GOLDEN = ROOT / 'tests' / 'translate_names_golden.json'
 
 
