@@ -9,9 +9,9 @@ assignment space exceeds the cap.
 import itertools
 import operator
 
-from .core import (Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF,
-                   FdlError, Forall, Iff, Implies, Ite, Lit, Mul, Not, Or,
-                   TrueF, Var, enumerate_domain, walk)
+from .core import (_LAYOUT, Add, AddConst, And, Apply, Atom, Choose, Exists,
+                   FalseF, FdlError, Forall, Iff, Implies, Ite, Lit, Mul, Not,
+                   Or, TrueF, Var, enumerate_domain)
 
 DEFAULT_CAP = 2 ** 20
 
@@ -21,19 +21,33 @@ _JUNCTION = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
 
 def assignment_space(node, funcs=None, _seen=()):
-    """Upper bound on the number of binder assignments explored."""
+    """Upper bound on the number of binder assignments explored at once:
+    carrier sizes multiply along nesting, and of binders read one after
+    another the largest counts, so the bound is the largest product along
+    one path of the tree. An applied function's own space is nested over
+    its arguments."""
     funcs = funcs or {}
-    space = 1
-    for n in walk(node):
-        if isinstance(n, (Forall, Exists, Choose)):
-            space *= n.ty.size()
-        elif isinstance(n, Apply) and n.func in funcs and n.func not in _seen:
+    space, stack = 1, [(node, 1)]
+    while stack:
+        n, above = stack.pop()
+        cls = type(n)
+        if cls is Forall or cls is Exists or cls is Choose:
+            above *= n.ty.size()
+        elif cls is Apply and n.func in funcs and n.func not in _seen:
             fd = funcs[n.func]
             if fd.is_contract():
-                space *= fd.result.size()
-                space *= assignment_space(fd.ensures, funcs, _seen + (n.func,))
+                above *= fd.result.size() * assignment_space(
+                    fd.ensures, funcs, _seen + (n.func,))
             else:
-                space *= assignment_space(fd.body, funcs, _seen + (n.func,))
+                above *= assignment_space(fd.body, funcs, _seen + (n.func,))
+        if above > space:
+            space = above
+        for name in _LAYOUT[cls][1]:
+            v = getattr(n, name)
+            if type(v) is list:
+                stack += [(x, above) for x in v]
+            else:
+                stack.append((v, above))
     return space
 
 

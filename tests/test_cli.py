@@ -337,6 +337,17 @@ def test_oracle_cap_exits_two(cycle4, capsys):
     assert 'exceeds cap' in capsys.readouterr().err
 
 
+def test_oracle_reads_sibling_quantifiers_one_after_another(tmp_path, capsys):
+    # 16 assignments at a time: the product of all six carriers, 16 ** 6,
+    # once exceeded the default cap
+    p = tmp_path / 'six.fdl'
+    p.write_text('theorem t <=> %s;\n' % ' /\\ '.join(
+        ['(forall aI: nat[15]. aI <= 15)'] * 6))
+    for command in ('oracle', 'check'):
+        assert main([command, str(p)]) == 0
+        assert capsys.readouterr().out == 'valid\n'
+
+
 def test_oracle_gives_the_reason_of_a_reached_empty_choice(tmp_path, capsys):
     # the empty choice is reached before `false`: both the evaluator and
     # the oracle end with an evaluation error, and say why

@@ -1,5 +1,6 @@
 """Brute-force reference checker: verdicts, choice sets, and the cap."""
 
+import math
 import pathlib
 import random
 import types
@@ -7,13 +8,13 @@ import types
 import pytest
 
 from fdl.core import (
-    And, Atom, Choose, Exists, FalseF, FdlError, Forall, FuncDecl, Implies,
-    Lit, Not, Or, TrueF, Var, nat, resolve_model,
+    BINDERS, And, Apply, Atom, Choose, Exists, FalseF, FdlError, Forall,
+    FuncDecl, Implies, Lit, Not, Or, TrueF, Var, nat, resolve_model, walk,
 )
 from fdl.evaluator import check_validity
 from fdl.oracle import assignment_space, oracle_check
 from fdl.parser import parse_model
-from fdl.randgen import GoalGen, differential
+from fdl.randgen import GoalGen, differential, random_goal
 
 FUZZTEXT = (pathlib.Path(__file__).resolve().parent.parent / 'perfbench'
             / 'fuzztext.py')
@@ -64,6 +65,25 @@ def test_assignment_space_multiplies_binders():
     assert assignment_space(f) == 8
     g = Forall('x', nat(3), Atom('=', Choose('c', nat(7), TrueF()), Var('x')))
     assert assignment_space(g) == 32
+
+
+def test_assignment_space_takes_the_largest_of_sibling_binders():
+    # binders read one after another count once each, the largest path of
+    # nested ones wins: 4 * 2 here, where the product of all was 4 * 2 * 6
+    f = And([Forall('x', nat(3), Exists('y', nat(1), _lt(Var('x'), Var('y')))),
+             Exists('z', nat(5), Atom('=', Var('z'), Lit(0)))])
+    assert assignment_space(f) == 8
+    # an applied function's space is nested over its arguments
+    fd = FuncDecl('h', [('p', nat(1))], nat(3),
+                  ensures=Forall('q', nat(1), Atom('<=', Var('q'), Var('p'))))
+    g = Atom('=', Apply('h', [Choose('c', nat(2), TrueF())]),
+             Choose('d', nat(9), TrueF()))
+    assert assignment_space(g, {'h': fd}) == 4 * 2 * 3
+    # never above the product of every binder's carrier, which it replaced
+    for seed in range(300):
+        goal = random_goal(seed)
+        assert assignment_space(goal) <= math.prod(
+            n.ty.size() for n in walk(goal) if isinstance(n, BINDERS))
 
 
 def test_cap_refuses_oversized_goals():
