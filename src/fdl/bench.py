@@ -27,7 +27,7 @@ import math
 import os
 import time
 
-from .core import (And, Apply, Atom, AddConst, Exists, Forall, FuncDecl,
+from .core import (Add, And, Apply, Atom, Exists, Forall, FuncDecl,
                    FuncTable, Ite, Lit, Not, Record, Var, nat)
 from .evaluator import EvalTimeout, check_validity
 from .solvers import (DEFAULT_TIMEOUT_MS, SolverOutcome, decide,
@@ -53,7 +53,7 @@ def _cycle(names, last_slack=0):
              for a, b in zip(names, names[1:])]
     closing = Var(names[0])
     if last_slack:
-        closing = AddConst(closing, last_slack)
+        closing = Add(closing, Lit(last_slack))
     edges.append(Atom('<', Var(names[-1]), closing))
     return And(edges)
 

@@ -8,6 +8,7 @@ with the evaluator loads no translator, solver bridge or benchmark.
 """
 
 import argparse
+import os
 import sys
 
 from .core import (TRANSLATE_MODES, FdlError, TypeError_, resolve_model,
@@ -39,10 +40,12 @@ def _parse_params(pairs) -> dict:
 
 def _load_model(path, params):
     try:
-        with open(path) as fh:
+        with open(path, encoding='utf-8') as fh:
             text = fh.read()
     except OSError as e:
         raise CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise CliError('%s is not UTF-8 text: %s' % (path, e)) from None
     try:
         model = parse_model(text)
         model = resolve_model(model, _parse_params(params))
@@ -165,8 +168,11 @@ def _cmd_translate(args) -> int:
         return 3
     text = emit_smtlib(script)
     if args.out:
-        with open(args.out, 'w') as fh:
-            fh.write(text)
+        try:
+            with open(args.out, 'w') as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError('cannot write --out: %s' % e) from None
     else:
         sys.stdout.write(text)
     if args.stats:
@@ -195,6 +201,10 @@ def _cmd_bench(args) -> int:
     else:
         avail = {n: c for n, c in configs.items() if c.available()}
         mechs = benchmod.mechanism_labels(avail)
+    try:  # before any cell runs, so that no result is lost
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise CliError('cannot use --out: %s' % e) from None
     cases = benchmod.make_cases(args.families, args.patterns, args.size)
 
     def progress(rec):

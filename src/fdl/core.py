@@ -229,22 +229,12 @@ class Lit(Term):
 
 @record
 class Add(Term):
-    """lhs + rhs"""
+    """lhs + rhs. A literal k is a Lit like any other operand: x + k is
+    Add(x, Lit(k)), of type nat[bound(x) + k], since k's type is nat[k]."""
     lhs: Term
     rhs: Term
     pos: Pos = None
     __init__ = _binary
-
-
-@record
-class AddConst(Term):
-    """t + k with a literal k; kept distinct so result bounds stay tight."""
-    lhs: Term
-    const: int
-    pos: Pos = None
-
-    def __init__(self, lhs, const, pos=None):
-        self.lhs, self.const, self.pos = lhs, const, pos
 
 
 @record
@@ -457,7 +447,7 @@ class Diagnostic:
 
 
 # fields that hold names, types or constants, never subnodes
-_LEAF_FIELDS = {'pos', 'ty', 'var', 'func', 'name', 'rel', 'value', 'const'}
+_LEAF_FIELDS = {'pos', 'ty', 'var', 'func', 'name', 'rel', 'value'}
 # node class -> (its field names, the names of its fields that hold subnodes),
 # computed once so that no visit calls dataclasses.fields
 _LAYOUT = {cls: (tuple(f.name for f in fields(cls)),
@@ -788,13 +778,6 @@ class TypeChecker:
             if isinstance(t, Add):
                 return nat(a.bound + b.bound)
             return nat(a.bound * b.bound)
-        if isinstance(t, AddConst):
-            a = self.check_term(t.lhs, env)
-            if a is None:
-                return None
-            if a.kind != 'nat' or isinstance(t.const, bool) or t.const < 0:
-                return self.error('arithmetic on non-numeric operands', t.pos)
-            return nat(a.bound + t.const)
         if isinstance(t, Ite):
             self.check_formula(t.cond, env)
             a = self.check_term(t.then, env)

@@ -32,7 +32,7 @@ import operator
 import time
 from typing import Optional
 
-from .core import (Add, AddConst, And, Apply, Atom, Choose, EvalError, Exists,
+from .core import (Add, And, Apply, Atom, Choose, EvalError, Exists,
                    FalseF, FdlError, Forall, Formula, Iff, Implies, Ite, Lit,
                    Mul, Not, Or, QUANTIFIERS, Record, TrueF, Var)
 
@@ -297,7 +297,6 @@ _COMPILE = {
     FalseF: lambda ev, f: (True, lambda env: False),
     Add: lambda ev, t: ev._pair(operator.add, t.lhs, t.rhs),
     Mul: lambda ev, t: ev._pair(operator.mul, t.lhs, t.rhs),
-    AddConst: lambda ev, t: ev._map(lambda a, c=t.const: a + c, t.lhs),
     Ite: Evaluator._ite,
     Choose: lambda ev, t: ev._choices(t.var, t.ty, t.body),
     Apply: Evaluator._apply,

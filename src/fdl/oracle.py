@@ -9,7 +9,7 @@ assignment space exceeds the cap.
 import itertools
 import operator
 
-from .core import (_LAYOUT, Add, AddConst, And, Apply, Atom, Choose, Exists,
+from .core import (_LAYOUT, Add, And, Apply, Atom, Choose, Exists,
                    FalseF, FdlError, Forall, Iff, Implies, Ite, Lit, Mul, Not,
                    Or, TrueF, Var, enumerate_domain)
 
@@ -117,8 +117,6 @@ def _values(t, env, funcs) -> set:
         op = operator.add if isinstance(t, Add) else operator.mul
         return {op(a, b) for a in _values(t.lhs, env, funcs)
                 for b in _values(t.rhs, env, funcs)}
-    if isinstance(t, AddConst):
-        return {a + t.const for a in _values(t.lhs, env, funcs)}
     if isinstance(t, Ite):
         cond = _truths(t.cond, env, funcs)
         out = set()

@@ -11,6 +11,8 @@ the comparisons = < <= > >= (they do not chain; > and >= are flipped < and
 Terms: literals, variables, if/then/else, choose x: T with F, function
 application. Comments run from # or // to end of line. A chain of /\, \/
 or => is one node that holds its parts; a chain of <=> nests to the left.
+Every + is an Add: x + 2 is Add(x, Lit(2)), whose Lit has the position of
+the literal's token and whose Add has that of the +.
 
 Formulas and terms are parsed by precedence climbing over PREC, the table
 the printer reads too, and type bounds the same way over _BOUND_PREC.
@@ -19,7 +21,7 @@ Nesting deeper than Python's recursion limit is a parse error.
 
 import re
 
-from .core import (Add, AddConst, And, Apply, Atom, Choose, Diagnostic,
+from .core import (Add, And, Apply, Atom, Choose, Diagnostic,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
                    FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
                    Term, TrueF, TypeExpr, Var, _children, resolve_node,
@@ -35,8 +37,7 @@ SYMBOLS = ['<=>', '=>', '<=', '>=', '/\\', '\\/',
 
 # Binding strength of each construct, loosest first. The parser climbs it and
 # the printer reads it.
-PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6,
-        Add: 7, AddConst: 7, Mul: 8}
+PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Add: 7, Mul: 8}
 _TERM = PREC[Add]  # the loosest strength at which only terms are parsed
 _BOUND_PREC = {'+': 1, '-': 1, '*': 2, '^': 3}  # the operators of type bounds
 
@@ -47,14 +48,9 @@ _INFIX = {**_CONNECTIVES, **dict.fromkeys(('=', '<', '<=', '>', '>='), Atom),
 
 
 def _infix_term(op, lhs, rhs, pos):
-    """The node of a comparison or an arithmetic operator: > and >= flip,
-    + with a literal right operand is AddConst."""
-    if op == '+':
-        if isinstance(rhs, Lit):
-            return AddConst(lhs, rhs.value, pos=pos)
-        return Add(lhs, rhs, pos=pos)
-    if op == '*':
-        return Mul(lhs, rhs, pos=pos)
+    """The node of a comparison or an arithmetic operator: > and >= flip."""
+    if op in ('+', '*'):
+        return _INFIX[op](lhs, rhs, pos=pos)
     if op in ('>', '>='):
         return Atom(op.replace('>', '<'), rhs, lhs, pos=pos)
     return Atom(op, lhs, rhs, pos=pos)
@@ -442,12 +438,11 @@ def print_term(t: Term, prec=0) -> str:
         if isinstance(t.value, bool):
             return 'true' if t.value else 'false'
         return str(t.value)
-    if isinstance(t, (Add, AddConst, Mul)):
+    if isinstance(t, (Add, Mul)):
         mine = PREC[type(t)]
-        rhs = (str(t.const) if isinstance(t, AddConst)
-               else print_term(t.rhs, mine + 1))
         s = '%s %s %s' % (print_term(t.lhs, mine),
-                          '*' if isinstance(t, Mul) else '+', rhs)
+                          '*' if isinstance(t, Mul) else '+',
+                          print_term(t.rhs, mine + 1))
         return '(%s)' % s if mine < prec else s
     if isinstance(t, Ite):
         s = 'if %s then %s else %s' % (print_formula(t.cond),

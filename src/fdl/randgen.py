@@ -8,7 +8,7 @@ produced formula typechecks by construction.
 
 import random
 
-from .core import (Add, AddConst, And, Atom, Exists, FalseF, Forall, Iff,
+from .core import (Add, And, Atom, Exists, FalseF, Forall, Iff,
                    Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, func_table, nat)
 from .evaluator import check_validity
 from .oracle import oracle_check
@@ -80,15 +80,11 @@ class GoalGen:
                 return Var(self.rng.choice(nats))
             return Lit(self.rng.randint(0, self.max_bound))
         if r < 0.65:
-            lhs = self.term(scope, depth - 1)
-            rhs = self.term(scope, depth - 1)
-            # parsing normalizes 'x + k' to AddConst; generate the same shape
-            if isinstance(rhs, Lit):
-                return AddConst(lhs, rhs.value)
-            return Add(lhs, rhs)
+            return Add(self.term(scope, depth - 1),
+                       self.term(scope, depth - 1))
         if r < 0.75:
-            return AddConst(self.term(scope, depth - 1),
-                            self.rng.randint(1, self.max_bound))
+            return Add(self.term(scope, depth - 1),
+                       Lit(self.rng.randint(1, self.max_bound)))
         if r < 0.85:
             return Mul(self.term(scope, depth - 1), self.term(scope, depth - 1))
         return Ite(self.atom(scope), self.term(scope, depth - 1),

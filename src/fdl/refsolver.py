@@ -515,9 +515,9 @@ def run(path: str, budget: int = DEFAULT_BUDGET) -> int:
     """Decide the script in a file: print the answer and return 0, or print
     one 'error: ...' line on stderr and return 1."""
     try:
-        with open(path) as fh:
+        with open(path, encoding='utf-8') as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         code, line = 1, 'error: %s' % e
     else:
         code, line = answer(text, budget)

@@ -64,7 +64,10 @@ read. A quantifier's body is compiled once; for each ground instance
 variable's literal goes into a frame slot, only the text that depends on it
 is written again, and the first use of each Skolem application's text
 asserts its range. A side of =, like a conditional's condition, expands
-every quantifier in eliminate mode. emit_smtlib only joins lines.
+every quantifier in eliminate mode. An operand narrower than its operator's
+result is zero-extended, but a literal right operand of + is written at the
+sum's width: x + 2 over nat[2] is (bvadd ((_ zero_extend 1) x) #b010).
+emit_smtlib only joins lines.
 
 Names: Translator._taken, seeded with the function names, holds every name
 given out. The goal's binder names are fixed before the rebuild: scan lists
@@ -92,12 +95,11 @@ kept between calls.
 import math
 from operator import is_, itemgetter
 
-from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, AddConst, And,
-                   Apply, Atom, BOOL, Choose, Exists, FalseF, FdlError,
-                   FiniteType, Forall, Formula, Iff, Implies, Ite, Lit, Mul,
-                   Not, Or, Record, TrueF, Var, _children, _rebuild, apart,
-                   binders, enter_binder, free_vars, func_table, has_choose,
-                   nat, subst)
+from .core import (_LAYOUT, TRANSLATE_MODES as MODES, Add, And, Apply, Atom,
+                   BOOL, Choose, Exists, FalseF, FdlError, FiniteType, Forall,
+                   Formula, Iff, Implies, Ite, Lit, Mul, Not, Or, Record,
+                   TrueF, Var, _children, _rebuild, apart, binders,
+                   enter_binder, free_vars, func_table, has_choose, nat, subst)
 
 TAGS = ('negated-goal', 'skolem-range-axiom', 'choose-axiom', 'type-constraint')
 
@@ -767,6 +769,8 @@ class Translator:
         return lit
 
     def _arith(self, t):
+        """(bvadd a b) or (bvmul a b) at the result's width; a literal right
+        operand of + is written at that width, not zero-extended."""
         lhs = _LOWER[type(t.lhs)](self, t.lhs)
         rhs = _LOWER[type(t.rhs)](self, t.rhs)
         if isinstance(t, Add):
@@ -776,14 +780,9 @@ class Translator:
             ty = nat(lhs[2].bound * rhs[2].bound)
             op = 'bvmul'
         w = ty.width
+        if op == 'bvadd' and type(t.rhs) is Lit:
+            rhs = True, bv_lit(t.rhs.value, w), ty, w
         return (*_node(op, _widen(lhs, w), _widen(rhs, w)), ty, w)
-
-    def _add_const(self, t):
-        lhs = _LOWER[type(t.lhs)](self, t.lhs)
-        ty = nat(lhs[2].bound + t.const)
-        w = ty.width
-        return (*_node('bvadd', _widen(lhs, w), (True, bv_lit(t.const, w))),
-                ty, w)
 
     def _ite(self, t):
         outer, self.concrete = self.concrete, True
@@ -902,7 +901,6 @@ _LOWER = {
     Lit: Translator._lit,
     Add: Translator._arith,
     Mul: Translator._arith,
-    AddConst: Translator._add_const,
     Ite: Translator._ite,
     Apply: Translator._apply,
     Choose: Translator._unaxiomatized,

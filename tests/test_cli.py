@@ -270,6 +270,16 @@ def test_missing_file_exits_three(capsys):
     assert main(['check', '/no/such/model.fdl']) == 3
 
 
+@pytest.mark.parametrize('command', ['check', 'oracle', 'translate'])
+def test_a_model_that_is_not_utf8_exits_three(tmp_path, capsys, command):
+    p = tmp_path / 'latin1.fdl'
+    p.write_bytes(b'\xff' + CYCLE4_SRC.encode())
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith('error: %s is not UTF-8 text: ' % p), err
+    assert err.count('\n') == 1
+
+
 def test_bad_param_exits_three(cycle4):
     assert main(['check', cycle4, '--param', 'N=six']) == 3
     assert main(['check', cycle4, '--param', 'Q=1']) == 3
@@ -294,6 +304,18 @@ def test_translate_to_file_with_stats(cycle4, tmp_path, capsys):
     assert out.read_text().startswith('(set-logic')
     err = capsys.readouterr().err
     assert 'goal=' in err and 'est-skolem=' in err
+
+
+@pytest.mark.parametrize('target', ['missing/goal.smt2', 'adir'])
+def test_translate_to_an_unwritable_out_exits_three(cycle4, tmp_path, capsys,
+                                                    target):
+    (tmp_path / 'adir').mkdir()
+    out = tmp_path / target
+    code = main(['translate', cycle4, '--param', 'N=1', '--out', str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith('error: cannot write --out: ') and str(out) in err
+    assert err.count('\n') == 1
 
 
 def test_translate_stats_count_contracts_as_definitions(tmp_path, capsys):
@@ -459,6 +481,20 @@ def test_bench_rejects_an_unknown_mechanism_before_any_cell(tmp_path, capsys):
     assert err.startswith("error: unknown mechanism 'refsolve-X', 'RISCAL-S';"
                           ' known: RISCAL refsolve-S refsolve-Q refsolve-E ')
     assert err.count('\n') == 1 and not out.exists()  # no cell ran
+
+
+def test_bench_rejects_an_out_that_is_a_file_before_any_cell(tmp_path,
+                                                             capsys):
+    out = tmp_path / 'afile'
+    out.write_text('kept')
+    code = main(['bench', '--families', 'cycle4-valid', '--patterns', 'e4a0',
+                 '-N', '1', '--mechanisms', 'RISCAL', '--out', str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    # one line: no cell ran, so none printed its progress
+    assert err == ("error: cannot use --out: [Errno 17] File exists: '%s'\n"
+                   % out)
+    assert out.read_text() == 'kept'
 
 
 def test_bench_rejects_a_bad_solvers_config(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import fdl
 from fdl import core
 from fdl.core import (
-    BOOL, Add, AddConst, And, Apply, Atom, Choose, Exists, FalseF, FiniteType,
+    BOOL, Add, And, Apply, Atom, Choose, Exists, FalseF, FiniteType,
     Forall, Formula, FuncDecl, Iff, Implies, Ite, Lit, Model, Mul, Not, Or,
     Term, TrueF, TypeChecker, TypeError_, TypeExpr, Var, _children, _rebuild,
     definitional_funcs, enumerate_domain, eval_bound, free_vars, has_choose,
@@ -112,7 +112,7 @@ def test_walk_and_free_vars_spend_no_frame_per_level():
 def _one_of_each_node_class():
     x, one = Var('x'), Lit(1)
     a = _lt(x, one)
-    return [x, one, Add(x, one), AddConst(x, 2), Mul(x, one),
+    return [x, one, Add(x, one), Mul(x, one),
             Ite(a, x, one), Choose('y', nat(1), a), Apply('f', [x, one]),
             TrueF(), FalseF(), a, Not(a), And(a, TrueF()), Or(FalseF(), a),
             Implies(a, Not(a)), Iff(a, a), Forall('x', nat(1), a),
@@ -162,7 +162,7 @@ def test_traversal_calls_no_dataclasses_fields_once_warm(monkeypatch):
 # perfbench's determinize rebuilds nodes by them.
 NODE_FIELDS = {
     Var: 'name pos', Lit: 'value pos', Add: 'lhs rhs pos',
-    AddConst: 'lhs const pos', Mul: 'lhs rhs pos', Ite: 'cond then els pos',
+    Mul: 'lhs rhs pos', Ite: 'cond then els pos',
     Choose: 'var ty body pos', Apply: 'func args pos', TrueF: 'pos',
     FalseF: 'pos', Atom: 'rel lhs rhs pos', Not: 'body pos',
     And: 'parts pos', Or: 'parts pos', Implies: 'parts pos',
@@ -268,9 +268,9 @@ def test_no_method_is_compiled_from_a_string():
 def test_records_compare_and_print_their_fields_but_pos():
     assert Var('x', pos=(1, 1)) == Var('x') and TrueF((2, 3)) == TrueF()
     assert Var('x') != Var('y') and TrueF() != FalseF() and Lit(1) != 1
-    a = Atom('<', Var('x', (1, 1)), AddConst(Lit(1), 2), pos=(1, 3))
+    a = Atom('<', Var('x', (1, 1)), Add(Lit(1), Lit(2, (1, 9))), pos=(1, 3))
     assert repr(a) == ("Atom(rel='<', lhs=Var(name='x'), "
-                       "rhs=AddConst(lhs=Lit(value=1), const=2))")
+                       "rhs=Add(lhs=Lit(value=1), rhs=Lit(value=2)))")
     assert repr(Forall('x', nat(1), Not(TrueF()))) == (
         "Forall(var='x', ty=FiniteType(kind='nat', bound=1), "
         "body=Not(body=TrueF()))")
@@ -314,7 +314,7 @@ def test_nondeterministic_funcs_follow_applications():
         # nondeterministic only through the contract it applies
         'viaH': FuncDecl('viaH', [('x', d)], d, body=Apply('h', [Var('x')])),
         'inc': FuncDecl('inc', [('x', d)], nat(3),
-                        body=AddConst(Var('x'), 1)),
+                        body=Add(Var('x'), Lit(1))),
     }
     assert nondeterministic_funcs(funcs) == {'h', 'pick', 'viaH'}
     # the application of a pure definition keeps its caller pure, and the
@@ -332,7 +332,7 @@ def test_definitional_funcs_rewrite_only_functional_contracts():
     p = Var('p')
     funcs = {
         'flipped': FuncDecl('flipped', [('p', d)], nat(3),
-                            ensures=Atom('=', AddConst(p, 1), Var('result'))),
+                            ensures=Atom('=', Add(p, Lit(1)), Var('result'))),
         # applies a functional contract: the fixpoint makes it one too
         'k': FuncDecl('k', [('p', d)], nat(3), ensures=Atom(
             '=', Var('result'), Apply('flipped', [p]))),
@@ -347,7 +347,7 @@ def test_definitional_funcs_rewrite_only_functional_contracts():
             '=', Var('result'), Choose('y', d, Atom('<=', Var('y'), p)))),
         # p + 1 can leave nat[2]
         'succ': FuncDecl('succ', [('p', d)], d,
-                         ensures=Atom('=', Var('result'), AddConst(p, 1))),
+                         ensures=Atom('=', Var('result'), Add(p, Lit(1)))),
         'self': FuncDecl('self', [('p', d)], d, ensures=Atom(
             '=', Var('result'), Var('result'))),
     }
@@ -422,7 +422,7 @@ def _tiny_model():
         types={'D': d},
         funcs={'inc': FuncDecl('inc', [('x', ref)], ref,
                                body=Ite(_lt(Var('x'), Lit(3)),
-                                        AddConst(Var('x'), 1), Var('x')))},
+                                        Add(Var('x'), Lit(1)), Var('x')))},
         theorems={'g': Forall('x', ref, _lt(Var('x'), Lit(4)))})
 
 
@@ -483,7 +483,7 @@ def test_typecheck_rejects_kind_mismatch():
 
 @pytest.mark.parametrize('lit', ['true', 'false'])
 def test_typecheck_rejects_a_bool_added_as_a_constant(lit):
-    # x + <literal> parses to AddConst, whose constant must be a number
+    # x + <literal> parses to Add(x, Lit), whose operands must be numbers
     text = 'type D = nat[1]; theorem t <=> forall x: D. x + %s <= 2;' % lit
     diags = typecheck_model(resolve_model(parse_model(text)))
     assert [(d.message, d.pos) for d in diags] == [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdl.core import (
-    Add, AddConst, And, Atom, Choose, Exists, FalseF, Forall, FuncDecl, Iff,
+    Add, And, Atom, Choose, Exists, FalseF, Forall, FuncDecl, Iff,
     Implies, Ite, Lit, Mul, Not, Or, TrueF, Var, nat, resolve_model,
 )
 from fdl.evaluator import MODES, EvalTimeout, check_validity
@@ -61,7 +61,7 @@ def test_arithmetic_is_total_over_widened_bounds():
     assert _both_modes(Atom('=', t, Lit(11))) == 'invalid'
     ite = Ite(_lt(Lit(1), Lit(0)), Lit(0), Lit(7))
     assert _both_modes(Atom('=', ite, Lit(7))) == 'valid'
-    assert _both_modes(Atom('=', AddConst(ite, 9), Lit(16))) == 'valid'
+    assert _both_modes(Atom('=', Add(ite, Lit(9)), Lit(16))) == 'valid'
 
 
 def test_quantifiers_over_small_domains():

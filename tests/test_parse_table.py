@@ -75,8 +75,10 @@ def test_printer_parenthesizes_only_where_the_table_requires(outer, inner,
 # /\ or \/ chain were recorded again when a chain became one node at its
 # last operator, which changed nothing else in them, and the rows that hold
 # a => when => became one node of parts too (randgen seed 173's printed text
-# gained the parentheses of its right-nested =>). A row may change only
-# with the syntax it pins; texts added to tests/ later have no row.
+# gained the parentheses of its right-nested =>), and the rows that hold
+# + with a literal right operand when that became Add(x, Lit(k)), the Lit
+# at the literal's token, in place of a node of its own. A row may change
+# only with the syntax it pins; texts added to tests/ later have no row.
 GOLDEN = TESTS / 'parse_golden.json'
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from fdl.core import (
-    Add, AddConst, And, Atom, Exists, Forall, Implies, Lit, Mul, Not, Or,
-    Var, nat, resolve_model, typecheck_model,
+    Add, And, Atom, Exists, Forall, Implies, Lit, Mul, Not, Or,
+    Var, nat, resolve_model, typecheck_model, walk,
 )
 from fdl.parser import (
     ParseError, parse_formula, parse_model, print_formula, print_term,
@@ -139,10 +139,9 @@ def test_flipped_comparisons_normalize():
     assert g == Atom('<=', Var('y'), Var('x'))
 
 
-def test_plus_literal_becomes_addconst():
+def test_plus_literal_is_an_add_of_a_lit():
     f = _pf('x + 1 = y + z')
-    assert isinstance(f.lhs, AddConst) and f.lhs.const == 1
-    assert isinstance(f.rhs, Add)
+    assert f.lhs == Add(Var('x'), Lit(1)) and f.rhs == Add(Var('y'), Var('z'))
 
 
 def test_product_binds_tighter_than_sum():
@@ -257,6 +256,27 @@ def test_random_goal_round_trip():
     for seed in range(80):
         goal = random_goal(seed)
         assert parse_formula(print_formula(goal), {}) == goal
+
+
+@pytest.mark.parametrize('text, lits', [
+    ('x + 2', [(2, (1, 5))]),
+    ('2 + x', [(2, (1, 1))]),
+    ('x + 2 + 3', [(2, (1, 5)), (3, (1, 9))]),
+])
+def test_sum_with_a_literal_round_trips_with_the_literals_positions(text,
+                                                                    lits):
+    # the Add has the position of its +, each Lit that of its token
+    ctx = {'x': nat(3)}
+    t = parse_formula(text + ' = 0', ctx).lhs
+    assert print_term(t) == text
+    again = parse_formula(print_term(t) + ' = 0', ctx).lhs
+    assert again == t
+    for node in (t, again):
+        found = [(n.value, n.pos) for n in walk(node) if isinstance(n, Lit)]
+        assert found == lits
+        plus = [n.pos for n in walk(node) if isinstance(n, Add)]
+        assert sorted(plus) == [(1, i + 1) for i, c in enumerate(text)
+                                if c == '+']
 
 
 def test_print_term_minimal_parens():

@@ -433,6 +433,17 @@ def test_cli_reports_missing_file():
     assert 'error' in out.stderr
 
 
+def test_cli_reports_a_script_that_is_not_utf8_in_one_line(tmp_path):
+    p = tmp_path / 'latin1.smt2'
+    p.write_bytes(b'(set-logic QF_UFBV)\n(assert (= #b1 #b1)) ; caf\xe9\n'
+                  b'(check-sat)\n')
+    out = subprocess.run([sys.executable, '-m', 'fdl.refsolver', str(p)],
+                         capture_output=True, text=True)
+    assert out.returncode == 1 and out.stdout == ''
+    assert out.stderr == ("error: 'utf-8' codec can't decode byte 0xe9 in "
+                          "position 46: invalid continuation byte\n")
+
+
 def test_cli_reports_an_internal_failure_without_traceback(
         tmp_path, monkeypatch, capsys):
     p = tmp_path / 'probe.smt2'

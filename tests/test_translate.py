@@ -12,9 +12,9 @@ import pytest
 
 from fdl import core, randgen
 from fdl.core import (
-    BOOL, Add, And, Atom, Choose, Exists, FalseF, FiniteType, Forall, Formula,
-    FuncDecl, Iff, Implies, Lit, Mul, Not, Or, Term, TrueF, Var, _children,
-    nat, resolve_model, walk,
+    BOOL, Add, And, Apply, Atom, Choose, Exists, FalseF, FiniteType, Forall,
+    Formula, FuncDecl, Iff, Implies, Lit, Mul, Not, Or, Term, TrueF, Var,
+    _children, nat, resolve_model, walk,
 )
 from fdl.evaluator import check_validity
 from fdl.oracle import oracle_check
@@ -1179,7 +1179,9 @@ def test_stats_and_errors_match_the_recorded_table():
 # with inline_definitions too: the goals of every `*_SRC` text in tests/ and
 # the first 100 such goals of perfbench's fuzztext seed 1, each stored with
 # its model text. Recorded before the lifting moved into the translator's
-# one rebuild.
+# one rebuild; the rows of fuzztext 1/196, 204, 265, 308, 426 and 565 were
+# recorded again when a literal that substitution puts right of + came to be
+# written at the sum's width, which changed nothing else in them.
 LIFT_GOLDEN = ROOT / 'tests' / 'translate_lift_golden.json'
 
 
@@ -1325,3 +1327,93 @@ def test_types_are_interned_and_carry_their_widths():
         "FiniteType(kind='nat', bound=3)"
     for ty in (nat(0), nat(1), nat(4), BOOL, FiniteType('nat', 255)):
         assert ty.width == max(1, (ty.size() - 1).bit_length())
+
+
+# -- one addition node: x + k is Add(x, Lit(k)) ------------------------------
+
+# A definition, a functional contract, a contract read by its axiom and a
+# definition with a choice, which is inlined under every option: k(2) puts
+# its literal argument right of + by substitution, and so does lifting h(1)
+# under --eliminate-choices. Each contract and choice admits exactly one
+# value, so every mechanism must agree (several are ROADMAP item 1's gap).
+SUMS_SRC = """
+type D = nat[2];
+fun f(x: D): nat[3] = x + 1;
+fun g(p: D): nat[3] ensures result = p + 1;
+fun h(p: D): nat[3] ensures result + p = 3;
+fun k(x: D): nat[4] = (choose c: D with c = x) + x;
+theorem t <=> f(2) = 3 /\\ g(2) = 3 /\\ h(1) = 2 /\\ k(2) = 4;
+"""
+
+
+def _sum_goal(seed):
+    """A closed goal over u: comparisons of sums and products with literals
+    on either side, and of SUMS_SRC's functions applied to literals or u."""
+    rng = random.Random(seed)
+
+    def lit():
+        return Lit(rng.randint(0, 2))
+
+    def term(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            return Var('u') if rng.random() < 0.6 else lit()
+        if r < 0.5:
+            return Add(term(depth - 1), lit())
+        if r < 0.6:
+            return Add(lit(), term(depth - 1))
+        if r < 0.7:
+            return (Mul(term(depth - 1), lit()) if rng.random() < 0.5
+                    else Mul(lit(), term(depth - 1)))
+        arg = lit() if rng.random() < 0.7 else Var('u')
+        return Apply(rng.choice('fghk'), [arg])
+
+    atoms = [Atom(rng.choice(('=', '<', '<=')), term(2), term(2))
+             for _ in range(rng.randint(1, 3))]
+    body = atoms[0] if len(atoms) == 1 else rng.choice((And, Or))(atoms)
+    return rng.choice((Forall, Exists))('u', nat(rng.randint(1, 2)), body)
+
+
+def test_sums_with_literals_decide_alike_in_every_mechanism():
+    funcs = resolve_model(parse_model(SUMS_SRC)).funcs
+    verdicts, substituted = [], 0
+    for seed in range(300):
+        goal = _sum_goal(seed)
+        substituted += any(isinstance(n, Apply) and n.func == 'k'
+                           and isinstance(n.args[0], Lit) for n in walk(goal))
+        got = randgen.differential(goal, funcs)
+        for label in ('eliminate', 'inline'):
+            for mode in MODES:
+                answer = check_script(_emit(goal, funcs, mode=mode,
+                                            **OPTIONS[label]))
+                got['refsolve/%s/%s' % (mode, label)] = {
+                    'unsat': 'valid', 'sat': 'invalid'}.get(answer, answer)
+        assert len(set(got.values())) == 1, (seed, got)
+        verdicts.append(got['oracle'])
+    # 62 goals apply k to a literal, which lands right of + when k is inlined
+    assert (verdicts.count('valid'), verdicts.count('invalid')) == (126, 174)
+    assert substituted == 62
+
+
+def test_a_parsed_and_a_built_sum_with_a_literal_emit_alike():
+    built = Forall('x', nat(2), Atom('<=', Add(Var('x'), Lit(2)), Lit(3)))
+    parsed = parse_formula('forall x: nat[2]. x + 2 <= 3', {})
+    assert parsed == built
+    for mode in MODES:
+        for kw in OPTIONS.values():
+            assert (_emit(parsed, mode=mode, **kw)
+                    == _emit(built, mode=mode, **kw)), (mode, kw)
+    # nat[2] + nat[2] is nat[4], of 3 bits: the literal is written at 3 bits
+    assert '(bvadd ((_ zero_extend 1) x) #b010)' in _emit(built,
+                                                          mode='preserve')
+
+
+def test_a_literal_substituted_right_of_plus_is_written_at_the_sums_width():
+    m = resolve_model(parse_model(SUMS_SRC))
+    # k(2) inlined: (choose c: D with c = 2) + 2, a nat[4] of 3 bits
+    default = _emit(m.theorems['t'], m.funcs)
+    assert '(bvadd ((_ zero_extend 1) _ch1) #b010)' in default
+    # h(1) lifted: the ensures clause's result + 1 over _sk1, also nat[4]
+    lifted = _emit(m.theorems['t'], m.funcs, eliminate_choices=True)
+    assert '(bvadd ((_ zero_extend 1) _sk1) #b001)' in lifted
+    assert '(_ zero_extend 2) #b1)' not in lifted
