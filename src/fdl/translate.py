@@ -42,16 +42,14 @@ polarity (a => b => c becomes one !a \\/ !b \\/ c), leaves the sides of a
 written once, as (= a b), names each binder as it enters it, maps an
 inlined body's parameters to their rewritten arguments (the "rapier" of
 Peyton Jones & Marlow, JFP 12(4-5), 2002), turns each choose into a _ch
-symbol and returns every node that nothing changes as it is. In eliminate
-mode only, a <=> with a side whose quantifiers are of both kinds is
-rewritten (!a \\/ b) /\\ (a \\/ !b) instead (Translator._doubled): writing
-each side twice is the price of giving it both polarities (Plaisted &
-Greenbaum, "A Structure-preserving Clause Form Translation", JSC 2(3),
-1986), paid only where it saves instances. Under --eliminate-choices the
-rebuild also lifts choices out of the goal's atoms that only forall, /\\,
-\\/ and the conclusion of => enclose, into a guarded universal
-(Translator._lift); every other occurrence keeps its _ch symbol or
-contract declaration.
+symbol and returns every node that nothing changes as it is. A <=> is
+written so in every mode. In eliminate mode a side exists x. forall y.
+then costs |x| * |y| instances; writing the <=> twice, (!a \\/ b) /\\
+(a \\/ !b), would cost |x| + |y| but leave Skolem functions that a solver
+without propagation has to search. Under --eliminate-choices the rebuild
+also lifts choices out of the goal's atoms that only forall, /\\, \\/ and
+the conclusion of => enclose, into a guarded universal (Translator._lift);
+every other occurrence keeps its _ch symbol or contract declaration.
 Lowering then compiles each node once, in the static scope of its binders,
 into closures (Feeley & Lapalme, "Using Closures for Code Generation", 1987)
 that write the script's text: a node that reads no frame slot is formatted
@@ -249,14 +247,13 @@ _DUAL = {TrueF: FalseF, FalseF: TrueF, And: Or, Or: And, Forall: Exists,
          Exists: Forall}
 
 
-def scan(f: Formula, neg: bool, doubled=None):
+def scan(f: Formula, neg: bool):
     """(the binder names of the negation-normal form of f, or of !f when
     neg, in pre-order; the Skolem range and universal expansion conjunct
     estimates, 0 when their quantifier kind is absent), from one read-only
-    walk. A <=> for which the predicate doubled holds is read as
-    (!a \\/ b) /\\ (a \\/ !b), with each side twice; any other as (= a b),
-    each side once and, like a conditional's condition, without a
-    polarity, so that its quantifiers count in neither estimate."""
+    walk. A <=> is read as (= a b), each side once and, like a
+    conditional's condition, without a polarity, so that its quantifiers
+    count in neither estimate."""
     names, skolem, expansion = [], 0, 0
     # (node, negated, product of the enclosing universals' sizes, None in an
     # atom); children are pushed last first, so that they come out in order
@@ -283,10 +280,6 @@ def scan(f: Formula, neg: bool, doubled=None):
             else:
                 skolem += mult
             stack.append((f.body, neg, mult))
-        elif cls is Iff and doubled and doubled(f):
-            # (!a \/ b) /\ (a \/ !b), children last first
-            stack += [(f.rhs, not neg, mult), (f.lhs, neg, mult),
-                      (f.rhs, neg, mult), (f.lhs, not neg, mult)]
         elif cls is Iff:  # (= a b): each side once, as in a conditional
             stack += [(f.rhs, neg, None), (f.lhs, neg, None)]
         elif cls is And or cls is Or or cls is Implies:  # => is !a \/ ... \/ c
@@ -294,49 +287,6 @@ def scan(f: Formula, neg: bool, doubled=None):
             stack += [(p, neg != (flip and i > 0), mult)
                       for i, p in enumerate(reversed(f.parts))]
     return names, (skolem, expansion)
-
-
-# the quantifier kinds, as quantifier_kinds gives them, of the negation
-_FLIP = (0, 2, 1, 3)
-
-
-def quantifier_kinds(f: Formula, memo: dict) -> int:
-    """The kinds of the quantifiers of f read with their polarity, as the
-    bits 1 (forall) and 2 (exists), in eliminate mode. A <=> is written
-    doubled when a side has both kinds, and then has both itself; one
-    written once, as =, expands each side in both polarities and has
-    neither, as a term does. memo maps id(node) to (node, kinds) for every
-    formula visited, so that one walk serves every <=> of a translation."""
-    stack = [f]
-    while stack:
-        n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-            continue
-        cls = type(n)
-        kids = (n.parts if cls is And or cls is Or or cls is Implies
-                else (n.lhs, n.rhs) if cls is Iff
-                else (n.body,) if cls is Not or cls is Forall or cls is Exists
-                else ())
-        todo = [k for k in kids if id(k) not in memo]
-        if todo:  # the node is read again once its children are done
-            stack += todo
-            continue
-        stack.pop()
-        kinds = [memo[id(k)][1] for k in kids]
-        if cls is Implies:  # the premises are read negated
-            kinds[:-1] = [_FLIP[k] for k in kinds[:-1]]
-        k = 0
-        for kind in kinds:
-            k |= kind
-        if cls is Not:
-            k = _FLIP[k]
-        elif cls is Forall or cls is Exists:
-            k |= 1 if cls is Forall else 2
-        elif cls is Iff:
-            k = 3 if 3 in kinds else 0
-        memo[id(n)] = n, k
-    return memo[id(f)][1]
 
 
 def _eligible(t, nondet):
@@ -392,7 +342,6 @@ class Translator:
         self._taken = set(self.funcs)  # see the module docstring, Names
         self._written = {}  # a primed or _el binder name -> its written name
         self.queue = []  # (axiom, tag, its _written), lowered in turn
-        self._kinds = {}  # the memo of quantifier_kinds
         # definitions that are inlined instead of emitted as define-fun
         self._inlined = () if not self.funcs else {
             n for n, fd in self.funcs.items() if fd.body is not None and (
@@ -435,25 +384,15 @@ class Translator:
         binders are named apart from used before the rebuild starts, and
         the names join used and _taken. lift is set for the goal under
         --eliminate-choices."""
-        names, estimates = scan(f, neg, self._doubled)
+        names, estimates = scan(f, neg)
         names = self._give(names, used, given_before=True)
         self._taken |= used
         return self._rewrite(f, ({}, [], names), neg, lift), estimates
 
-    def _doubled(self, n):
-        """True when the <=> n is rewritten as (!a \\/ b) /\\ (a \\/ !b):
-        in eliminate mode, when a side's quantifiers, read with their
-        polarity, are of both kinds. That form expands only the universals
-        of each copy, |x| + |y| instances of a side exists x. forall y.,
-        where (= a b) expands both, |x| * |y|; a side whose quantifiers are
-        of one kind is expanded whole in one copy of it anyway."""
-        return (self.opts.mode == 'eliminate'
-                and quantifier_kinds(n, self._kinds) == 3)
-
     def _rewrite(self, n, ctx, neg=None, lift=False):
         """n, or !n when neg, in negation-normal form; with neg None, n
         keeps its connectives (a term, a formula in a conditional or a side
-        of a <=> written as =). ctx holds the terms for free variables, the
+        of a <=>). ctx holds the terms for free variables, the
         enclosing quantifiers' (name, type) and the iterator of binder
         names. lift marks a node that only forall, /\\, \\/ and the
         conclusion of => enclose: its atoms' choices are lifted (see
@@ -473,9 +412,6 @@ class Translator:
             return (_DUAL[cls] if neg else cls)(var, n.ty, body,
                                                  pos=None if neg else n.pos)
         if cls is Iff:
-            if neg is not None and self._doubled(n):  # read in scan's order
-                return self._rewrite(And([Or(Not(n.lhs), n.rhs), Or(
-                    n.lhs, Not(n.rhs))], pos=n.pos), ctx, neg)
             lhs, rhs = self._rewrite(n.lhs, ctx), self._rewrite(n.rhs, ctx)
             if lhs is not n.lhs or rhs is not n.rhs:
                 n = Iff(lhs, rhs, pos=n.pos)

@@ -50,6 +50,16 @@ two versions' digests lists every script whose answer or search changed:
 
 `--fuzz-seeds A-B` applies as for the translator.
 
+With the argument `compare` and two digest files, it compares two digests
+of the same kind, translate or refsolve, line by line, keyed by (goal,
+mode, flags): it prints how many lines changed in each mode and flag set,
+each TranslateError line that appears or disappears, and for translate
+digests how many scripts got shorter and longer, for refsolve digests each
+line whose answer or error changed and the node-count totals with how many
+lines went up and down:
+
+    python tests/corpus_digest.py compare parent.txt change.txt
+
 pytest does not collect this file (its name does not start with test_).
 tests/test_parse_table.py pins dump() on a smaller parse corpus.
 """
@@ -60,6 +70,7 @@ import hashlib
 import pathlib
 import random
 import sys
+from collections import Counter
 
 TESTS = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / 'perfbench')]
@@ -211,7 +222,81 @@ def seed_range(text):
     return range(int(first), int(last or first) + 1)
 
 
+def read_digest(path):
+    """(kind, {(goal, mode, flags): the rest of its line}) of a translate or
+    refsolve digest; kind is None when every line is an error."""
+    lines, kind = {}, None
+    for line in pathlib.Path(path).read_text().splitlines():
+        key, mode, label, rest = line.split(' ', 3)
+        lines[key, mode, label] = rest
+        head = rest.split(' ', 1)[0]
+        if head != 'error':
+            kind = 'translate' if len(head) == 64 else 'refsolve'
+    return kind, lines
+
+
+def compare(old_path, new_path, out):
+    """Write the comparison of two digests of one kind to out."""
+    (kind, old), (new_kind, new) = read_digest(old_path), read_digest(new_path)
+    if None not in (kind, new_kind) and kind != new_kind:
+        raise SystemExit('compare: a %s digest against a %s digest'
+                         % (kind, new_kind))
+    kind = kind or new_kind
+    both = sorted(old.keys() & new.keys())
+    changed = [k for k in both if old[k] != new[k]]
+    out.write('lines: %d old, %d new, %d in both, %d changed\n' % (
+        len(old), len(new), len(both), len(changed)))
+    for k in sorted(old.keys() ^ new.keys()):
+        out.write('only in %s: %s\n' % ('old' if k in old else 'new',
+                                        ' '.join(k)))
+    by_option = Counter((mode, label) for _, mode, label in changed)
+    for (mode, label), n in sorted(by_option.items()):
+        out.write('changed %s %s: %d\n' % (mode, label, n))
+    failed = [k for k in changed if _failed(old[k]) != _failed(new[k])]
+    for k in failed:
+        gone = _failed(old[k])
+        out.write('translate error %s: %s %s\n' % (
+            'gone' if gone else 'new', ' '.join(k), (old if gone else new)[k]))
+    counts = [(int(old[k].split()[1]), int(new[k].split()[1]))
+              for k in (changed if kind == 'translate' else both)
+              if _counted(old[k]) and _counted(new[k])]
+    if kind == 'translate':
+        out.write('scripts: %d shorter, %d longer\n' % (
+            sum(b < a for a, b in counts), sum(b > a for a, b in counts)))
+        return
+    for k in changed:
+        if _answer(old[k]) != _answer(new[k]) and k not in failed:
+            out.write('answer %s: %s -> %s\n' % (' '.join(k), old[k], new[k]))
+    moved = [(a, b) for a, b in counts if a != b]
+    out.write('nodes: %d old, %d new; on the %d lines up and %d down, %d '
+              'old, %d new\n' % (
+                  sum(a for a, _ in counts), sum(b for _, b in counts),
+                  sum(b > a for a, b in moved), sum(b < a for a, b in moved),
+                  sum(a for a, _ in moved), sum(b for _, b in moved)))
+
+
+def _failed(rest):
+    return rest.startswith('error ')
+
+
+def _counted(rest):
+    """True when the line holds a length or a node count."""
+    return not _failed(rest) and not rest.startswith('refsolve-error ')
+
+
+def _answer(rest):
+    """refsolve's answer, or the whole error text."""
+    return rest.split(' ', 1)[0] if _counted(rest) else rest
+
+
 def main(argv):
+    if argv[:1] == ['compare']:
+        ap = argparse.ArgumentParser(prog='corpus_digest.py compare')
+        ap.add_argument('old')
+        ap.add_argument('new')
+        args = ap.parse_args(argv[1:])
+        compare(args.old, args.new, sys.stdout)
+        return
     ap = argparse.ArgumentParser(prog='corpus_digest.py')
     ap.add_argument('what', nargs='?', choices=['parse', 'refsolve'])
     ap.add_argument('--fuzz-seeds', type=seed_range, default=FUZZ_SEEDS,
