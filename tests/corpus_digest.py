@@ -30,10 +30,11 @@ digests any version:
 
 With the argument `parse`, it digests the parser instead: one line per
 model text of parse_corpus(), the sha256 of dump() of the parsed Model (every
-node's class, fields and pos) or `rejected`. The texts are models/*.fdl,
-every `*_SRC` text, fuzztext seeds 1 and 2, randgen seeds 0-999 printed as
-one-theorem models, and seeded token mutants of the first three groups, so
-a diff also lists every text that moved between accepted and rejected:
+node's class, fields and pos) or the ParseError text, every diagnostic with
+its position. The texts are models/*.fdl, every `*_SRC` text, fuzztext seeds
+1 and 2, randgen seeds 0-999 printed as one-theorem models, and seeded token
+mutants of the first three groups, so a diff also lists every text that
+moved between accepted and rejected or changed a diagnostic:
 
     PYTHONPATH=src python tests/corpus_digest.py parse > change.txt
 
@@ -170,8 +171,8 @@ def dump(node) -> str:
 def parse_digest(text) -> str:
     try:
         model = parse_model(text)
-    except ParseError:
-        return 'rejected'
+    except ParseError as e:
+        return str(e)
     return hashlib.sha256(dump(model).encode()).hexdigest()
 
 

@@ -1,10 +1,10 @@
-"""corpus_digest.py compare on hand-written digests."""
+"""corpus_digest.py compare on hand-written digests, and parse_digest."""
 
 import io
 
 import pytest
 
-from corpus_digest import compare
+from corpus_digest import compare, parse_digest
 
 REFSOLVE_OLD = """\
 g1 eliminate default unsat 10
@@ -65,3 +65,10 @@ def test_compare_translate_digests(tmp_path):
 def test_compare_refuses_digests_of_two_kinds(tmp_path):
     with pytest.raises(SystemExit):
         _compare(tmp_path, REFSOLVE_OLD, TRANSLATE_NEW)
+
+
+def test_parse_digest_writes_every_diagnostic_with_its_position():
+    assert parse_digest('theorem t <=> ;\ntype D = nat[];') == (
+        "line 1 col 15: expected term, got ';'; "
+        "line 2 col 14: expected type bound, got ']'")
+    assert len(parse_digest('theorem t <=> true;')) == 64
