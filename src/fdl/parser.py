@@ -20,6 +20,8 @@ Nesting deeper than Python's recursion limit is a parse error.
 """
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, compress
 
 from .core import (Add, And, Apply, Atom, Choose, Diagnostic,
                    Exists, FalseF, FdlError, FiniteType, Forall, Formula,
@@ -62,135 +64,117 @@ class ParseError(FdlError):
         super().__init__('; '.join(str(d) for d in diagnostics))
 
 
-class Token:
-    __slots__ = ('kind', 'text', 'pos')
-
-    def __init__(self, kind: str, text: str, pos: tuple):
-        # kind: 'ident' | 'number' | 'keyword' | symbol text | 'eof'
-        self.kind, self.text, self.pos = kind, text, pos
-
-
-# One alternative per token kind, tried in this order at each position: a
-# symbol's longer spellings come first, and the last group catches any other
-# character. \w is a character for which str.isalnum() holds, or _.
-_TOKEN = re.compile('|'.join([
-    r'(?P<newline>\n)',
-    r'(?P<space>[ \t\r]+|(?:#|//)[^\n]*)',
-    r'(?P<number>\d+)',
-    r"(?P<word>[^\W\d][\w']*)",
-    '(?P<symbol>%s)' % '|'.join(map(re.escape, SYMBOLS)),
-    r'(?P<other>.)',
-]))
+# Each token is a comment, a number, a word, a symbol (longer spellings
+# first) or any other character but space, tab, CR and newline, which alone
+# fill the gaps. \w is a character for which str.isalnum() holds, or _.
+_SPLIT = re.compile(r"((?:#|//)[^\n]*|\d+|[^\W\d][\w']*|%s|[^ \t\r\n])"
+                    % '|'.join(map(re.escape, SYMBOLS)))
+_RESERVED = KEYWORDS.union(SYMBOLS, [''])  # every token but names, numbers
 
 
-def tokenize(text: str) -> list:
-    toks = []
-    line, start = 1, 0  # start: the offset of the line's first character
-    m = None
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == 'space':
-            continue
-        if kind == 'newline':
-            line += 1
-            start = m.end()
-            continue
-        tok = m.group()
-        pos = (line, m.start() - start + 1)
-        if kind == 'word':
-            if tok in KEYWORDS:
-                kind = 'keyword'
-            elif tok[0] == '_' or tok[0].isalpha():
-                kind = 'ident'
-            else:  # a digit or numeric character that is not a decimal
-                raise ParseError([Diagnostic('unexpected character %r'
-                                             % tok[0], pos)])
-        elif kind == 'symbol':
-            kind = tok
-        elif kind == 'other':
-            raise ParseError([Diagnostic('unexpected character %r' % tok,
-                                         pos)])
-        toks.append(Token(kind, tok, pos))
-    end = 0
-    if m is not None:  # the columns count no comment, which ends the text
-        comment = m.lastgroup == 'space' and m.group()[0] in '#/'
-        end = m.start() if comment else m.end()
-    toks.append(Token('eof', '', (line, end - start + 1)))
-    return toks
+def tokenize(text: str) -> tuple:
+    """The token texts of text but its comments, '' (the end) last; the
+    offset of each, the end after the last character outside comments; and
+    the offset of each line. A character that starts no token is an error,
+    as is a word that does not start with a letter or _."""
+    pieces = _SPLIT.split(text)  # a gap, a token, a gap, ..., a gap
+    toks = pieces[1::2] + ['']
+    offs = list(accumulate(map(len, pieces)))[::2]  # where each gap ends
+    starts = [0, *(m.end() for m in re.finditer('\n', text))]
+    if '#' in text or '//' in text:
+        keep = [not tok.startswith(('#', '//')) for tok in toks]
+        if not pieces[-1] and not keep[-2]:  # a comment ends the text
+            offs[-1] = offs[-2]
+        toks, offs = list(compress(toks, keep)), list(compress(offs, keep))
+    bad = [tok for tok in set(toks).difference(_RESERVED)
+           if not (tok[0].isalpha() or tok[0] == '_' or tok[0].isdecimal())]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError([Diagnostic('unexpected character %r' % toks[i][0],
+                                     position(starts, offs[i]))])
+    return toks, offs, starts
 
 
-class _Fail(Exception):
-    def __init__(self, msg, pos):
-        self.msg = msg
-        self.pos = pos
+def kind(tok: str) -> str:
+    """'ident', 'number', 'keyword', 'eof' or the symbol: a token's kind."""
+    if tok in _RESERVED:
+        return 'keyword' if tok in KEYWORDS else tok or 'eof'
+    return 'number' if tok[0].isdecimal() else 'ident'
+
+
+def position(starts: list, off: int) -> tuple:
+    """The (line, column), from 1, of offset off, given the line starts."""
+    line = bisect_right(starts, off)
+    return line, off - starts[line - 1] + 1
 
 
 class Parser:
+    """Reads self.toks[self.i], the token texts of tokenize(), by index and
+    computes a position only for a node or a diagnostic."""
+
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.toks, self.offs, self.starts = tokenize(text)
         self.i = 0
 
-    # -- token plumbing ----------------------------------------------------
+    def pos(self, i=None) -> tuple:
+        """The position of the token at index i, by default the current one."""
+        return position(self.starts, self.offs[self.i if i is None else i])
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def fail(self, want) -> ParseError:
+        """The error of the current token standing where want was expected."""
+        got = self.toks[self.i] or 'eof'
+        return ParseError([Diagnostic('%s, got %r' % (want, got), self.pos())])
 
-    def at(self, kind, text=None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
-
-    def take(self) -> Token:
-        t = self.toks[self.i]
+    def skip(self, tok):
+        """Go past the current token, which must be tok ('' the end)."""
+        if self.toks[self.i] != tok:
+            raise self.fail('expected %r' % (tok or 'eof'))
         self.i += 1
-        return t
 
-    def expect(self, kind, text=None) -> Token:
-        if not self.at(kind, text):
-            got = self.peek()
-            want = text or kind
-            raise _Fail('expected %r, got %r' % (want, got.text or got.kind),
-                        got.pos)
-        return self.take()
-
-    def accept(self, kind, text=None):
-        if self.at(kind, text):
-            return self.take()
-        return None
+    def read(self, want='ident') -> str:
+        """The current token, which must be of kind want; goes past it."""
+        tok = self.toks[self.i]
+        if kind(tok) != want:
+            raise self.fail('expected %r' % want)
+        self.i += 1
+        return tok
 
     # -- types -------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
-        if self.accept('keyword', 'bool'):
+        tok = self.toks[self.i]
+        if tok not in ('bool', 'nat'):
+            return TypeExpr('name', name=self.read())
+        self.i += 1
+        if tok == 'bool':
             return TypeExpr('bool')
-        if self.accept('keyword', 'nat'):
-            self.expect('[')
-            e = self.bound_expr()
-            self.expect(']')
-            return TypeExpr('nat', bound_expr=e)
-        t = self.expect('ident')
-        return TypeExpr('name', name=t.text)
+        self.skip('[')
+        e = self.bound_expr()
+        self.skip(']')
+        return TypeExpr('nat', bound_expr=e)
 
     def bound_expr(self, min_prec=1):
         """Precedence climbing over _BOUND_PREC; a chain of ^ folds to the
         right."""
         e = self.bound_atom()
-        while _BOUND_PREC.get(self.peek().kind, 0) >= min_prec:
-            op = self.take().kind
+        while _BOUND_PREC.get(self.toks[self.i], 0) >= min_prec:
+            op = self.toks[self.i]
+            self.i += 1
             prec = _BOUND_PREC[op]
             e = (op, e, self.bound_expr(prec if op == '^' else prec + 1))
         return e
 
     def bound_atom(self):
-        if self.at('number'):
-            return ('num', int(self.take().text))
-        if self.at('ident'):
-            return ('var', self.take().text)
-        if self.accept('('):
-            e = self.bound_expr()
-            self.expect(')')
-            return e
-        t = self.peek()
-        raise _Fail('expected type bound, got %r' % (t.text or t.kind), t.pos)
+        tok = self.toks[self.i]
+        k = kind(tok)
+        if k not in ('number', 'ident', '('):
+            raise self.fail('expected type bound')
+        self.i += 1
+        if k != '(':
+            return ('num', int(tok)) if k == 'number' else ('var', tok)
+        e = self.bound_expr()
+        self.skip(')')
+        return e
 
     # -- formulas and terms ------------------------------------------------
 
@@ -206,25 +190,27 @@ class Parser:
         are parsed."""
         lhs = self.primary(min_prec)
         while True:
-            op = self.peek()
-            cls = _INFIX.get(op.kind)
+            op = self.toks[self.i]
+            cls = _INFIX.get(op)
             prec = PREC.get(cls, 0)
             if prec < min_prec:
                 return lhs
             if prec >= PREC[Atom]:
                 if isinstance(lhs, Formula):  # so comparisons do not chain
                     return lhs
-                self.take()
-                lhs = _infix_term(op.kind, lhs, self.expr(prec + 1), op.pos)
+                pos = self.pos()
+                self.i += 1
+                lhs = _infix_term(op, lhs, self.expr(prec + 1), pos)
             else:  # a connective: a chain is one node at its root
                 # operator, the last of /\ or \/ and the first of =>;
                 # <=> takes two parts and folds to the left
                 chain, ops = [self.as_formula(lhs)], []
-                while not ops or cls is not Iff and self.at(op.kind):
-                    ops.append(self.take().pos)
+                while not ops or cls is not Iff and self.toks[self.i] == op:
+                    ops.append(self.i)
+                    self.i += 1
                     chain.append(self.as_formula(self.expr(prec + 1)))
-                lhs = (Iff(*chain, pos=ops[0]) if cls is Iff else
-                       cls(chain, pos=ops[0 if cls is Implies else -1]))
+                at = self.pos(ops[-1] if cls in (And, Or) else ops[0])
+                lhs = Iff(*chain, pos=at) if cls is Iff else cls(chain, pos=at)
 
     def as_formula(self, e) -> Formula:
         """e where a formula is required: a bool literal becomes TrueF or
@@ -233,82 +219,88 @@ class Parser:
             return e
         if isinstance(e, Lit) and isinstance(e.value, bool):
             return TrueF(pos=e.pos) if e.value else FalseF(pos=e.pos)
-        t = self.peek()
-        raise _Fail('expected comparison operator, got %r'
-                    % (t.text or t.kind), t.pos)
+        raise self.fail('expected comparison operator')
 
     def primary(self, min_prec):
-        t = self.peek()
-        if self.accept('number'):
-            return Lit(int(t.text), pos=t.pos)
-        if self.accept('ident'):
-            if self.accept('('):
-                args = [self.term()]
-                while self.accept(','):
-                    args.append(self.term())
-                self.expect(')')
-                return Apply(t.text, args, pos=t.pos)
-            return Var(t.text, pos=t.pos)
-        if self.accept('('):
+        start, tok = self.i, self.toks[self.i]
+        k, pos = kind(tok), self.pos()
+        self.i += 1
+        if k == 'number':
+            return Lit(int(tok), pos=pos)
+        if k == 'ident':
+            if self.toks[self.i] != '(':
+                return Var(tok, pos=pos)
+            self.i += 1
+            args = [self.term()]
+            while self.toks[self.i] == ',':
+                self.i += 1
+                args.append(self.term())
+            self.skip(')')
+            return Apply(tok, args, pos=pos)
+        if tok == '(':
             e = self.expr(_TERM if min_prec >= _TERM else PREC[Iff])
-            self.expect(')')
+            self.skip(')')
             return e
-        if self.accept('keyword', 'true') or self.accept('keyword', 'false'):
-            return Lit(t.text == 'true', pos=t.pos)
-        if self.accept('keyword', 'if'):
+        if tok in ('true', 'false'):
+            return Lit(tok == 'true', pos=pos)
+        if tok == 'if':
             cond = self.formula()
-            self.expect('keyword', 'then')
+            self.skip('then')
             then = self.term()
-            self.expect('keyword', 'else')
-            return Ite(cond, then, self.term(), pos=t.pos)
-        if self.accept('keyword', 'choose'):
-            name = self.expect('ident')
-            self.expect(':')
+            self.skip('else')
+            return Ite(cond, then, self.term(), pos=pos)
+        if tok == 'choose':
+            name = self.read()
+            self.skip(':')
             ty = self.type_expr()
-            self.expect('keyword', 'with')
-            return Choose(name.text, ty, self.formula(), pos=t.pos)
-        if min_prec < _TERM and t.kind == '!':  # a run of ! is a loop
-            bangs = []
-            while self.at('!'):
-                bangs.append(self.take().pos)
+            self.skip('with')
+            return Choose(name, ty, self.formula(), pos=pos)
+        if min_prec < _TERM and tok == '!':  # a run of ! is a loop
+            bangs = [pos]
+            while self.toks[self.i] == '!':
+                bangs.append(self.pos())
+                self.i += 1
             f = self.as_formula(self.expr(PREC[Not]))
             for pos in reversed(bangs):
                 f = Not(f, pos=pos)
             return f
-        if min_prec < _TERM and t.text in ('forall', 'exists'):
-            return self.quantified()
-        raise _Fail('expected term, got %r' % (t.text or t.kind), t.pos)
+        if min_prec < _TERM and tok in ('forall', 'exists'):
+            binders = self.binders()
+            self.skip('.')
+            f = self.formula()
+            cls = Forall if tok == 'forall' else Exists
+            for name, ty, pos in reversed(binders):
+                f = cls(name, ty, f, pos=pos)
+            return f
+        self.i = start  # the token reported, where recovery starts
+        raise self.fail('expected term')
 
-    def quantified(self) -> Formula:
-        t = self.take()
-        cls = Forall if t.text == 'forall' else Exists
-        binders = [self.binder()]
-        while self.accept(','):
-            binders.append(self.binder())
-        self.expect('.')
-        f = self.formula()
-        for name, ty, pos in reversed(binders):
-            f = cls(name, ty, f, pos=pos)
-        return f
-
-    def binder(self):
-        name = self.expect('ident')
-        self.expect(':')
-        return name.text, self.type_expr(), name.pos
+    def binders(self) -> list:
+        """(name, type, the name's position) of each binder of a list
+        name: type, name: type, ..."""
+        found = []
+        while True:
+            pos = self.pos()
+            name = self.read()
+            self.skip(':')
+            found.append((name, self.type_expr(), pos))
+            if self.toks[self.i] != ',':
+                return found
+            self.i += 1
 
     # -- declarations --------------------------------------------------------
 
     def model(self):
-        m = Model()
-        diags = []
-        while not self.at('eof'):
+        m, diags = Model(), []
+        while self.toks[self.i]:
             try:
                 self.guarded(lambda: self.declaration(m))
-            except _Fail as e:
-                diags.append(Diagnostic(e.msg, e.pos))
-                while not self.at(';') and not self.at('eof'):
-                    self.take()
-                self.accept(';')
+            except ParseError as e:  # recovery goes past the next ';'
+                diags += e.diagnostics
+                try:
+                    self.i = self.toks.index(';', self.i) + 1
+                except ValueError:  # no ';' is left
+                    self.i = len(self.toks) - 1
         return m, diags
 
     def guarded(self, parse):
@@ -317,62 +309,48 @@ class Parser:
         try:
             return parse()
         except RecursionError:
-            raise _Fail('nested too deeply', self.peek().pos) from None
+            raise ParseError([Diagnostic('nested too deeply',
+                                         self.pos())]) from None
 
     def declaration(self, m: Model):
-        t = self.peek()
-        if self.accept('keyword', 'val'):
-            name = self.expect('ident')
-            self.expect(':')
-            self.expect('keyword', 'nat')
-            default = None
-            if self.accept('='):
-                default = int(self.expect('number').text)
-            self.expect(';')
-            m.params[name.text] = default
-            return
-        if self.accept('keyword', 'type'):
-            name = self.expect('ident')
-            self.expect('=')
-            ty = self.type_expr()
-            self.expect(';')
-            m.types[name.text] = ty
-            return
-        if self.accept('keyword', 'fun'):
-            name = self.expect('ident')
-            self.expect('(')
-            params = []
-            if not self.at(')'):
-                params.append(self.param())
-                while self.accept(','):
-                    params.append(self.param())
-            self.expect(')')
-            self.expect(':')
+        """One declaration, entered in m once its ';' is read."""
+        start, tok = self.i, self.toks[self.i]
+        if tok not in ('val', 'type', 'fun', 'theorem'):
+            raise self.fail('expected declaration')
+        self.i += 1
+        name = self.read()
+        if tok == 'val':
+            self.skip(':')
+            self.skip('nat')
+            table, entry = m.params, None
+            if self.toks[self.i] == '=':
+                self.i += 1
+                entry = int(self.read('number'))
+        elif tok == 'type':
+            self.skip('=')
+            table, entry = m.types, self.type_expr()
+        elif tok == 'fun':
+            self.skip('(')
+            params = ([] if self.toks[self.i] == ')' else
+                      [binder[:2] for binder in self.binders()])
+            self.skip(')')
+            self.skip(':')
             result = self.type_expr()
-            body = ensures = None
-            if self.accept('='):
-                body = self.term()
-            elif self.accept('keyword', 'ensures'):
-                ensures = self.formula()
-            else:
-                raise _Fail("expected '=' or 'ensures'", self.peek().pos)
-            self.expect(';')
-            m.funcs[name.text] = FuncDecl(name.text, params, result,
-                                          body=body, ensures=ensures, pos=t.pos)
-            return
-        if self.accept('keyword', 'theorem'):
-            name = self.expect('ident')
-            self.expect('<=>')
-            f = self.formula()
-            self.expect(';')
-            m.theorems[name.text] = f
-            return
-        raise _Fail('expected declaration, got %r' % (t.text or t.kind), t.pos)
-
-    def param(self):
-        name = self.expect('ident')
-        self.expect(':')
-        return name.text, self.type_expr()
+            how = self.toks[self.i]
+            if how not in ('=', 'ensures'):
+                raise ParseError([Diagnostic("expected '=' or 'ensures'",
+                                             self.pos())])
+            self.i += 1
+            body, ensures = ((self.term(), None) if how == '=' else
+                             (None, self.formula()))
+            table, entry = m.funcs, FuncDecl(name, params, result, body=body,
+                                             ensures=ensures,
+                                             pos=self.pos(start))
+        else:
+            self.skip('<=>')
+            table, entry = m.theorems, self.formula()
+        self.skip(';')
+        table[name] = entry
 
 
 def parse_model(text: str) -> Model:
@@ -392,11 +370,8 @@ def parse_formula(text: str, ctx: dict, funcs=None, types=None,
     used inside binders may be supplied via types/params.
     """
     p = Parser(text)
-    try:
-        f = p.guarded(p.formula)
-        p.expect('eof')
-    except _Fail as e:
-        raise ParseError([Diagnostic(e.msg, e.pos)]) from None
+    f = p.guarded(p.formula)
+    p.skip('')
     f = resolve_node(f, (types or {}, params or {}))
     diags = typecheck_formula(f, ctx, funcs)
     if diags:

@@ -182,7 +182,7 @@ _POOL = sorted(KEYWORDS) + SYMBOLS + ['0', '1', 'x']
 def mutants(key, text, count):
     """count seeded one-token edits of text (delete, repeat, swap with the
     next token or insert one), tokens joined by spaces."""
-    toks = [t.text for t in tokenize(text)[:-1]]
+    toks = tokenize(text)[0][:-1]
     for i in range(count):
         rng = random.Random('%s/%d' % (key, i))
         edit, at = list(toks), rng.randrange(len(toks))

@@ -7,8 +7,8 @@ from fdl.core import (
     Var, nat, resolve_model, typecheck_model, walk,
 )
 from fdl.parser import (
-    ParseError, parse_formula, parse_model, print_formula, print_term,
-    tokenize,
+    ParseError, kind, parse_formula, parse_model, position, print_formula,
+    print_term, tokenize,
 )
 
 from conftest import CHOOSE_SRC, CONTRACT_SRC, CYCLE4_SRC
@@ -17,20 +17,25 @@ from conftest import CHOOSE_SRC, CONTRACT_SRC, CYCLE4_SRC
 # -- tokens ---------------------------------------------------------------------
 
 
+def _tokens(text):
+    """(kind, text, position) of each token of text, the end last."""
+    toks, offs, starts = tokenize(text)
+    return [(kind(t), t, position(starts, off)) for t, off in zip(toks, offs)]
+
+
 def test_tokenize_symbols_and_idents():
-    kinds = [t.kind for t in tokenize('x1 <= 2 /\\ y => z <=> true')]
+    kinds = [k for k, _, _ in _tokens('x1 <= 2 /\\ y => z <=> true')]
     assert kinds == ['ident', '<=', 'number', '/\\', 'ident', '=>',
                      'ident', '<=>', 'keyword', 'eof']
 
 
 def test_tokenize_skips_both_comment_styles():
-    toks = tokenize('1 # hash to eol\n2 // slashes to eol\n3')
-    assert [t.text for t in toks if t.kind == 'number'] == ['1', '2', '3']
+    toks = _tokens('1 # hash to eol\n2 // slashes to eol\n3')
+    assert [t for k, t, _ in toks if k == 'number'] == ['1', '2', '3']
 
 
 def test_tokenize_positions_are_one_based():
-    t = tokenize('  foo')[0]
-    assert t.pos == (1, 3)
+    assert _tokens('  foo')[0][2] == (1, 3)
 
 
 def test_tokenize_rejects_stray_character():
@@ -40,8 +45,8 @@ def test_tokenize_rejects_stray_character():
 
 
 def test_tokenize_keeps_unicode_words_and_decimal_digits():
-    toks = tokenize("\u00e9t\u00e9' \u0663\u0661")  # ete', Arabic-Indic 31
-    assert [(t.kind, t.text, t.pos) for t in toks] == [
+    toks = _tokens("\u00e9t\u00e9' \u0663\u0661")  # ete', Arabic-Indic 31
+    assert toks == [
         ('ident', "\u00e9t\u00e9'", (1, 1)),
         ('number', '\u0663\u0661', (1, 6)), ('eof', '', (1, 8))]
     assert parse_model('theorem t <=> \u0663 = 3;').theorems['t'] == Atom(
@@ -66,7 +71,7 @@ def test_tokenize_rejects_a_digit_that_is_not_decimal(text, pos):
 ])
 def test_tokenize_end_is_after_the_last_character_outside_comments(text,
                                                                     pos):
-    assert tokenize(text)[-1].pos == pos
+    assert _tokens(text)[-1] == ('eof', '', pos)
 
 
 # -- formula grammar ------------------------------------------------------------
