@@ -47,6 +47,9 @@ _CONNECTIVES = {'<=>': Iff, '=>': Implies, '\\/': Or, '/\\': And}
 _SYMBOL = {cls: sym for sym, cls in _CONNECTIVES.items()}
 _INFIX = {**_CONNECTIVES, **dict.fromkeys(('=', '<', '<=', '>', '>='), Atom),
           '+': Add, '*': Mul}
+# the Model table of each kind of declaration
+_TABLES = {'val': 'params', 'type': 'types', 'fun': 'funcs',
+           'theorem': 'theorems'}
 
 
 def _infix_term(op, lhs, rhs, pos):
@@ -120,10 +123,13 @@ class Parser:
         """The position of the token at index i, by default the current one."""
         return position(self.starts, self.offs[self.i if i is None else i])
 
+    def error(self, msg, pos=None) -> ParseError:
+        """The error msg at pos, by default the current token's."""
+        return ParseError([Diagnostic(msg, pos or self.pos())])
+
     def fail(self, want) -> ParseError:
         """The error of the current token standing where want was expected."""
-        got = self.toks[self.i] or 'eof'
-        return ParseError([Diagnostic('%s, got %r' % (want, got), self.pos())])
+        return self.error('%s, got %r' % (want, self.toks[self.i] or 'eof'))
 
     def skip(self, tok):
         """Go past the current token, which must be tok ('' the end)."""
@@ -309,46 +315,51 @@ class Parser:
         try:
             return parse()
         except RecursionError:
-            raise ParseError([Diagnostic('nested too deeply',
-                                         self.pos())]) from None
+            raise self.error('nested too deeply') from None
 
     def declaration(self, m: Model):
-        """One declaration, entered in m once its ';' is read."""
+        """One declaration, entered in m once its ';' is read. A name
+        declared before in the same kind is an error."""
         start, tok = self.i, self.toks[self.i]
-        if tok not in ('val', 'type', 'fun', 'theorem'):
+        if tok not in _TABLES:
             raise self.fail('expected declaration')
+        table = getattr(m, _TABLES[tok])
         self.i += 1
+        if self.toks[self.i] in table:
+            raise self.error('duplicate declaration of %r' % self.toks[self.i])
         name = self.read()
         if tok == 'val':
             self.skip(':')
             self.skip('nat')
-            table, entry = m.params, None
+            entry = None
             if self.toks[self.i] == '=':
                 self.i += 1
                 entry = int(self.read('number'))
         elif tok == 'type':
             self.skip('=')
-            table, entry = m.types, self.type_expr()
+            entry = self.type_expr()
         elif tok == 'fun':
             self.skip('(')
-            params = ([] if self.toks[self.i] == ')' else
-                      [binder[:2] for binder in self.binders()])
+            binders = [] if self.toks[self.i] == ')' else self.binders()
             self.skip(')')
+            params = {}
+            for pname, ty, pos in binders:
+                if pname in params:
+                    raise self.error('duplicate parameter %r' % pname, pos)
+                params[pname] = ty
             self.skip(':')
             result = self.type_expr()
             how = self.toks[self.i]
             if how not in ('=', 'ensures'):
-                raise ParseError([Diagnostic("expected '=' or 'ensures'",
-                                             self.pos())])
+                raise self.error("expected '=' or 'ensures'")
             self.i += 1
             body, ensures = ((self.term(), None) if how == '=' else
                              (None, self.formula()))
-            table, entry = m.funcs, FuncDecl(name, params, result, body=body,
-                                             ensures=ensures,
-                                             pos=self.pos(start))
+            entry = FuncDecl(name, list(params.items()), result, body=body,
+                             ensures=ensures, pos=self.pos(start))
         else:
             self.skip('<=>')
-            table, entry = m.theorems, self.formula()
+            entry = self.formula()
         self.skip(';')
         table[name] = entry
 

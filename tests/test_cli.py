@@ -266,6 +266,20 @@ def test_a_negative_parameter_or_exponent_is_a_diagnostic(tmp_path, capsys,
     assert main([argv[0], str(p), '--param', 'N=4'] + argv[1:]) == 1
 
 
+@pytest.mark.parametrize('argv', [
+    ['check', '--mechanism', 'evaluator'],
+    ['check', '--mechanism', 'refsolve'],
+    ['oracle'],
+], ids=['evaluator', 'refsolve', 'oracle'])
+def test_a_theorem_declared_twice_is_a_parse_error(tmp_path, capsys, argv):
+    # the second theorem used to replace the first, and the model was valid
+    p = tmp_path / 'twice.fdl'
+    p.write_text('type D = nat[3]; theorem t <=> false; theorem t <=> true;')
+    assert main([argv[0], str(p)] + argv[1:]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 1 col 47: duplicate declaration of 't'\n")
+
+
 def test_missing_file_exits_three(capsys):
     assert main(['check', '/no/such/model.fdl']) == 3
 
@@ -522,6 +536,15 @@ def _fresh(code):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+def test_python_dash_m_fdl_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, 'src'))
+    out = subprocess.run(
+        [sys.executable, '-m', 'fdl', 'check', 'models/cycle4.fdl',
+         '--param', 'N=1'], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, 'valid\n'), out.stderr
 
 
 def test_check_with_the_evaluator_imports_only_what_it_runs():

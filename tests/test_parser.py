@@ -223,6 +223,27 @@ def test_parse_model_recovers_at_semicolons():
     assert len(ei.value.diagnostics) == 1
 
 
+@pytest.mark.parametrize('text, err', [
+    ('val N: nat = 1; val N: nat;', "col 21: duplicate declaration of 'N'"),
+    ('type D = nat[1]; type D = bool;', "col 23: duplicate declaration of 'D'"),
+    ('fun f(x: bool): bool = x; fun f(y: bool): bool = y;',
+     "col 31: duplicate declaration of 'f'"),
+    ('type D = nat[3]; theorem t <=> false; theorem t <=> true;',
+     "col 47: duplicate declaration of 't'"),
+    ('fun f(x: bool, x: bool): bool = x;', "col 16: duplicate parameter 'x'"),
+], ids=['val', 'type', 'fun', 'theorem', 'parameter'])
+def test_a_name_declared_twice_is_a_diagnostic_at_the_repeated_name(text,
+                                                                     err):
+    with pytest.raises(ParseError) as ei:
+        parse_model(text)
+    assert str(ei.value) == 'line 1 ' + err
+
+
+def test_a_val_and_a_type_may_share_a_name():
+    m = parse_model('val D: nat = 1; type D = nat[D];')
+    assert m.params == {'D': 1} and list(m.types) == ['D']
+
+
 # -- printing round-trips ---------------------------------------------------------
 
 
