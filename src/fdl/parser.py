@@ -14,9 +14,17 @@ or => is one node that holds its parts; a chain of <=> nests to the left.
 Every + is an Add: x + 2 is Add(x, Lit(2)), whose Lit has the position of
 the literal's token and whose Add has that of the +.
 
+Tokens are read as strings: one re.split of the text gives every token's
+text and, from the lengths of the pieces, its offset; comments are dropped
+and '' marks the end. The parser reads self.toks[self.i] and compares
+texts, asks kind() only where a name or a number is needed, and turns an
+offset into a (line, column) only for a node's pos or a diagnostic.
+
 Formulas and terms are parsed by precedence climbing over PREC, the table
 the printer reads too, and type bounds the same way over _BOUND_PREC.
-Nesting deeper than Python's recursion limit is a parse error.
+Nesting deeper than Python's recursion limit is a parse error, and so is a
+name declared twice in one kind (val, type, fun or theorem) or a parameter
+named twice in one fun; a val and a type may share a name.
 """
 
 import re
